@@ -1,5 +1,8 @@
 #include "core/wire.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "support/math_util.hpp"
 
 namespace rfc::core {
@@ -16,46 +19,29 @@ const char* to_string(WireError error) noexcept {
   return "unknown";
 }
 
-void BitWriter::write(std::uint64_t value, std::uint32_t bits) {
-  for (std::uint32_t i = bits; i-- > 0;) {
-    const std::uint64_t bit = (value >> i) & 1u;
-    const std::size_t byte_index = static_cast<std::size_t>(bit_count_ / 8);
-    if (byte_index == bytes_.size()) bytes_.push_back(0);
-    if (bit) {
-      bytes_[byte_index] |=
-          static_cast<std::uint8_t>(1u << (7 - bit_count_ % 8));
-    }
-    ++bit_count_;
-  }
-}
-
-std::optional<std::uint64_t> BitReader::read(std::uint32_t bits) {
-  if (cursor_ + bits > bit_count_ || bits > 64) return std::nullopt;
-  std::uint64_t value = 0;
-  for (std::uint32_t i = 0; i < bits; ++i) {
-    const std::size_t byte_index = static_cast<std::size_t>(cursor_ / 8);
-    const std::uint8_t byte = (*bytes_)[byte_index];
-    const std::uint64_t bit = (byte >> (7 - cursor_ % 8)) & 1u;
-    value = (value << 1) | bit;
-    ++cursor_;
-  }
-  return value;
+void BitWriter::throw_width(std::uint32_t bits) {
+  throw std::invalid_argument("BitWriter::write: width " +
+                              std::to_string(bits) + " exceeds 64 bits");
 }
 
 void encode_intention(BitWriter& w, const ProtocolParams& params,
                       const VoteIntention& intention) {
+  const std::uint32_t value_bits = params.value_bits();
+  const std::uint32_t label_bits = params.label_bits();
   for (const VoteEntry& e : intention) {
-    w.write(e.value, params.value_bits());
-    w.write(e.target, params.label_bits());
+    w.write(e.value, value_bits);
+    w.write(e.target, label_bits);
   }
 }
 
 WireResult<VoteIntention> decode_intention_checked(
     BitReader& r, const ProtocolParams& params) {
   VoteIntention intention(params.q);
+  const std::uint32_t value_bits = params.value_bits();
+  const std::uint32_t label_bits = params.label_bits();
   for (VoteEntry& e : intention) {
-    const auto value = r.read(params.value_bits());
-    const auto target = r.read(params.label_bits());
+    const auto value = r.read(value_bits);
+    const auto target = r.read(label_bits);
     if (!value || !target) {
       return WireResult<VoteIntention>::failure(WireError::kTruncated);
     }
@@ -103,12 +89,15 @@ std::uint32_t certificate_count_bits(const ProtocolParams& params) noexcept {
 
 void encode_certificate(BitWriter& w, const ProtocolParams& params,
                         const Certificate& certificate) {
-  w.write(certificate.k, params.value_bits());
+  const std::uint32_t label_bits = params.label_bits();
+  const std::uint32_t round_bits = params.round_bits();
+  const std::uint32_t value_bits = params.value_bits();
+  w.write(certificate.k, value_bits);
   w.write(certificate.votes.size(), certificate_count_bits(params));
   for (const ReceivedVote& v : certificate.votes) {
-    w.write(v.voter, params.label_bits());
-    w.write(v.round_index, params.round_bits());
-    w.write(v.value, params.value_bits());
+    w.write(v.voter, label_bits);
+    w.write(v.round_index, round_bits);
+    w.write(v.value, value_bits);
   }
   w.write(static_cast<std::uint64_t>(certificate.color), params.color_bits());
   w.write(certificate.owner, params.label_bits());
@@ -131,10 +120,13 @@ WireResult<Certificate> decode_certificate_checked(
   }
   c.k = *k;
   c.votes.reserve(static_cast<std::size_t>(*count));
+  const std::uint32_t label_bits = params.label_bits();
+  const std::uint32_t round_bits = params.round_bits();
+  const std::uint32_t value_bits = params.value_bits();
   for (std::uint64_t i = 0; i < *count; ++i) {
-    const auto voter = r.read(params.label_bits());
-    const auto round = r.read(params.round_bits());
-    const auto value = r.read(params.value_bits());
+    const auto voter = r.read(label_bits);
+    const auto round = r.read(round_bits);
+    const auto value = r.read(value_bits);
     if (!voter || !round || !value) return R::failure(WireError::kTruncated);
     if (*voter >= params.n) return R::failure(WireError::kRangeViolation);
     if (*round >= params.q) return R::failure(WireError::kRangeViolation);

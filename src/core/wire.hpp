@@ -60,37 +60,117 @@ struct WireResult {
   static WireResult success(T v) { return {std::move(v), WireError::kNone}; }
 };
 
-/// Append-only bit stream writer (MSB-first within each value).
+/// Append-only bit stream writer (MSB-first within each value).  Values
+/// are packed a byte at a time; the output is the same bit string a
+/// bit-serial writer would produce, padded with zero bits to a byte.
+/// write() and BitReader::read() are defined inline below: they run once
+/// per field of every transport frame.
 class BitWriter {
  public:
-  /// Appends the low `bits` bits of `value`.
+  /// Appends the low `bits` bits of `value`.  Throws std::invalid_argument
+  /// when `bits` > 64.
   void write(std::uint64_t value, std::uint32_t bits);
+
+  /// Makes room for `bits` more bits, so a writer whose final size is known
+  /// allocates once.
+  void reserve(std::uint64_t bits) {
+    bytes_.reserve(static_cast<std::size_t>((bit_count_ + bits + 7) / 8));
+  }
 
   std::uint64_t bit_count() const noexcept { return bit_count_; }
   const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
 
+  /// Moves the bytes out and leaves the writer empty.
+  std::vector<std::uint8_t> take_bytes() noexcept {
+    bit_count_ = 0;
+    return std::move(bytes_);
+  }
+
  private:
+  [[noreturn]] static void throw_width(std::uint32_t bits);
+
   std::vector<std::uint8_t> bytes_;
   std::uint64_t bit_count_ = 0;
 };
 
-/// Sequential reader over a BitWriter's output.
+/// Sequential reader over a BitWriter's output, a 64-bit window at a time.
+/// It does not own the bytes: they must outlive the reader.
 class BitReader {
  public:
+  /// Reads the first `bit_count` bits of `data`.
+  BitReader(const std::uint8_t* data, std::uint64_t bit_count) noexcept
+      : data_(data), bit_count_(bit_count) {}
   BitReader(const std::vector<std::uint8_t>& bytes,
             std::uint64_t bit_count) noexcept
-      : bytes_(&bytes), bit_count_(bit_count) {}
+      : BitReader(bytes.data(), bit_count) {}
 
-  /// Reads `bits` bits; returns nullopt past the end.
+  /// Reads `bits` bits (at most 64); returns nullopt past the end.
   std::optional<std::uint64_t> read(std::uint32_t bits);
 
   std::uint64_t remaining() const noexcept { return bit_count_ - cursor_; }
 
  private:
-  const std::vector<std::uint8_t>* bytes_;
+  const std::uint8_t* data_;
   std::uint64_t bit_count_;
   std::uint64_t cursor_ = 0;
 };
+
+inline void BitWriter::write(std::uint64_t value, std::uint32_t bits) {
+  if (bits > 64) throw_width(bits);
+  if (bits == 0) return;
+  if (bits < 64) value &= (std::uint64_t{1} << bits) - 1;
+  // Bits still free in the last byte (0 when the stream is byte-aligned).
+  const auto free_bits = static_cast<std::uint32_t>((8 - bit_count_ % 8) % 8);
+  bit_count_ += bits;
+  if (free_bits != 0) {
+    if (bits <= free_bits) {
+      bytes_.back() |= static_cast<std::uint8_t>(value << (free_bits - bits));
+      return;
+    }
+    bits -= free_bits;
+    bytes_.back() |= static_cast<std::uint8_t>(value >> bits);
+  }
+  // `bits` low bits of `value` remain, all starting on a byte boundary.
+  while (bits >= 8) {
+    bits -= 8;
+    bytes_.push_back(static_cast<std::uint8_t>(value >> bits));
+  }
+  if (bits != 0) {
+    bytes_.push_back(static_cast<std::uint8_t>(value << (8 - bits)));
+  }
+}
+
+inline std::optional<std::uint64_t> BitReader::read(std::uint32_t bits) {
+  if (bits > 64 || bits > bit_count_ - cursor_) return std::nullopt;
+  if (bits == 0) return 0;
+  std::size_t index = static_cast<std::size_t>(cursor_ / 8);
+  const auto offset = static_cast<std::uint32_t>(cursor_ % 8);
+  cursor_ += bits;
+  if (offset + bits <= 64 && index + 8 <= (bit_count_ + 7) / 8) {
+    // Whole value inside one 8-byte big-endian window of the stream.
+    std::uint64_t window = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      window = (window << 8) | data_[index + i];
+    }
+    return (window << offset) >> (64 - bits);
+  }
+  // Near the end of the stream, or a value spanning nine bytes.
+  std::uint64_t value = 0;
+  if (offset != 0) {
+    // The tail of a partly consumed byte.
+    const std::uint32_t avail = 8 - offset;
+    const std::uint64_t head = data_[index++] & (0xFFu >> offset);
+    if (bits <= avail) return head >> (avail - bits);
+    value = head;
+    bits -= avail;
+  }
+  while (bits >= 8) {
+    value = (value << 8) | data_[index++];
+    bits -= 8;
+  }
+  if (bits != 0) value = (value << bits) | (data_[index] >> (8 - bits));
+  return value;
+}
 
 // --- Encoders: each writes exactly the size the accounting model charges --
 

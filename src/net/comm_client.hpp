@@ -22,7 +22,8 @@
 //     ACP's comm_client_tcp_mesh shape: node i dials every peer j < i and
 //     accepts from every j > i, each established connection is identified
 //     by a hello carrying the dialer's node id, and messages are
-//     length-prefixed on the stream.
+//     length-prefixed on the stream.  Outgoing messages are coalesced per
+//     peer until the next poll().
 //
 // Threading contract: single-threaded by design.  start(), send(), poll()
 // and stop() are called from one driver thread; poll() is the only place
@@ -86,17 +87,23 @@ class CommClient {
   virtual void start(NodeId self, const std::vector<PeerEndpoint>& peers,
                      CommClientCallback& callback) = 0;
 
-  /// Tears the transport down; idempotent.
+  /// Writes out what send() still buffers (best effort, never throws) and
+  /// tears the transport down; idempotent.
   virtual void stop() = 0;
 
-  /// Queues one message to `to`.  Throws std::runtime_error on a hard
-  /// transport failure (unknown peer, broken connection).
+  /// Queues one message to `to`.  The backend may buffer it until the next
+  /// poll() or stop(): a caller that waits for an answer must poll, not
+  /// sleep.  (tcp buffers per peer and writes a sync point's frames as one
+  /// write; loopback and udp hand each message on at once.)  Throws
+  /// std::runtime_error on a hard transport failure (unknown peer, broken
+  /// connection).
   virtual void send(NodeId to, const std::uint8_t* data,
                     std::size_t size) = 0;
 
-  /// Pumps the transport: dispatches any received messages to the callback
-  /// and returns how many were delivered.  Blocks up to `timeout_ms` for
-  /// the first one (0 = non-blocking drain).
+  /// Pumps the transport: writes out everything send() buffered, dispatches
+  /// any received messages to the callback and returns how many were
+  /// delivered.  Blocks up to `timeout_ms` for the first one (0 =
+  /// non-blocking drain).
   virtual std::size_t poll(int timeout_ms) = 0;
 };
 

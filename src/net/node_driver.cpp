@@ -191,6 +191,14 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
   // Drop it silently (before the inbox lookup — finished rounds are erased
   // and must not be resurrected).
   if (frame.round < round_) return;
+  // Peers lead by at most one round: no peer starts round_ + 1's actions
+  // before this node's round_ + 1 status, so the furthest a correct peer
+  // gets is its own round_ + 1 status broadcast.  Anything beyond is a
+  // corrupt or hostile round field, and filing it would grow inbox_
+  // without bound.
+  if (frame.round > round_ + 1) {
+    protocol_violation("frame more than one round ahead", from, frame);
+  }
 
   RoundInbox& inbox = inbox_[frame.round];
   switch (frame.kind) {
@@ -258,6 +266,10 @@ void NodeDriver::wait_for(const char* what, Satisfied satisfied) {
   // stays cold unless something was actually lost.
   auto next_resend = Clock::now() + interval;
   const NodeId self = options_.node_id;
+  // Hand everything queued since the last sync point to the transport in
+  // one go (a buffering client writes it as one write per peer), and take
+  // in whatever already arrived.
+  client_->poll(0);
   for (;;) {
     bool ready = true;
     bool resend_due = Clock::now() >= next_resend;

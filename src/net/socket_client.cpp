@@ -1,12 +1,14 @@
 #include "net/socket_client.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -51,8 +53,8 @@ std::uint32_t read_u32(const std::uint8_t* in) {
   return ntohl(be);
 }
 
-/// Blocking full write; small frames plus kernel buffering make this safe
-/// on the single driver thread (the round protocol never floods a pipe).
+/// Blocking full write, for the 4-byte hello only: the mesh sockets turn
+/// non-blocking once start() has identified every peer.
 void write_fully(int fd, const std::uint8_t* data, std::size_t size) {
   std::size_t sent = 0;
   while (sent < size) {
@@ -235,7 +237,12 @@ class TcpMeshCommClient final : public CommClient {
  public:
   /// How long start() keeps dialing/accepting before declaring the mesh
   /// unreachable; generous because peer processes launch concurrently.
+  /// Also the longest a flush may go without writing a byte before the
+  /// peer is declared stuck.
   static constexpr int kMeshTimeoutMs = 20000;
+  /// Output queued for one peer before send() writes it out itself instead
+  /// of leaving it to the next poll() or stop().
+  static constexpr std::size_t kFlushBytes = 64 * 1024;
 
   ~TcpMeshCommClient() override { stop(); }
 
@@ -274,13 +281,26 @@ class TcpMeshCommClient final : public CommClient {
     for (NodeId j = 0; j < self_; ++j) dial(j, resolve(peers[j]), deadline);
     accept_higher(deadline);
 
+    // From here on no call may block on a socket: two nodes writing to each
+    // other at once must each keep reading while the other's buffers fill.
     for (auto& [peer, conn] : conns_) {
-      (void)conn;
+      const int flags = ::fcntl(conn.fd, F_GETFL, 0);
+      if (flags < 0 || ::fcntl(conn.fd, F_SETFL, flags | O_NONBLOCK) != 0) {
+        fail_errno("tcp: fcntl(O_NONBLOCK)");
+      }
       callback_->on_peer_state(peer, true);
     }
   }
 
   void stop() override {
+    // Best effort: deliver what is still queued, but never throw — stop()
+    // also runs on error paths and from the destructor.
+    for (auto& [peer, conn] : conns_) {
+      try {
+        flush(peer, conn);
+      } catch (const std::runtime_error&) {
+      }
+    }
     for (auto& [peer, conn] : conns_) {
       (void)peer;
       ::close(conn.fd);
@@ -299,10 +319,12 @@ class TcpMeshCommClient final : public CommClient {
       throw std::runtime_error("tcp: no connection to node " +
                                std::to_string(to));
     }
-    std::vector<std::uint8_t> frame(4 + size);
-    write_u32(frame.data(), static_cast<std::uint32_t>(size));
-    std::memcpy(frame.data() + 4, data, size);
-    write_fully(it->second.fd, frame.data(), frame.size());
+    Conn& conn = it->second;
+    std::uint8_t prefix[4];
+    write_u32(prefix, static_cast<std::uint32_t>(size));
+    conn.out.insert(conn.out.end(), prefix, prefix + sizeof(prefix));
+    conn.out.insert(conn.out.end(), data, data + size);
+    if (conn.out.size() >= kFlushBytes) flush(to, conn);
   }
 
   std::size_t poll(int timeout_ms) override {
@@ -310,12 +332,24 @@ class TcpMeshCommClient final : public CommClient {
     std::size_t delivered = 0;
     int wait = timeout_ms;
     for (;;) {
+      for (auto& [peer, conn] : conns_) flush(peer, conn);
+      // Messages already buffered (read while a flush waited for room) go
+      // out before any wait; their callbacks may queue replies, which the
+      // next pass flushes.
+      const std::size_t buffered = dispatch_buffered();
+      if (buffered > 0) {
+        delivered += buffered;
+        wait = 0;
+        continue;
+      }
       std::vector<pollfd> pfds;
-      std::vector<NodeId> owners;
+      std::vector<Conn*> owners;
       pfds.reserve(conns_.size());
-      for (const auto& [peer, conn] : conns_) {
+      owners.reserve(conns_.size());
+      for (auto& [peer, conn] : conns_) {
+        (void)peer;
         pfds.push_back({conn.fd, POLLIN, 0});
-        owners.push_back(peer);
+        owners.push_back(&conn);
       }
       if (pfds.empty()) return delivered;
       const int ready = ::poll(pfds.data(), pfds.size(), wait);
@@ -326,7 +360,7 @@ class TcpMeshCommClient final : public CommClient {
       if (ready == 0) return delivered;
       for (std::size_t i = 0; i < pfds.size(); ++i) {
         if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        delivered += pump(owners[i]);
+        read_available(*owners[i]);
       }
       wait = 0;  // Drain without blocking again.
     }
@@ -335,7 +369,9 @@ class TcpMeshCommClient final : public CommClient {
  private:
   struct Conn {
     int fd = -1;
-    std::vector<std::uint8_t> buffer;  ///< Unconsumed stream bytes.
+    std::vector<std::uint8_t> buffer;  ///< Unconsumed inbound stream bytes.
+    std::vector<std::uint8_t> out;     ///< Queued outbound frames.
+    bool eof = false;                  ///< The peer closed its side.
   };
 
   void configure(int fd) {
@@ -344,6 +380,7 @@ class TcpMeshCommClient final : public CommClient {
   }
 
   void dial(NodeId peer, const sockaddr_in& addr, Clock::time_point deadline) {
+    auto backoff = std::chrono::milliseconds(1);
     for (;;) {
       const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
       if (fd < 0) fail_errno("tcp: socket");
@@ -353,7 +390,7 @@ class TcpMeshCommClient final : public CommClient {
         std::uint8_t hello[4];
         write_u32(hello, self_);
         write_fully(fd, hello, sizeof(hello));
-        conns_[peer] = Conn{fd, {}};
+        conns_[peer].fd = fd;
         return;
       }
       ::close(fd);
@@ -362,8 +399,10 @@ class TcpMeshCommClient final : public CommClient {
                                  " could not reach node " +
                                  std::to_string(peer) + " in time");
       }
-      // The peer process is still coming up; back off briefly and retry.
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      // The peer is still coming up; retry soon (peers in one process are
+      // usually a fraction of a millisecond apart), backing off to 50 ms.
+      std::this_thread::sleep_for(backoff);
+      backoff = std::min(2 * backoff, std::chrono::milliseconds(50));
     }
   }
 
@@ -396,7 +435,7 @@ class TcpMeshCommClient final : public CommClient {
         throw std::runtime_error("tcp: unexpected hello from node id " +
                                  std::to_string(peer));
       }
-      conns_[peer] = Conn{fd, {}};
+      conns_[peer].fd = fd;
       --expected;
     }
   }
@@ -425,41 +464,140 @@ class TcpMeshCommClient final : public CommClient {
     return read_u32(hello);
   }
 
-  /// Reads whatever node `peer` has queued and dispatches every complete
-  /// length-prefixed message; returns how many were delivered.  On EOF the
-  /// connection is dropped *after* delivering the buffered tail — it must
-  /// leave conns_, or poll()'s level-triggered readiness would see the
-  /// closed fd ready forever and its drain loop would never return.
-  std::size_t pump(NodeId peer) {
-    Conn& conn = conns_.at(peer);
+  /// Writes everything queued for `peer`.  While the socket is full it keeps
+  /// reading every peer into its input buffer, without dispatching: the
+  /// peer may itself be stuck writing to us, and two nodes that only wait
+  /// for room would wait forever.  Throws if no byte goes out for
+  /// kMeshTimeoutMs; the peer's queue is dropped on any failure.
+  void flush(NodeId peer, Conn& conn) {
+    if (conn.out.empty()) return;
+    std::size_t sent = 0;
+    auto deadline = Clock::now() + std::chrono::milliseconds(kMeshTimeoutMs);
+    try {
+      while (sent < conn.out.size()) {
+        const ssize_t w = ::send(conn.fd, conn.out.data() + sent,
+                                 conn.out.size() - sent, MSG_NOSIGNAL);
+        if (w >= 0) {
+          sent += static_cast<std::size_t>(w);
+          deadline = Clock::now() + std::chrono::milliseconds(kMeshTimeoutMs);
+          continue;
+        }
+        if (errno == EINTR) continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) fail_errno("tcp: send");
+        wait_writable(peer, conn, deadline);
+      }
+    } catch (...) {
+      conn.out.clear();
+      throw;
+    }
+    conn.out.clear();
+  }
+
+  /// Blocks until `conn` can take more bytes or any peer has input, and
+  /// reads that input into the peers' buffers.
+  void wait_writable(NodeId peer, Conn& conn, Clock::time_point deadline) {
+    std::vector<pollfd> pfds;
+    std::vector<Conn*> owners;
+    for (auto& [p, c] : conns_) {
+      (void)p;
+      // A closed peer's socket stays readable forever: wait on it only for
+      // room to write.
+      short events = c.eof ? 0 : POLLIN;
+      if (&c == &conn) events |= POLLOUT;
+      if (events == 0) continue;
+      pfds.push_back({c.fd, events, 0});
+      owners.push_back(&c);
+    }
+    for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - Clock::now());
+      if (left.count() <= 0) {
+        throw std::runtime_error(
+            "tcp: node " + std::to_string(self_) + " could not send to node " +
+            std::to_string(peer) + " for " + std::to_string(kMeshTimeoutMs) +
+            " ms (peer not reading)");
+      }
+      const int ready = ::poll(pfds.data(), pfds.size(),
+                               static_cast<int>(left.count()));
+      if (ready < 0) {
+        if (errno == EINTR) continue;
+        fail_errno("tcp: poll(send)");
+      }
+      if (ready > 0) break;
+    }
+    // The target's own hangup or error surfaces from the next send().
+    for (std::size_t i = 0; i < pfds.size(); ++i) {
+      if ((pfds[i].events & POLLIN) != 0 &&
+          (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+        read_available(*owners[i]);
+      }
+    }
+  }
+
+  /// Appends everything `conn` has ready to its input buffer; sets
+  /// conn.eof when the peer has closed its side.
+  static void read_available(Conn& conn) {
     std::uint8_t chunk[65536];
-    bool eof = false;
-    while (!eof) {
+    for (;;) {
       const ssize_t r = ::recv(conn.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
       if (r > 0) {
         conn.buffer.insert(conn.buffer.end(), chunk, chunk + r);
         continue;
       }
       if (r == 0) {
-        eof = true;
-        break;
+        conn.eof = true;
+        return;
       }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
       fail_errno("tcp: recv");
     }
+  }
+
+  /// Dispatches the complete messages buffered from every peer and closes
+  /// the connections whose peers have hung up; returns how many messages
+  /// were delivered.
+  std::size_t dispatch_buffered() {
     std::size_t delivered = 0;
-    std::size_t cursor = 0;
-    while (conn.buffer.size() - cursor >= 4) {
-      const std::uint32_t len = read_u32(conn.buffer.data() + cursor);
-      if (conn.buffer.size() - cursor - 4 < len) break;
-      callback_->on_message(peer, conn.buffer.data() + cursor + 4, len);
-      ++delivered;
-      cursor += 4 + static_cast<std::size_t>(len);
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      const NodeId peer = it->first;
+      Conn& conn = it->second;
+      ++it;  // dispatch() may erase `peer`, and only `peer`.
+      if (conn.eof || has_message(conn.buffer)) delivered += dispatch(peer);
     }
-    conn.buffer.erase(conn.buffer.begin(),
-                      conn.buffer.begin() + static_cast<std::ptrdiff_t>(cursor));
-    if (eof) {
+    return delivered;
+  }
+
+  static bool has_message(const std::vector<std::uint8_t>& buffer) {
+    return buffer.size() >= 4 && buffer.size() - 4 >= read_u32(buffer.data());
+  }
+
+  /// Delivers every complete length-prefixed message buffered from `peer`;
+  /// returns how many were delivered.  On EOF the connection is dropped
+  /// *after* delivering the buffered tail — it must leave conns_, or
+  /// poll()'s level-triggered readiness would see the closed fd ready
+  /// forever and its drain loop would never return.
+  std::size_t dispatch(NodeId peer) {
+    Conn& conn = conns_.at(peer);
+    std::size_t delivered = 0;
+    while (has_message(conn.buffer)) {
+      // Deliver from a detached buffer: a callback may send(), and a send
+      // that waits for room appends the peers' input to conn.buffer.
+      std::vector<std::uint8_t> in = std::move(conn.buffer);
+      conn.buffer.clear();
+      std::size_t cursor = 0;
+      while (in.size() - cursor >= 4) {
+        const std::uint32_t len = read_u32(in.data() + cursor);
+        if (in.size() - cursor - 4 < len) break;
+        callback_->on_message(peer, in.data() + cursor + 4, len);
+        ++delivered;
+        cursor += 4 + static_cast<std::size_t>(len);
+      }
+      in.erase(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(cursor));
+      in.insert(in.end(), conn.buffer.begin(), conn.buffer.end());
+      conn.buffer = std::move(in);
+    }
+    if (conn.eof) {
       if (std::getenv("RFC_NET_TRACE") != nullptr) {
         std::fprintf(stderr,
                      "[trace] node %u eof from peer %u (tail delivered %zu, "

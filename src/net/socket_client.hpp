@@ -21,6 +21,15 @@
 //     connection is identified by a 4-byte hello carrying the dialer's
 //     node id, and every message is length-prefixed (u32, network byte
 //     order) on the stream.  Reliable and FIFO per peer pair.
+//     send() appends the length-prefixed message to the peer's output
+//     buffer; poll() and stop() write every buffer out, and send() does so
+//     itself only past 64 KiB.  A NodeDriver polls once per sync point, so
+//     each sync point leaves as one write per peer instead of one per
+//     frame — the bytes on the wire are unchanged.  After the hello the
+//     sockets are non-blocking: a write that finds the socket full waits
+//     for room while reading every peer into its input buffer, so two
+//     nodes flooding each other (n = 2^20 over two nodes) cannot deadlock
+//     in send().  A write that makes no progress for 20 s throws.
 #pragma once
 
 #include "net/comm_client.hpp"

@@ -1,5 +1,6 @@
 #include "net/wire_frame.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -132,6 +133,15 @@ std::vector<std::uint8_t> FrameCodec::encode(const Frame& frame) const {
     throw std::invalid_argument("FrameCodec: round overflows the u32 header");
   }
   core::BitWriter w;
+  // Allocate once: the header, then a payload that never takes more than
+  // its charged bits plus a count prefix, or the 224 bits of the generic
+  // inline form.
+  constexpr std::uint64_t kHeaderBits = 8 + 8 + 32 + 32 + 32 + 8 + 32;
+  w.reserve(kHeaderBits +
+            (carries_payload(frame.kind)
+                 ? 16 + std::max<std::uint64_t>(
+                            frame.payload.bit_size() + 64, 32 + 3 * 64)
+                 : 0));
   w.write(kFrameMagic, 8);
   w.write(static_cast<std::uint64_t>(frame.kind), 8);
   w.write(frame.round, 32);
@@ -142,14 +152,13 @@ std::vector<std::uint8_t> FrameCodec::encode(const Frame& frame) const {
   if (carries_payload(frame.kind)) {
     encode_payload(w, frame.payload, params);
   }
-  return w.bytes();
+  return w.take_bytes();
 }
 
 core::WireResult<Frame> FrameCodec::decode(const std::uint8_t* data,
                                            std::size_t size) const {
   using R = core::WireResult<Frame>;
-  const std::vector<std::uint8_t> bytes(data, data + size);
-  core::BitReader r(bytes, static_cast<std::uint64_t>(bytes.size()) * 8);
+  core::BitReader r(data, static_cast<std::uint64_t>(size) * 8);
 
   const auto magic = r.read(8);
   if (!magic) return R::failure(core::WireError::kTruncated);

@@ -85,6 +85,8 @@ struct FrameCodec {
   const core::ProtocolParams* params = nullptr;
 
   std::vector<std::uint8_t> encode(const Frame& frame) const;
+  /// Parses `data` in place, without copying it; the returned Frame owns
+  /// everything it holds, so `data` may be reused as soon as this returns.
   core::WireResult<Frame> decode(const std::uint8_t* data,
                                  std::size_t size) const;
 };

@@ -5,9 +5,11 @@
 // guards of the transport layer.
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -219,6 +221,106 @@ TEST(LossyCluster, SeededRandomLossStaysBitIdentical) {
         rfc::support::derive_seed(4242, id));
   });
   EXPECT_EQ(cross_check(merge_reports(wl, reports), reference_result(spec)),
+            "");
+}
+
+// --------------------------------------------------------------------------
+// Inbox bound: a correct peer leads by at most one round, so a frame whose
+// round field is further ahead is corrupt or hostile.  Filing it would grow
+// the driver's per-round inbox without bound; it must fail loudly instead.
+// --------------------------------------------------------------------------
+
+namespace {
+
+/// Sends, after the first outgoing frame of kind `trigger`, one more frame:
+/// `forge` applied to a decoded copy of it.
+class ForgingClient final : public CommClient {
+ public:
+  ForgingClient(CommClientPtr inner, FrameCodec codec, FrameKind trigger,
+                std::function<void(Frame&)> forge)
+      : inner_(std::move(inner)),
+        codec_(codec),
+        trigger_(trigger),
+        forge_(std::move(forge)) {}
+
+  const char* name() const noexcept override { return inner_->name(); }
+  void start(NodeId self, const std::vector<PeerEndpoint>& peers,
+             CommClientCallback& callback) override {
+    inner_->start(self, peers, callback);
+  }
+  void stop() override { inner_->stop(); }
+  std::size_t poll(int timeout_ms) override {
+    return inner_->poll(timeout_ms);
+  }
+
+  void send(NodeId to, const std::uint8_t* data, std::size_t size) override {
+    inner_->send(to, data, size);
+    if (forged_ || size < 2 || data[1] != static_cast<std::uint8_t>(trigger_)) {
+      return;
+    }
+    forged_ = true;
+    auto decoded = codec_.decode(data, size);
+    ASSERT_TRUE(decoded.ok());
+    forge_(*decoded.value);
+    const std::vector<std::uint8_t> bytes = codec_.encode(*decoded.value);
+    inner_->send(to, bytes.data(), bytes.size());
+  }
+
+ private:
+  CommClientPtr inner_;
+  FrameCodec codec_;
+  FrameKind trigger_;
+  std::function<void(Frame&)> forge_;
+  bool forged_ = false;
+};
+
+/// Runs a 2-node rumor cluster in which node 1 forges one extra frame after
+/// its first frame of kind `trigger`.
+std::vector<NodeReport> run_forging_cluster(
+    const ClusterSpec& spec, FrameKind trigger,
+    std::function<void(Frame&)> forge) {
+  LoopbackHub hub(spec.num_nodes);
+  FrameCodec codec;
+  codec.n = spec.rumor.n;
+  return run_local_cluster(spec, [&](NodeId id) {
+    CommClientPtr inner = make_comm_client(TransportKind::kLoopback, &hub);
+    if (id != 1) return inner;
+    return CommClientPtr(std::make_unique<ForgingClient>(
+        std::move(inner), codec, trigger, forge));
+  });
+}
+
+}  // namespace
+
+TEST(NodeDriverInbox, RejectsFrameMoreThanOneRoundAhead) {
+  ClusterSpec spec = rumor_spec(2, 0);
+  // Node 1 then waits in vain for node 0, which has failed; keep that
+  // wait short.
+  spec.sync_timeout_ms = 1000;
+  try {
+    run_forging_cluster(spec, FrameKind::kRoundStatus,
+                        [](Frame& f) { f.round += 2; });
+    FAIL() << "a frame two rounds ahead was accepted";
+  } catch (const std::runtime_error& e) {
+    // Node 0's error is rethrown first: the violation, naming the round.
+    const std::string what = e.what();
+    EXPECT_NE(what.find("more than one round ahead"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("round 2"), std::string::npos) << what;
+  }
+}
+
+TEST(NodeDriverInbox, ResendRequestsForAnyRoundAreStillAnswered) {
+  // A resend request only reads the send buffer, so its round is not
+  // bounded: one far ahead is answered (with nothing) and the run is clean.
+  ClusterSpec spec = rumor_spec(2, 0);
+  const auto reports = run_forging_cluster(
+      spec, FrameKind::kRoundStatus, [](Frame& f) {
+        f.kind = FrameKind::kResendRequest;
+        f.round += 5;
+      });
+  EXPECT_EQ(cross_check(merge_reports(make_cluster_workload(spec), reports),
+                        reference_result(spec)),
             "");
 }
 
