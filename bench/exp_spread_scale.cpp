@@ -1,6 +1,9 @@
 // Million-agent engine acceptance run: ONE push-pull rumor spread, end to
 // end, at --n agents (default 2^20), reporting wall clock, ns per
-// agent-round, peak RSS, and the full metrics block.
+// agent-round, peak RSS, and the full metrics block.  Like every experiment
+// it takes --scheduler=SPEC and --shards=S [--shard-threads=T], so the same
+// spread runs through the sharded round (bit-identical to the serial one:
+// the digest must not change).
 //
 // CI's release-bench job runs this at n=2^20 under a wall-clock ceiling —
 // the check that the engine's structure-of-arrays hot path, round arenas,
@@ -18,6 +21,7 @@
 
 #include <sys/resource.h>
 
+#include "exp_util.hpp"
 #include "gossip/rumor.hpp"
 #include "net/state_digest.hpp"
 #include "sim/engine.hpp"
@@ -43,6 +47,7 @@ int main(int argc, char** argv) {
   cfg.num_faulty = static_cast<std::uint32_t>(args.get_uint("faulty", 0));
   cfg.placement = cfg.num_faulty == 0 ? rfc::sim::FaultPlacement::kNone
                                       : rfc::sim::FaultPlacement::kRandom;
+  cfg.scheduler = rfc::exputil::scheduler_spec(args);
 
   auto engine = rfc::gossip::build_spread_engine(cfg);
   if (args.has("block-labels")) {
@@ -78,6 +83,7 @@ int main(int argc, char** argv) {
       static_cast<double>(cfg.n) * static_cast<double>(res.rounds);
   std::printf("exp_spread_scale: one push-pull spread, end to end\n");
   std::printf("n               %u\n", cfg.n);
+  std::printf("scheduler       %s\n", cfg.scheduler.to_string().c_str());
   std::printf("seed            %llu\n",
               static_cast<unsigned long long>(cfg.seed));
   std::printf("complete        %s\n", res.complete ? "yes" : "NO");

@@ -212,26 +212,6 @@ double EngineCore::agent_progress(AgentId id) const {
   return progress_cache_[id];
 }
 
-void EngineCore::recount_done() noexcept {
-  if (!obs_cache_enabled_) return;
-  std::uint32_t count = 0;
-  for (std::uint32_t i = 0; i < n_; ++i) {
-    const bool done = faulty_[i] == 0 && done_[i] != 0;
-    count += static_cast<std::uint32_t>(done);
-    // The sharded phases refresh done_ bytes without logging (the shared
-    // log would race); append the round's transitions here, in label order.
-    if (done) log_done_transition(i);
-  }
-  num_done_ = count;
-  // Stable-compact the live list: drop the labels that finished this round
-  // (order preserved, so the next phase A walks label order as ever).
-  std::size_t w = 0;
-  for (const AgentId i : live_list_) {
-    if (done_[i] == 0) live_list_[w++] = i;
-  }
-  live_list_.resize(w);
-}
-
 std::vector<AgentId> EngineCore::active_labels() const {
   std::vector<AgentId> labels;
   active_labels(labels);

@@ -302,17 +302,15 @@ class EngineCore {
   }
   /// Cache refresh safe inside a sharded phase: each agent is owned by one
   /// shard per phase, so the byte stores cannot race — but the shared done
-  /// counter could, so it is recomputed at the barrier (recount_done).
+  /// counter could, so the executor recounts it at the barrier, where it
+  /// also logs the round's done transitions in label order and compacts
+  /// the live list (the sharded phases must not mutate the shared list
+  /// mid-round, so all list maintenance lands there).
   void note_activation_sharded(AgentId i) {
     if (!obs_cache_enabled_ || faulty_[i] != 0) return;
     obs_valid_[i] = 0;
     done_[i] = agents_[i]->done() ? 1 : 0;
   }
-  /// Recomputes the done counter from the done_ bytes, appends the round's
-  /// unlogged done transitions to the log in label order, and compacts the
-  /// live list (executor, post-round — the sharded phases must not mutate
-  /// the shared list mid-round, so all list maintenance lands here).
-  void recount_done() noexcept;
 
   /// True when the synchronous round should take the cache-blocked path.
   bool use_blocked_round() const noexcept {
@@ -387,7 +385,7 @@ class EngineCore {
   /// Label-ordered live labels (non-faulty, not done) — the sparse round's
   /// phase-A iteration domain.  Built at ensure_started with the caches;
   /// done entries compact away in place (serial phase A) or at the sharded
-  /// barrier (recount_done).
+  /// barrier (ShardedRoundExecutor).
   std::vector<AgentId> live_list_;
   std::vector<AgentId> done_log_;  ///< Append-only; see done_log().
   /// 1 once label i is accounted in the log bookkeeping: logged, or done

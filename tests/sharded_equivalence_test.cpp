@@ -7,9 +7,13 @@
 // threads than cores.  These tests pin that promise over the two workloads
 // the acceptance bar names: epidemic rumor spreading and Protocol P, each
 // compared field-by-field against the unsharded engine (S ∈ {1, 2, 7, 64}
-// × threads ∈ {1, 4}), plus the masked round of PartialAsyncScheduler.
+// × threads ∈ {1, 4}), plus the masked round of PartialAsyncScheduler,
+// multi-block routing (several units per shard, shard boundaries cutting
+// blocks) under the reliable and a fully adversarial network, and a
+// property test of the label->shard helper the routing uses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,8 +24,11 @@
 #include "gossip/rumor.hpp"
 #include "rational/strategies.hpp"
 #include "sim/engine.hpp"
+#include "sim/engine_core.hpp"
 #include "sim/fault_model.hpp"
+#include "sim/network_spec.hpp"
 #include "sim/scheduler_spec.hpp"
+#include "sim/sharding.hpp"
 
 namespace rfc::sim {
 namespace {
@@ -405,6 +412,208 @@ TEST(ShardedEquivalence, PinnedDigestsUnderForcedBlockedDelivery) {
                 pinned_protocol_config(4096, SchedulerSpec::synchronous()),
                 force))
       << "protocol blocked n=4096 block_labels=512";
+}
+
+// --------------------------------------------------------------------------
+// Multi-block routing: with 16-label blocks every shard owns several units,
+// and at prime n (so no shard count divides it) shard boundaries cut blocks
+// in two.  Every (shards, threads) run must match the serial digest,
+// under the reliable network and under every fault axis at once.
+// --------------------------------------------------------------------------
+
+const std::vector<ShardCase>& multi_block_cases() {
+  static const std::vector<ShardCase> kCases = {
+      {2, 1}, {2, 4}, {7, 1}, {7, 4}, {64, 1}, {64, 4}};
+  return kCases;
+}
+
+std::vector<NetworkSpec> multi_block_networks() {
+  return {NetworkSpec::none(),
+          NetworkSpec::parse("network:drop=0.1,dup=0.1,reorder=0.1,delay=2,"
+                             "corrupt=0.05,churn=0.01,rejoin=4,seed=5")};
+}
+
+void force_16_label_blocks(Engine& engine) {
+  engine.set_blocked_delivery(1, 16);
+}
+
+TEST(ShardedEquivalence, MultiBlockRumorMatchesSerialDigest) {
+  constexpr std::uint32_t kN = 4099;
+  for (const NetworkSpec& net : multi_block_networks()) {
+    gossip::SpreadConfig base_cfg =
+        pinned_spread_config(kN, SchedulerSpec::synchronous());
+    base_cfg.network = net;
+    const std::uint64_t serial =
+        rfc::testing::rumor_end_state_digest(base_cfg);
+    for (const ShardCase& c : multi_block_cases()) {
+      gossip::SpreadConfig cfg = pinned_spread_config(kN, sharded_spec(c));
+      cfg.network = net;
+      EXPECT_EQ(serial, rfc::testing::rumor_end_state_digest(
+                            cfg, force_16_label_blocks))
+          << net.to_string() << " " << case_name(c);
+    }
+  }
+}
+
+TEST(ShardedEquivalence, MultiBlockProtocolPMatchesSerialDigest) {
+  // A smaller prime than the rumor case keeps the sanitizer jobs quick
+  // (Protocol P's certificates make a round far dearer); 16-label blocks
+  // still give every shard count several units or a cut block.
+  constexpr std::uint32_t kN = 1031;
+  for (const NetworkSpec& net : multi_block_networks()) {
+    core::RunConfig base_cfg =
+        pinned_protocol_config(kN, SchedulerSpec::synchronous());
+    base_cfg.network = net;
+    const std::uint64_t serial =
+        rfc::testing::protocol_end_state_digest(base_cfg);
+    for (const ShardCase& c : multi_block_cases()) {
+      core::RunConfig cfg = pinned_protocol_config(kN, sharded_spec(c));
+      cfg.network = net;
+      EXPECT_EQ(serial, rfc::testing::protocol_end_state_digest(
+                            cfg, force_16_label_blocks))
+          << net.to_string() << " " << case_name(c);
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
+// Delivery order and the barrier's done bookkeeping, with an agent that
+// observes both: every multi-block sharded run must reach the serial end
+// state, and each sharded round must append exactly the round's new done
+// labels to the done log, in label order, with all_done() agreeing with the
+// serial engine and with a scan of the agents.
+// --------------------------------------------------------------------------
+
+constexpr PayloadTag kOrderTag = 0xF2;
+
+/// Folds everything its callbacks see into a running hash, and answers
+/// each pull with the number of pulls it has served so far — so a server
+/// seeing its pullers, or a receiver its senders, in any other order ends
+/// in a different state.  It finishes on its third received push or its
+/// (12 + label % 5)-th round, so done() flips in both the collect and the
+/// push phase, at label-dependent rounds.
+class OrderHashAgent final : public Agent {
+ public:
+  void on_start(const Context& ctx) override {
+    round_limit_ = 12 + ctx.self % 5;
+  }
+  Action on_round(const Context& ctx) override {
+    ++rounds_;
+    const AgentId peer = ctx.random_peer();
+    if (ctx.rng->below(2) == 0) return Action::pull(peer);
+    return Action::push(peer, Payload::inline_words(kOrderTag, 16, rounds_));
+  }
+  Payload serve_pull(const Context&, AgentId requester) override {
+    mix(requester);
+    return Payload::inline_words(kOrderTag, 16, ++served_);
+  }
+  void on_pull_reply(const Context&, AgentId target,
+                     const Payload& reply) override {
+    mix(target);
+    mix(reply.word(0));
+  }
+  void on_push(const Context&, AgentId sender,
+               const Payload& payload) override {
+    ++received_;
+    mix(sender);
+    mix(payload.word(0));
+  }
+  bool done() const override {
+    return received_ >= 3 || rounds_ >= round_limit_;
+  }
+  bool cacheable_observations() const noexcept override { return true; }
+
+  std::uint64_t hash() const noexcept { return hash_; }
+
+ private:
+  void mix(std::uint64_t value) noexcept {
+    hash_ = (hash_ ^ value) * 0x100000001b3ull;
+  }
+
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+  std::uint32_t rounds_ = 0;
+  std::uint32_t received_ = 0;
+  std::uint32_t served_ = 0;
+  std::uint32_t round_limit_ = ~0u;  ///< Set by on_start.
+};
+
+TEST(ShardedEquivalence, MultiBlockDeliveryOrderAndDoneLogMatchSerial) {
+  static constexpr std::uint32_t kN = 4099;
+  const auto build = [] {
+    auto core = std::make_unique<EngineCore>(kN, 31337, nullptr);
+    for (AgentId i = 0; i < kN; ++i) {
+      core->set_agent(i, std::make_unique<OrderHashAgent>());
+      if (i % 97 == 0) core->set_faulty(i);
+    }
+    core->set_blocked_delivery(1, 16);
+    return core;
+  };
+  for (const ShardCase& c : multi_block_cases()) {
+    const auto serial = build();
+    const auto sharded = build();
+    ShardedRoundExecutor executor(ShardingConfig{c.shards, c.threads});
+    while (!serial->all_done()) {
+      ASSERT_LT(serial->time(), 64u) << case_name(c);
+      const std::size_t serial_from = serial->done_log().size();
+      const std::size_t sharded_from = sharded->done_log().size();
+      serial->run_synchronous_round();
+      executor.run_round(*sharded, nullptr);
+      const std::string where =
+          case_name(c) + " round " + std::to_string(serial->time());
+      // The serial round logs in observation order; the sharded barrier
+      // logs the same labels in label order.
+      std::vector<AgentId> expected(serial->done_log().begin() + serial_from,
+                                    serial->done_log().end());
+      std::sort(expected.begin(), expected.end());
+      const std::vector<AgentId> logged(
+          sharded->done_log().begin() + sharded_from,
+          sharded->done_log().end());
+      EXPECT_EQ(expected, logged) << where;
+      bool scan = true;
+      for (AgentId i = 0; i < kN; ++i) {
+        scan = scan && (sharded->is_faulty(i) || sharded->agent(i).done());
+      }
+      EXPECT_EQ(scan, sharded->all_done()) << where;
+      EXPECT_EQ(serial->all_done(), sharded->all_done()) << where;
+    }
+    // Every non-faulty agent finished during the run: each logged once.
+    EXPECT_EQ(sharded->done_log().size(), kN - sharded->num_faulty())
+        << case_name(c);
+    EXPECT_GE(sharded->time(), 12u) << case_name(c);
+    std::uint32_t diverged = 0;
+    for (AgentId i = 0; i < kN; ++i) {
+      diverged +=
+          static_cast<const OrderHashAgent&>(serial->agent(i)).hash() !=
+          static_cast<const OrderHashAgent&>(sharded->agent(i)).hash();
+    }
+    EXPECT_EQ(diverged, 0u) << case_name(c) << ": agents in another state";
+  }
+}
+
+TEST(ShardedEquivalence, BlockOfInvertsBlockBegin) {
+  // contiguous_block_of routes every message of the sharded round; it must
+  // name exactly the block whose [begin, end) range holds the label, for
+  // every partition — including more blocks than labels (empty blocks).
+  std::uint64_t mismatches = 0;
+  for (std::uint32_t n = 1; n <= 300; ++n) {
+    for (std::uint32_t blocks = 1; blocks <= n + 2; ++blocks) {
+      ASSERT_EQ(contiguous_block_begin(n, blocks, 0), 0u);
+      ASSERT_EQ(contiguous_block_begin(n, blocks, blocks), n);
+      for (std::uint32_t b = 0; b < blocks; ++b) {
+        const std::uint32_t lo = contiguous_block_begin(n, blocks, b);
+        const std::uint32_t hi = contiguous_block_begin(n, blocks, b + 1);
+        for (std::uint32_t label = lo; label < hi; ++label) {
+          if (contiguous_block_of(n, blocks, label) != b) {
+            ++mismatches;
+            ADD_FAILURE() << "n=" << n << " blocks=" << blocks
+                          << " label=" << label << " expected block " << b
+                          << ", got " << contiguous_block_of(n, blocks, label);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // --------------------------------------------------------------------------
