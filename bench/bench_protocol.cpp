@@ -44,16 +44,18 @@ void BM_VerifyCertificate(benchmark::State& state) {
   cert.owner = 0;
   cert.color = 1;
   for (std::uint32_t v = 1; v <= params.q; ++v) {
-    rfc::core::CommitmentRecord record;
-    record.intention.resize(params.q);
+    rfc::core::VoteIntention intention(params.q);
     for (std::uint32_t j = 0; j < params.q; ++j) {
-      record.intention[j] = {rng.below(params.m),
-                             static_cast<rfc::sim::AgentId>(rng.below(n))};
+      intention[j] = {rng.below(params.m),
+                      static_cast<rfc::sim::AgentId>(rng.below(n))};
     }
     // One declared vote per audited peer lands on the owner.
     const std::uint32_t j = v % params.q;
-    record.intention[j].target = 0;
-    cert.votes.push_back({v, j, record.intention[j].value});
+    intention[j].target = 0;
+    cert.votes.push_back({v, j, intention[j].value});
+    rfc::core::CommitmentRecord record;
+    record.intention = std::make_shared<const rfc::core::VoteIntention>(
+        std::move(intention));
     collected.emplace(v, std::move(record));
   }
   cert.k = cert.vote_sum(params);

@@ -172,23 +172,18 @@ void AsyncProtocolAgent::on_pull_reply(const sim::Context&,
   const AsyncReply* payload = async_reply_in(reply);
   const auto phase = schedule_.phase_of(activations_ - 1);
   if (phase == AsyncSchedule::LocalPhase::kCommitment) {
-    if (collected_.contains(target)) return;  // First declaration wins.
-    CommitmentRecord record;
-    record.marked_faulty = true;
-    if (payload != nullptr && payload->intention.size() == params_.q) {
-      bool well_formed = true;
-      for (const VoteEntry& e : payload->intention) {
-        if (e.value >= params_.m || e.target >= params_.n) {
-          well_formed = false;
-          break;
-        }
-      }
-      if (well_formed) {
-        record.marked_faulty = false;
-        record.intention = payload->intention;
-      }
+    // First declaration wins; a missing or malformed intention marks the
+    // peer faulty (footnote 4).
+    const auto [it, inserted] =
+        collected_.emplace(target, CommitmentRecord{true, nullptr});
+    if (inserted && payload != nullptr &&
+        well_formed_intention(params_, payload->intention)) {
+      // The reply is arena-transient, so its intention is copied once into
+      // a shared box of our own.
+      it->second.marked_faulty = false;
+      it->second.intention =
+          std::make_shared<const VoteIntention>(payload->intention);
     }
-    collected_.emplace(target, std::move(record));
   } else if (phase == AsyncSchedule::LocalPhase::kFindMin) {
     if (payload != nullptr && payload->has_cert &&
         payload->cert.less_than(min_cert_)) {

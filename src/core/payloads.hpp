@@ -10,6 +10,8 @@
 // exactly one C++ type, which is what makes the typed accessors below safe.
 #pragma once
 
+#include <memory>
+
 #include "core/certificate.hpp"
 #include "core/params.hpp"
 #include "core/types.hpp"
@@ -65,6 +67,13 @@ sim::Payload make_digest_payload(std::uint64_t digest) noexcept;
 
 inline const VoteIntention* intention_in(const sim::Payload& p) noexcept {
   return p.boxed_as<VoteIntention>(kIntentionPayloadTag);
+}
+
+/// A shared handle to a heap-boxed intention; null for an arena-boxed one
+/// (which dies at the round barrier and must be copied to be retained).
+inline std::shared_ptr<const VoteIntention> shared_intention_in(
+    const sim::Payload& p) noexcept {
+  return p.shared_as<VoteIntention>(kIntentionPayloadTag);
 }
 
 inline const Certificate* certificate_in(const sim::Payload& p) noexcept {

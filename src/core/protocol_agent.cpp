@@ -62,8 +62,21 @@ Certificate ProtocolAgent::build_own_certificate(const sim::Context& ctx) {
 void ProtocolAgent::consider_certificate(const Certificate& certificate) {
   if (certificate.less_than(min_cert_)) {
     min_cert_ = certificate;
-    cached_min_cert_payload_ = {};
+    cached_min_cert_payload_ = arriving_box_of(certificate);
   }
+}
+
+sim::Payload ProtocolAgent::arriving_box_of(
+    const Certificate& certificate) const {
+  // Only a heap box can be kept past this round, and only one that holds
+  // exactly `certificate` at its honest wire size can stand in for the
+  // payload min_cert_payload() would build.
+  if (arriving_cert_ == nullptr || arriving_cert_->is_arena_boxed() ||
+      certificate_in(*arriving_cert_) != &certificate ||
+      arriving_cert_->bit_size() != certificate.bit_size(params_)) {
+    return {};
+  }
+  return *arriving_cert_;
 }
 
 sim::Payload ProtocolAgent::min_cert_payload() {
@@ -88,6 +101,9 @@ sim::Payload ProtocolAgent::find_min_reply(const sim::Context&,
 }
 
 void ProtocolAgent::on_coherence_certificate(const Certificate& certificate) {
+  // After Find-Min converges every honest agent holds the winner's box, and
+  // one immutable object is equal to itself; other boxes get the deep check.
+  if (&certificate == certificate_in(cached_min_cert_payload_)) return;
   if (!(certificate == min_cert_)) fail_protocol();
 }
 
@@ -113,7 +129,7 @@ std::uint64_t ProtocolAgent::local_memory_bits() const noexcept {
       intention_.size() * entry_bits;  // H_u.
   for (const auto& [peer, record] : collected_) {  // L_u.
     bits += params_.label_bits() + 1;  // Peer label + faulty flag.
-    bits += record.intention.size() * entry_bits;
+    if (record.intention) bits += record.intention->size() * entry_bits;
   }
   const std::uint64_t vote_bits =
       params_.label_bits() + params_.round_bits() + params_.value_bits();
@@ -183,27 +199,20 @@ void ProtocolAgent::record_commitment_reply(sim::AgentId target,
                                             const sim::Payload& reply) {
   // First declaration wins: if we already hold a record for `target`
   // (pulled it twice), the original stands.
-  if (collected_.contains(target)) return;
-  CommitmentRecord record;
-  record.marked_faulty = true;
-  if (const VoteIntention* h = intention_in(reply)) {
-    // "Replies in an unexpected way" (footnote 4): wrong length or
-    // out-of-domain entries also mark the peer faulty.
-    if (h->size() == params_.q) {
-      bool well_formed = true;
-      for (const VoteEntry& e : *h) {
-        if (e.value >= params_.m || e.target >= params_.n) {
-          well_formed = false;
-          break;
-        }
-      }
-      if (well_formed) {
-        record.marked_faulty = false;
-        record.intention = *h;
-      }
-    }
-  }
-  collected_.emplace(target, std::move(record));
+  const auto [it, inserted] =
+      collected_.emplace(target, CommitmentRecord{true, nullptr});
+  if (!inserted) return;
+  // "Replies in an unexpected way" (footnote 4): no intention, wrong length
+  // or out-of-domain entries leave the peer marked faulty.
+  const VoteIntention* h = intention_in(reply);
+  if (h == nullptr || !well_formed_intention(params_, *h)) return;
+  CommitmentRecord& record = it->second;
+  record.marked_faulty = false;
+  // Keep the heap box the reply arrived in; an arena box dies at the round
+  // barrier, so it is copied once into a box of our own.
+  record.intention = reply.is_arena_boxed()
+                         ? std::make_shared<const VoteIntention>(*h)
+                         : shared_intention_in(reply);
 }
 
 void ProtocolAgent::on_pull_reply(const sim::Context& ctx, sim::AgentId target,
@@ -215,7 +224,9 @@ void ProtocolAgent::on_pull_reply(const sim::Context& ctx, sim::AgentId target,
       break;
     case Phase::kFindMin:
       if (const Certificate* cert = certificate_in(reply)) {
+        arriving_cert_ = &reply;
         consider_certificate(*cert);
+        arriving_cert_ = nullptr;
       }
       break;
     default:

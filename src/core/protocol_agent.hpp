@@ -48,6 +48,15 @@ class ProtocolAgent : public sim::Agent {
   const CollectedIntentions& collected_intentions() const noexcept {
     return collected_;
   }
+  /// The boxes this agent serves: its Commitment reply and its CE_min
+  /// (empty until first served or adopted).  L_u records and adopted
+  /// CE_min payloads share these objects instead of copying them.
+  const sim::Payload& intention_payload() const noexcept {
+    return cached_intention_payload_;
+  }
+  const sim::Payload& min_certificate_payload() const noexcept {
+    return cached_min_cert_payload_;
+  }
   bool has_own_certificate() const noexcept { return has_own_certificate_; }
   const Certificate& own_certificate() const noexcept { return own_cert_; }
   bool has_min_certificate() const noexcept { return has_min_certificate_; }
@@ -143,7 +152,9 @@ class ProtocolAgent : public sim::Agent {
 
   /// Shared payload wrapping min_cert_, rebuilt only when it changes.
   /// Serving Θ(log n) pulls per Find-Min round from one boxed allocation
-  /// keeps the simulator's constant factors down.
+  /// keeps the simulator's constant factors down.  When the default
+  /// consider_certificate adopts a certificate that arrived heap-boxed, this
+  /// is that very box, so a converged network serves one shared object.
   sim::Payload min_cert_payload();
 
   void decide(Color c) noexcept {
@@ -155,10 +166,15 @@ class ProtocolAgent : public sim::Agent {
   ProtocolParams params_;
   Color color_;                      ///< c_u, the initially supported color.
   VoteIntention intention_;          ///< H_u.
-  CollectedIntentions collected_;    ///< L_u.
+  /// L_u.  Records hold shared handles to the immutable intention boxes
+  /// the replies arrived in; arena-boxed replies are copied on retention.
+  CollectedIntentions collected_;
   ReceivedVotes received_votes_;     ///< W_u.
   Certificate own_cert_;             ///< CE_u (after Voting).
-  Certificate min_cert_;             ///< CE_min_u (during/after Find-Min).
+  /// CE_min_u (during/after Find-Min).  A value, so deviation hooks keep
+  /// their signatures; its boxed form (cached_min_cert_payload_) is the
+  /// shared heap box it arrived in whenever the default path adopted it.
+  Certificate min_cert_;
   bool has_own_certificate_ = false;
   bool has_min_certificate_ = false;
   bool failed_ = false;
@@ -175,8 +191,15 @@ class ProtocolAgent : public sim::Agent {
   void record_commitment_reply(sim::AgentId target,
                                const sim::Payload& reply);
 
+  /// The Find-Min reply being considered, if it is a heap box holding
+  /// exactly `certificate`; empty otherwise (arena boxes are never kept).
+  sim::Payload arriving_box_of(const Certificate& certificate) const;
+
   sim::Payload cached_intention_payload_;
   sim::Payload cached_min_cert_payload_;
+  /// The Find-Min reply under consideration (set only for the duration of
+  /// the consider_certificate call in on_pull_reply).
+  const sim::Payload* arriving_cert_ = nullptr;
 };
 
 }  // namespace rfc::core

@@ -225,6 +225,12 @@ RunResult run_protocol_on(sim::Engine& engine, const RunConfig& cfg) {
     const auto& agent = static_cast<const ProtocolAgent&>(engine.agent(i));
     if (agent.failed() || !agent.decided()) {
       ++result.honest_failures;
+      const VerificationFailure cause = agent.verification_failure();
+      if (cause == VerificationFailure::kNone) {
+        ++result.failure_causes.coherence_or_undecided;
+      } else {
+        ++result.failure_causes.verification[static_cast<std::size_t>(cause)];
+      }
       bottom = true;
       continue;
     }

@@ -4,6 +4,7 @@
 // good-execution diagnostics of Definitions 2 and 5.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "core/params.hpp"
 #include "core/protocol_agent.hpp"
 #include "core/types.hpp"
+#include "core/verification.hpp"
 #include "sim/budget.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_model.hpp"
@@ -87,6 +89,20 @@ struct GoodExecutionEvents {
                                         ///< agent not pulled by the coalition.
 };
 
+/// Why honest agents ended at ⊥: each honest failure counted once, under
+/// the Verification failure that rejected its CE_min, or under
+/// coherence_or_undecided when it failed before Verification (a Coherence
+/// mismatch) or never decided.  The counts sum to honest_failures.
+struct HonestFailureCauses {
+  /// Indexed by VerificationFailure; the kNone slot stays 0.
+  std::array<std::uint32_t, kVerificationFailureCount> verification{};
+  std::uint32_t coherence_or_undecided = 0;
+
+  std::uint32_t of(VerificationFailure f) const noexcept {
+    return verification[static_cast<std::size_t>(f)];
+  }
+};
+
 struct RunResult {
   /// The winning color, or kNoColor for the ⊥ outcome (some honest agent
   /// failed, or honest agents disagree).
@@ -97,6 +113,7 @@ struct RunResult {
   std::uint64_t rounds = 0;
   std::uint32_t num_active = 0;
   std::uint32_t honest_failures = 0;  ///< Honest agents that raised fail.
+  HonestFailureCauses failure_causes;  ///< honest_failures, by cause.
   /// Largest per-agent state footprint observed (bits) — the paper's
   /// polylog local-memory claim, measured.
   std::uint64_t max_local_memory_bits = 0;

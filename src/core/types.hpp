@@ -1,9 +1,12 @@
 // Shared vocabulary types of Protocol P (Algorithm 1 of the paper).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/agent.hpp"
@@ -50,14 +53,71 @@ using ReceivedVotes = std::vector<ReceivedVote>;
 /// One record of L_u: the vote intention an agent declared to us in the
 /// Commitment phase, or the "marked faulty" state if it did not reply
 /// (footnote 4 of the paper: a silent peer's votes all count as zero).
+///
+/// The intention is a shared handle to the immutable box the reply arrived
+/// in, not a copy: every auditor of an honest peer holds the same object.
+/// A reply boxed in a round arena dies at the round barrier, so the
+/// receiver copies it once into a fresh shared box before retaining it.
 struct CommitmentRecord {
   bool marked_faulty = false;
-  VoteIntention intention;  ///< Valid iff !marked_faulty.
+  /// Non-null iff !marked_faulty.
+  std::shared_ptr<const VoteIntention> intention;
 };
 
-/// L_u: first-declaration-wins map from peer label to its declared
+/// L_u: first-declaration-wins table from peer label to its declared
 /// intention.  "First declaration" implements the h* values of Theorem 7's
 /// proof: an equivocating peer is pinned to whatever it told us first.
-using CollectedIntentions = std::unordered_map<sim::AgentId, CommitmentRecord>;
+///
+/// A flat vector of (peer, record) pairs sorted by peer label, searched by
+/// binary search.  Each peer is recorded at most once, so the table holds
+/// at most q records under the synchronous model and at most n under any
+/// scheduler, and a sorted insert stays cheap.
+class CollectedIntentions {
+ public:
+  using value_type = std::pair<sim::AgentId, CommitmentRecord>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  const_iterator begin() const noexcept { return entries_.begin(); }
+  const_iterator end() const noexcept { return entries_.end(); }
+  std::size_t size() const noexcept { return entries_.size(); }
+  bool empty() const noexcept { return entries_.empty(); }
+  void clear() noexcept { entries_.clear(); }
+
+  const_iterator find(sim::AgentId peer) const noexcept {
+    const const_iterator it = entries_.begin() + lower_bound(peer);
+    return it != entries_.end() && it->first == peer ? it : entries_.end();
+  }
+  bool contains(sim::AgentId peer) const noexcept {
+    return find(peer) != end();
+  }
+
+  /// Inserts (peer, record) unless `peer` already has a record, in which
+  /// case the first declaration stands.  Returns the peer's entry and
+  /// whether it was inserted, like std::map::emplace.
+  std::pair<iterator, bool> emplace(sim::AgentId peer,
+                                    CommitmentRecord record) {
+    const iterator it = entries_.begin() + lower_bound(peer);
+    if (it != entries_.end() && it->first == peer) return {it, false};
+    return {entries_.emplace(it, peer, std::move(record)), true};
+  }
+
+  /// The record of `peer`, inserting a default one if absent.
+  CommitmentRecord& operator[](sim::AgentId peer) {
+    return emplace(peer, CommitmentRecord{}).first->second;
+  }
+
+ private:
+  /// Index of the first entry whose label is not below `peer`.
+  std::ptrdiff_t lower_bound(sim::AgentId peer) const noexcept {
+    const auto below = [](const value_type& e, sim::AgentId p) {
+      return e.first < p;
+    };
+    return std::lower_bound(entries_.begin(), entries_.end(), peer, below) -
+           entries_.begin();
+  }
+
+  std::vector<value_type> entries_;
+};
 
 }  // namespace rfc::core

@@ -19,6 +19,7 @@
 //       ablation shows this check is load-bearing.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "core/certificate.hpp"
@@ -37,6 +38,10 @@ enum class VerificationFailure : std::uint8_t {
   kMissingVote,        ///< Declared vote for the winner absent (strict mode).
 };
 
+/// Number of VerificationFailure values (array extent for per-cause counts).
+inline constexpr std::size_t kVerificationFailureCount =
+    static_cast<std::size_t>(VerificationFailure::kMissingVote) + 1;
+
 std::string to_string(VerificationFailure f);
 
 struct VerificationResult {
@@ -45,6 +50,12 @@ struct VerificationResult {
     return failure == VerificationFailure::kNone;
   }
 };
+
+/// Whether a Commitment reply's intention H may enter L_u unmarked: exactly
+/// q entries, each value in [m] and target in [n].  A peer that "replies in
+/// an unexpected way" (footnote 4) is marked faulty instead.
+bool well_formed_intention(const ProtocolParams& params,
+                           const VoteIntention& intention) noexcept;
 
 VerificationResult verify_certificate(const ProtocolParams& params,
                                       const Certificate& certificate,

@@ -17,9 +17,10 @@
 //     barrier, so producers use it for genuinely transient messages (a
 //     reply consumed in this round's delivery hook) and consumers must copy
 //     the value out, never retain the payload across rounds.  Every shipped
-//     delivery hook already copies; agents that cache a payload across
-//     rounds (ProtocolAgent's intention/certificate caches) keep the
-//     shared_ptr form.
+//     delivery hook copies arena objects it keeps; agents that cache a
+//     payload across rounds (ProtocolAgent's intention/certificate caches)
+//     keep the shared_ptr form, and consumers retain a heap box by handle
+//     (`shared_as`) rather than by copy.
 //
 // This replaces the old virtual `Payload` class: the simulation hot path
 // (Action buffers, pull-reply scratch, per-message delivery) now moves
@@ -190,6 +191,16 @@ class Payload {
       return static_cast<const T*>(data_.arena_object);
     }
     return nullptr;
+  }
+
+  /// A shared handle to the boxed object, or null unless this payload is
+  /// heap-boxed (kBoxed) AND carries `expected_tag`.  Lets a consumer retain
+  /// the immutable object across rounds without copying it; an arena-boxed
+  /// object has no owner to share and yields null (copy it out instead).
+  template <typename T>
+  std::shared_ptr<const T> shared_as(PayloadTag expected_tag) const noexcept {
+    if (tag_ != expected_tag || kind_ != Kind::kBoxed) return nullptr;
+    return std::static_pointer_cast<const T>(data_.object);
   }
 
  private:

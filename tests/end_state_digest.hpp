@@ -69,13 +69,11 @@ inline std::uint64_t rumor_end_state_digest(
   return fnv.value();
 }
 
-/// Runs Protocol P and digests outcome + metrics + every agent's end state,
-/// with certificates hashed through their checked wire encoding.
-inline std::uint64_t protocol_end_state_digest(
-    const core::RunConfig& cfg, const EngineConfigureHook& configure = {}) {
-  auto engine = core::build_protocol_engine(cfg);
-  if (configure) configure(*engine);
-  const core::RunResult res = core::run_protocol_on(*engine, cfg);
+/// Digests a finished Protocol P run: outcome + metrics + every agent's end
+/// state, with certificates hashed through their checked wire encoding.
+inline std::uint64_t protocol_run_digest(const sim::Engine& engine,
+                                         const core::RunConfig& cfg,
+                                         const core::RunResult& res) {
   const core::ProtocolParams params =
       core::ProtocolParams::make(cfg.n, cfg.gamma, cfg.strict_verification);
   const auto mix_certificate = [&params](net::Fnv1a& fnv,
@@ -95,9 +93,9 @@ inline std::uint64_t protocol_end_state_digest(
   mix_metrics(fnv, res.metrics);
   for (sim::AgentId u = 0; u < cfg.n; ++u) {
     fnv.mix_u64(u);
-    fnv.mix_bool(engine->is_faulty(u));
+    fnv.mix_bool(engine.is_faulty(u));
     const auto& p =
-        static_cast<const core::ProtocolAgent&>(engine->agent(u));
+        static_cast<const core::ProtocolAgent&>(engine.agent(u));
     fnv.mix_bool(p.failed());
     fnv.mix_bool(p.decided());
     fnv.mix_u64(static_cast<std::uint64_t>(p.decision()));
@@ -107,6 +105,15 @@ inline std::uint64_t protocol_end_state_digest(
     if (p.has_min_certificate()) mix_certificate(fnv, p.min_certificate());
   }
   return fnv.value();
+}
+
+/// Runs Protocol P and digests it with protocol_run_digest.
+inline std::uint64_t protocol_end_state_digest(
+    const core::RunConfig& cfg, const EngineConfigureHook& configure = {}) {
+  auto engine = core::build_protocol_engine(cfg);
+  if (configure) configure(*engine);
+  const core::RunResult res = core::run_protocol_on(*engine, cfg);
+  return protocol_run_digest(*engine, cfg, res);
 }
 
 }  // namespace rfc::testing

@@ -63,7 +63,8 @@ TEST(ProtocolAgent, CommitmentCollectsOnePullPerRound) {
     for (const auto& [peer, record] : agent->collected_intentions()) {
       EXPECT_LT(peer, w.params.n);
       EXPECT_FALSE(record.marked_faulty);  // Everyone honest & active.
-      EXPECT_EQ(record.intention.size(), w.params.q);
+      ASSERT_NE(record.intention, nullptr);
+      EXPECT_EQ(record.intention->size(), w.params.q);
     }
   }
 }
@@ -159,6 +160,65 @@ TEST(ProtocolAgent, WinnerColorBelongsToMinCertOwner) {
   const Certificate& min_cert = w.agents[0]->min_certificate();
   EXPECT_EQ(w.agents[0]->decision(),
             w.agents[min_cert.owner]->initial_color());
+}
+
+TEST(ProtocolAgent, AuditRecordsShareThePeersReplyBox) {
+  // L_u keeps the immutable box a Commitment reply arrived in: an honest
+  // agent's record for an honest peer is that peer's reply object, never a
+  // per-record copy.
+  World w(256, 4.0);
+  for (std::uint32_t r = 0; r < w.params.q; ++r) w.engine.step();
+  std::size_t shared = 0;
+  for (const auto* agent : w.agents) {
+    for (const auto& [peer, record] : agent->collected_intentions()) {
+      const VoteIntention* box =
+          intention_in(w.agents[peer]->intention_payload());
+      ASSERT_NE(box, nullptr);
+      EXPECT_EQ(record.intention.get(), box);
+      ++shared;
+    }
+  }
+  EXPECT_GT(shared, 256u);
+}
+
+TEST(ProtocolAgent, FindMinConvergesOnOneSharedBox) {
+  // Adopting a heap-boxed certificate keeps its payload, so after Find-Min
+  // every honest agent serves the winner's very object.
+  World w(256, 4.0);
+  for (std::uint32_t r = 0; r < 3 * w.params.q; ++r) w.engine.step();
+  const Certificate* box =
+      certificate_in(w.agents[0]->min_certificate_payload());
+  ASSERT_NE(box, nullptr);
+  for (const auto* agent : w.agents) {
+    EXPECT_EQ(certificate_in(agent->min_certificate_payload()), box);
+  }
+}
+
+TEST(ProtocolAgent, CoherenceComparesDistinctBoxesDeeply) {
+  // The Coherence check skips the deep compare only for the agent's own
+  // CE_min object; any other box is compared by value.
+  World w(64, 4.0);
+  for (std::uint32_t r = 0; r < 3 * w.params.q; ++r) w.engine.step();
+  ProtocolAgent& agent = *w.agents[0];
+  sim::Context ctx;
+  ctx.self = 0;
+  ctx.n = 64;
+  ctx.round = w.params.coherence_begin();
+  rfc::support::Xoshiro256 rng(1);
+  ctx.rng = &rng;
+
+  const sim::Payload equal_copy =
+      make_certificate_payload(agent.min_certificate(), w.params);
+  ASSERT_NE(certificate_in(equal_copy),
+            certificate_in(agent.min_certificate_payload()));
+  agent.on_push(ctx, 7, equal_copy);
+  EXPECT_FALSE(agent.failed());
+
+  Certificate tampered = agent.min_certificate();
+  ASSERT_FALSE(tampered.votes.empty());
+  tampered.votes.back().value ^= 1;
+  agent.on_push(ctx, 7, make_certificate_payload(tampered, w.params));
+  EXPECT_TRUE(agent.failed());
 }
 
 TEST(ProtocolAgent, CommitmentPullersAreRecorded) {

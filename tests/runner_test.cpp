@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rational/strategies.hpp"
+
 namespace rfc::core {
 namespace {
 
@@ -145,6 +147,41 @@ TEST(RunProtocol, MetricsAreWithinModelBounds) {
   EXPECT_GT(r.metrics.messages(), 0u);
   // Message size bound: certificates are O(log^2 n); sanity-cap at n bits.
   EXPECT_LT(r.metrics.max_message_bits, 64ull * 64);
+}
+
+TEST(RunProtocol, FailureCausesAreAttributed) {
+  RunConfig cfg;
+  cfg.n = 128;
+  cfg.gamma = 4.0;
+  cfg.seed = 9;
+  const auto sum_of = [](const HonestFailureCauses& c) {
+    std::uint32_t sum = c.coherence_or_undecided;
+    for (const std::uint32_t count : c.verification) sum += count;
+    return sum;
+  };
+
+  const RunResult clean = run_protocol(cfg);
+  EXPECT_EQ(clean.honest_failures, 0u);
+  EXPECT_EQ(sum_of(clean.failure_causes), 0u);
+
+  // A stubborn coalition pushes its own certificates in Coherence: honest
+  // receivers fail there, before Verification runs.
+  const rational::CoalitionPtr coalition = rational::make_prefix_coalition(8);
+  cfg.coalition = coalition->members();
+  cfg.factory = rational::make_deviating_factory(
+      rational::DeviationStrategy::kStubbornCert, coalition);
+  const RunResult stubborn = run_protocol(cfg);
+  EXPECT_GT(stubborn.failure_causes.coherence_or_undecided, 0u);
+  EXPECT_EQ(sum_of(stubborn.failure_causes), stubborn.honest_failures);
+
+  // A forged empty certificate (k = 0, W = {}) wins Find-Min everywhere;
+  // honest auditors of a coalition voter then miss its declared vote.
+  cfg.factory = rational::make_deviating_factory(
+      rational::DeviationStrategy::kForgedEmptyCert, coalition);
+  const RunResult forged = run_protocol(cfg);
+  EXPECT_GT(forged.failure_causes.of(VerificationFailure::kMissingVote), 0u);
+  EXPECT_EQ(forged.failure_causes.of(VerificationFailure::kNone), 0u);
+  EXPECT_EQ(sum_of(forged.failure_causes), forged.honest_failures);
 }
 
 TEST(RunProtocol, CoalitionLabelsExcludedFromOutcome) {

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "analysis/equilibrium.hpp"
+#include "core/payloads.hpp"
 #include "core/runner.hpp"
+#include "end_state_digest.hpp"
 
 namespace rfc::rational {
 namespace {
@@ -170,6 +176,85 @@ TEST(Strategies, EquivocateGainsNothing) {
   const double rate =
       static_cast<double>(outcome.coalition_wins) / outcome.trials;
   EXPECT_LT(rate, 8.0 / 64 + 0.18);
+}
+
+/// An honest auditor that also keeps its own copy of the first Commitment
+/// reply each peer sent it, taken while the reply's box was still live.
+class RecordingAuditor final : public core::ProtocolAgent {
+ public:
+  struct Receipt {
+    bool arena_boxed = false;
+    core::VoteIntention intention;
+  };
+
+  using core::ProtocolAgent::ProtocolAgent;
+
+  void on_pull_reply(const sim::Context& ctx, sim::AgentId target,
+                     const sim::Payload& reply) override {
+    if (!done() && params_.phase_of_round(ctx.round) ==
+                       core::Phase::kCommitment) {
+      if (const core::VoteIntention* h = core::intention_in(reply)) {
+        receipts_.try_emplace(target, Receipt{reply.is_arena_boxed(), *h});
+      }
+    }
+    core::ProtocolAgent::on_pull_reply(ctx, target, reply);
+  }
+
+  const std::map<sim::AgentId, Receipt>& receipts() const noexcept {
+    return receipts_;
+  }
+
+ private:
+  std::map<sim::AgentId, Receipt> receipts_;
+};
+
+TEST(Strategies, EquivocatorLiesOutliveTheirRoundArenas) {
+  // Equivocators answer every Commitment pull with a fresh lie boxed in the
+  // round arena, which is reset at every round barrier.  An auditor must
+  // retain its own copy: after the whole protocol (4q+1 arena resets
+  // later) each L_u record for a liar still equals the lie it received.
+  core::RunConfig cfg;
+  cfg.n = 256;
+  cfg.gamma = 4.0;
+  cfg.seed = 15;
+  cfg.colors = core::split_colors(cfg.n, {0.5, 0.3, 0.2});
+  const CoalitionPtr coalition = make_prefix_coalition(16);
+  cfg.coalition = coalition->members();
+  cfg.factory =
+      make_deviating_factory(DeviationStrategy::kEquivocate, coalition);
+
+  auto engine = core::build_protocol_engine(cfg);
+  const core::ProtocolParams params =
+      core::ProtocolParams::make(cfg.n, cfg.gamma, cfg.strict_verification);
+  std::vector<const RecordingAuditor*> auditors;
+  for (sim::AgentId u = 0; u < cfg.n; ++u) {
+    if (coalition->contains(u)) continue;
+    auto auditor = std::make_unique<RecordingAuditor>(
+        params, cfg.colors.at(u));
+    auditors.push_back(auditor.get());
+    engine->set_agent(u, std::move(auditor));
+  }
+  const core::RunResult result = core::run_protocol_on(*engine, cfg);
+
+  std::size_t lies_checked = 0;
+  for (const RecordingAuditor* auditor : auditors) {
+    for (const auto& [peer, record] : auditor->collected_intentions()) {
+      if (!coalition->contains(peer)) continue;
+      const auto receipt = auditor->receipts().find(peer);
+      ASSERT_NE(receipt, auditor->receipts().end());
+      EXPECT_TRUE(receipt->second.arena_boxed);
+      ASSERT_FALSE(record.marked_faulty);
+      ASSERT_NE(record.intention, nullptr);
+      EXPECT_EQ(*record.intention, receipt->second.intention);
+      ++lies_checked;
+    }
+  }
+  EXPECT_GT(lies_checked, 100u);
+  // Recording changes nothing, and neither does retaining boxes by handle:
+  // this is the end state of plain honest agents against this coalition
+  // with L_u holding per-record copies of every intention.
+  EXPECT_EQ(rfc::testing::protocol_run_digest(*engine, cfg, result),
+            0x53763cc20f358055ull);
 }
 
 TEST(Strategies, ForgingStillCaughtUnderDigestCoherence) {

@@ -25,19 +25,21 @@ FuzzWorld make_world(const ProtocolParams& params, sim::AgentId owner,
   w.cert.owner = owner;
   w.cert.color = static_cast<Color>(rng.below(params.n));
   for (std::uint32_t v = 1; v <= audited; ++v) {
-    CommitmentRecord record;
-    record.intention.resize(params.q);
+    VoteIntention intention(params.q);
     for (std::uint32_t j = 0; j < params.q; ++j) {
-      record.intention[j].value = rng.below(params.m);
+      intention[j].value = rng.below(params.m);
       // ~1/3 of declared votes hit the owner.
-      record.intention[j].target =
+      intention[j].target =
           rng.below(3) == 0 ? owner
                             : static_cast<sim::AgentId>(rng.below(params.n));
-      if (record.intention[j].target == owner) {
+      if (intention[j].target == owner) {
         w.cert.votes.push_back({static_cast<sim::AgentId>(v), j,
-                                record.intention[j].value});
+                                intention[j].value});
       }
     }
+    CommitmentRecord record;
+    record.intention =
+        std::make_shared<const VoteIntention>(std::move(intention));
     w.collected.emplace(static_cast<sim::AgentId>(v), std::move(record));
   }
   for (std::uint32_t u = 0; u < unaudited; ++u) {

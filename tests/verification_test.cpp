@@ -25,19 +25,21 @@ class VerificationTest : public ::testing::Test {
     collected_.clear();
     std::uint64_t value = 10;
     for (int v = 1; v <= num_voters; ++v) {
-      CommitmentRecord record;
-      record.intention.assign(params_.q, {0, sim::kNoAgent});
+      VoteIntention intention(params_.q, {0, sim::kNoAgent});
       for (std::uint32_t j = 0; j < params_.q; ++j) {
         // Even rounds vote for the winner, odd rounds elsewhere.
         if (j % 2 == 0) {
-          record.intention[j] = {value, winner};
+          intention[j] = {value, winner};
           cert_.votes.push_back(
               {static_cast<sim::AgentId>(v), j, value});
           value += 7;
         } else {
-          record.intention[j] = {value * 3, static_cast<sim::AgentId>(63)};
+          intention[j] = {value * 3, static_cast<sim::AgentId>(63)};
         }
       }
+      CommitmentRecord record;
+      record.intention =
+          std::make_shared<const VoteIntention>(std::move(intention));
       collected_.emplace(static_cast<sim::AgentId>(v), std::move(record));
     }
     cert_.k = cert_.vote_sum(params_);
@@ -105,12 +107,33 @@ TEST_F(VerificationTest, RejectsDuplicateVote) {
   EXPECT_EQ(r.failure, VerificationFailure::kDuplicateVote);
 }
 
+TEST_F(VerificationTest, FirstOfDuplicateAndMalformedVoteDecides) {
+  // Votes are checked in order: a repeated (voter, round) pair ahead of a
+  // malformed vote reports the duplicate, and the reverse order reports
+  // the malformed vote.
+  build_consistent_world(0, 1);
+  const ReceivedVote first = cert_.votes.front();
+  const ReceivedVote malformed{1, params_.q, 0};  // Round out of range.
+  const Certificate base = cert_;
+
+  cert_.votes.push_back(first);
+  cert_.votes.push_back(malformed);
+  EXPECT_EQ(verify_certificate(params_, cert_, collected_).failure,
+            VerificationFailure::kDuplicateVote);
+
+  cert_ = base;
+  cert_.votes.push_back(malformed);
+  cert_.votes.push_back(first);
+  EXPECT_EQ(verify_certificate(params_, cert_, collected_).failure,
+            VerificationFailure::kMalformedVote);
+}
+
 TEST_F(VerificationTest, RejectsVoteFromPeerMarkedFaulty) {
   build_consistent_world(0, 2);
   // Re-mark voter 1 as faulty: its votes all count as zero (footnote 4),
   // so any vote from it in W is a lie.
   collected_[1].marked_faulty = true;
-  collected_[1].intention.clear();
+  collected_[1].intention.reset();
   const auto r = verify_certificate(params_, cert_, collected_);
   EXPECT_EQ(r.failure, VerificationFailure::kVoteFromFaulty);
 }
@@ -126,7 +149,7 @@ TEST_F(VerificationTest, RejectsValueDifferentFromDeclaration) {
 TEST_F(VerificationTest, RejectsVoteDeclaredForAnotherTarget) {
   build_consistent_world(0, 2);
   // Claim voter 1's round-1 vote (declared for agent 63) was for us.
-  const auto& declared = collected_[1].intention[1];
+  const auto& declared = (*collected_[1].intention)[1];
   cert_.votes.push_back({1, 1, declared.value});
   cert_.k = cert_.vote_sum(params_);
   const auto r = verify_certificate(params_, cert_, collected_);
