@@ -76,8 +76,8 @@ void BM_EngineRumorRound(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-// The two large args exercise the cache-blocked delivery path (it activates
-// at n >= 2^16): the acceptance bar for the million-agent engine is the
+// The two large args run several 2^16-label delivery blocks: the
+// acceptance bar for the million-agent engine is the
 // n=2^20 single-thread ns/agent staying within 1.5x of the seed's n=4096
 // figure.
 BENCHMARK(BM_EngineRumorRound)
@@ -125,7 +125,7 @@ BENCHMARK(BM_EngineSparseRound)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
 // The sharded synchronous round (sim/sharding.hpp) on the same push-pull
 // rumor workload as BM_EngineRumorRound: args are (n, shards, threads), so
-// {n, 1, 1} is the serial engine via the executor's delegation path and the
+// {n, 1, 1} is the serial engine (one partition, run inline) and the
 // speedup of {n, S, T} over it is the sharding win at equal semantics
 // (results are bit-identical by construction).  Thread counts beyond the
 // machine's cores measure oversubscription, not speedup.

@@ -52,26 +52,30 @@ inline rfc::net::ClusterSpec cluster_spec_from_cli(
       rfc::sim::SchedulerSpec::parse(args.get("scheduler", "synchronous"));
   const auto num_faulty =
       static_cast<std::uint32_t>(args.get_uint("faulty", 0));
-  const auto placement =
-      num_faulty == 0
-          ? rfc::sim::FaultPlacement::kNone
-          : parse_placement(args.get("placement", "random"));
+  const auto placement = parse_placement(args.get("placement", "random"));
+  // Both workloads' flags are parsed whatever the kind: the launcher
+  // forwards one flag set to every node, and each must accept all of it.
+  const auto mechanism = parse_mechanism(args.get("mechanism", "push-pull"));
+  const std::uint64_t rumor_bits = args.get_uint("rumor-bits", 64);
+  const double gamma = args.get_double("gamma", 4.0);
 
   if (kind == rfc::net::ClusterSpec::Kind::kRumor) {
     spec.rumor.n = n;
     spec.rumor.seed = seed;
     spec.rumor.scheduler = scheduler;
     spec.rumor.num_faulty = num_faulty;
-    spec.rumor.placement = placement;
-    spec.rumor.mechanism = parse_mechanism(args.get("mechanism", "push-pull"));
-    spec.rumor.rumor_bits = args.get_uint("rumor-bits", 64);
+    spec.rumor.placement =
+        num_faulty == 0 ? rfc::sim::FaultPlacement::kNone : placement;
+    spec.rumor.mechanism = mechanism;
+    spec.rumor.rumor_bits = rumor_bits;
   } else {
     spec.protocol.n = n;
     spec.protocol.seed = seed;
     spec.protocol.scheduler = scheduler;
     spec.protocol.num_faulty = num_faulty;
-    spec.protocol.placement = placement;
-    spec.protocol.gamma = args.get_double("gamma", 4.0);
+    spec.protocol.placement =
+        num_faulty == 0 ? rfc::sim::FaultPlacement::kNone : placement;
+    spec.protocol.gamma = gamma;
   }
   return spec;
 }

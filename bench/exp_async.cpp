@@ -32,6 +32,14 @@ int main(int argc, char** argv) {
 
   const auto sizes = rfc::exputil::sweep_sizes(args);
   const auto trials = rfc::exputil::sweep_trials(args, 20, 100);
+  // The later sections read --n, --slack, --seed and the run budget with
+  // defaults of their own; validate them now so a malformed or unknown
+  // flag fails before the first run.
+  args.get_uint("n", 0);
+  args.get_uint("slack", 0);
+  args.get_uint("seed", 0);
+  rfc::exputil::run_budget(args);
+  rfc::exputil::reject_unread(args);
 
   rfc::support::Table table({"n", "mechanism", "sync rounds", "async steps",
                              "steps/(n ln n)", "steps/(sync*n)",

@@ -26,6 +26,9 @@ int main(int argc, char** argv) {
 
   const auto sizes = rfc::exputil::sweep_sizes(args);
   const auto trials = rfc::exputil::sweep_trials(args, 40, 300);
+  const std::uint64_t spread_seed = args.get_uint("seed", 909);
+  const std::uint64_t min_agg_seed = args.get_uint("seed", 910);
+  rfc::exputil::reject_unread(args);
 
   rfc::support::Table table({"n", "mechanism", "faults", "mean rounds",
                              "rounds/log2 n", "complete"});
@@ -37,7 +40,7 @@ int main(int argc, char** argv) {
         cfg.network = network;
         cfg.n = n;
         cfg.mechanism = mech;
-        cfg.seed = args.get_uint("seed", 909);
+        cfg.seed = spread_seed;
         cfg.num_faulty = static_cast<std::uint32_t>(alpha * n);
         cfg.placement = alpha > 0 ? rfc::sim::FaultPlacement::kRandom
                                   : rfc::sim::FaultPlacement::kNone;
@@ -79,7 +82,7 @@ int main(int argc, char** argv) {
       rfc::gossip::MinAggConfig cfg;
       cfg.n = n;
       cfg.rounds = rfc::support::round_count(gamma, n);
-      cfg.seed = args.get_uint("seed", 910);
+      cfg.seed = min_agg_seed;
       std::uint64_t converged = 0;
       const auto results =
           rfc::analysis::run_trials<rfc::gossip::MinAggResult>(

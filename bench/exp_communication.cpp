@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   base.scheduler = scheduler;
   base.gamma = args.get_double("gamma", 4.0);
   base.seed = args.get_uint("seed", 303);
+  rfc::exputil::reject_unread(args);
   const auto sweep = rfc::analysis::measure_scaling(base, sizes, trials);
 
   // The same sweep with the coherence-digest optimization (64-bit

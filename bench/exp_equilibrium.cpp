@@ -25,6 +25,8 @@ int main(int argc, char** argv) {
   const auto trials = rfc::exputil::sweep_trials(args, 200, 1500);
   const double gamma = args.get_double("gamma", 4.0);
   const double chi = args.get_double("chi", 1.0);
+  const std::uint64_t master_seed = args.get_uint("seed", 707);
+  rfc::exputil::reject_unread(args);
   const std::vector<std::uint32_t> coalition_sizes = {1, 8, 32};
 
   for (const auto t : coalition_sizes) {
@@ -40,7 +42,7 @@ int main(int argc, char** argv) {
       cfg.gamma = gamma;
       cfg.coalition_size = t;
       cfg.strategy = strategy;
-      cfg.seed = args.get_uint("seed", 707);
+      cfg.seed = master_seed;
       const auto report = rfc::analysis::measure_deviation(cfg, trials);
       if (strategy == rfc::rational::DeviationStrategy::kHonest) {
         honest_utility = report.utility(chi);
@@ -77,7 +79,7 @@ int main(int argc, char** argv) {
       cfg.coalition_size = 8;
       cfg.strategy = strategy;
       cfg.strict_verification = strict;
-      cfg.seed = args.get_uint("seed", 707);
+      cfg.seed = master_seed;
       const auto report = rfc::analysis::measure_deviation(cfg, trials);
       ablation.add_row({
           rfc::rational::to_string(strategy),

@@ -31,6 +31,9 @@ int main(int argc, char** argv) {
   const auto n =
       static_cast<std::uint32_t>(args.get_uint("n", 128));
   const auto trials = rfc::exputil::sweep_trials(args, 1500, 8000);
+  const std::uint64_t master_seed = args.get_uint("seed", 404);
+  const double gamma = args.get_double("gamma", 4.0);
+  rfc::exputil::reject_unread(args);
 
   const std::vector<Scenario> scenarios = {
       {"balanced 50/50", {0.5, 0.5}},
@@ -43,8 +46,8 @@ int main(int argc, char** argv) {
     rfc::core::RunConfig cfg;
     cfg.scheduler = scheduler;
     cfg.n = n;
-    cfg.gamma = args.get_double("gamma", 4.0);
-    cfg.seed = args.get_uint("seed", 404);
+    cfg.gamma = gamma;
+    cfg.seed = master_seed;
     if (!scenario.fractions.empty()) {
       cfg.colors = rfc::core::split_colors(n, scenario.fractions);
     }

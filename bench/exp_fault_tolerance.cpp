@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
 
   const auto n = static_cast<std::uint32_t>(args.get_uint("n", 256));
   const auto trials = rfc::exputil::sweep_trials(args, 60, 400);
+  const std::uint64_t master_seed = args.get_uint("seed", 505);
+  rfc::exputil::reject_unread(args);
   const std::vector<double> alphas = {0.0, 0.1, 0.3, 0.5, 0.7};
   const std::vector<double> gammas = {2.0, 4.0, 8.0};
 
@@ -40,7 +42,7 @@ int main(int argc, char** argv) {
         cfg.network = network;
         cfg.n = n;
         cfg.gamma = gamma;
-        cfg.seed = args.get_uint("seed", 505);
+        cfg.seed = master_seed;
         cfg.num_faulty = static_cast<std::uint32_t>(alpha * n);
         cfg.placement = placement;
 

@@ -24,6 +24,8 @@ int main(int argc, char** argv) {
   const auto trials = rfc::exputil::sweep_trials(args, 200, 1000);
   const auto sizes = rfc::exputil::sweep_sizes(args);
   const double gamma = args.get_double("gamma", 4.0);
+  const std::uint64_t master_seed = args.get_uint("seed", 606);
+  rfc::exputil::reject_unread(args);
 
   rfc::support::Table table({"n", "|C|", "C regime", "votes>=1", "k distinct",
                              "find-min agree", "audited (D5.1)",
@@ -43,7 +45,7 @@ int main(int argc, char** argv) {
       cfg.scheduler = scheduler;
       cfg.n = n;
       cfg.gamma = gamma;
-      cfg.seed = args.get_uint("seed", 606);
+      cfg.seed = master_seed;
       for (std::uint32_t i = 0; i < t; ++i) cfg.coalition.push_back(i);
       // Coalition agents run the honest protocol here: Def. 5's events are
       // about what the *honest* agents achieve regardless of the coalition;

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   base.scheduler = scheduler;
   base.gamma = args.get_double("gamma", 4.0);
   base.seed = args.get_uint("seed", 202);
+  rfc::exputil::reject_unread(args);
 
   const auto sweep = rfc::analysis::measure_scaling(base, sizes, trials);
 

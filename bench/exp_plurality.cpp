@@ -22,6 +22,9 @@ int main(int argc, char** argv) {
 
   const auto n = static_cast<std::uint32_t>(args.get_uint("n", 256));
   const auto trials = rfc::exputil::sweep_trials(args, 300, 2000);
+  const std::uint64_t master_seed = args.get_uint("seed", 111);
+  const double gamma = args.get_double("gamma", 4.0);
+  rfc::exputil::reject_unread(args);
   const std::vector<double> shares = {0.1, 0.3, 0.4, 0.45, 0.5,
                                       0.55, 0.6, 0.7, 0.9};
 
@@ -35,7 +38,7 @@ int main(int argc, char** argv) {
     rfc::support::OnlineStats plurality_rounds;
     const auto p_results =
         rfc::analysis::run_trials<rfc::baseline::PluralityResult>(
-            trials, args.get_uint("seed", 111),
+            trials, master_seed,
             [&](std::uint64_t seed, std::size_t) {
               rfc::baseline::PluralityConfig cfg;
               cfg.n = n;
@@ -51,12 +54,12 @@ int main(int argc, char** argv) {
     std::uint64_t fair_wins = 0;
     const auto f_results =
         rfc::analysis::run_trials<rfc::core::RunResult>(
-            trials, args.get_uint("seed", 111),
+            trials, master_seed,
             [&](std::uint64_t seed, std::size_t) {
               rfc::core::RunConfig cfg;
               cfg.scheduler = scheduler;
               cfg.n = n;
-              cfg.gamma = args.get_double("gamma", 4.0);
+              cfg.gamma = gamma;
               cfg.seed = seed;
               cfg.colors = colors;
               return rfc::core::run_protocol(cfg);

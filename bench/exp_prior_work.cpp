@@ -22,6 +22,8 @@ int main(int argc, char** argv) {
 
   const auto n = static_cast<std::uint32_t>(args.get_uint("n", 256));
   const auto trials = rfc::exputil::sweep_trials(args, 300, 2000);
+  const std::uint64_t master_seed = args.get_uint("seed", 1313);
+  rfc::exputil::reject_unread(args);
 
   struct Row {
     const char* scenario;
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
     const std::uint32_t colored = std::max(row.deviators, 4u);
     const auto results =
         rfc::analysis::run_trials<rfc::baseline::AdhResult>(
-            trials, args.get_uint("seed", 1313),
+            trials, master_seed,
             [&](std::uint64_t seed, std::size_t) {
               rfc::baseline::AdhConfig cfg;
               cfg.n = n;
@@ -96,7 +98,7 @@ int main(int argc, char** argv) {
     cfg.coalition_size = 8;
     cfg.strategy = rfc::rational::DeviationStrategy::kForgedCoalitionCert;
     cfg.num_faulty = n / 4;
-    cfg.seed = args.get_uint("seed", 1313);
+    cfg.seed = master_seed;
     const auto report = rfc::analysis::measure_deviation(cfg, trials);
     // "Success" for the deviated protocol = not converted to a coalition
     // win; failures are the protocol *detecting* the forgery.

@@ -24,6 +24,8 @@ int main(int argc, char** argv) {
 
   const auto sizes = rfc::exputil::sweep_sizes(args);
   const auto trials = rfc::exputil::sweep_trials(args, 40, 200);
+  const std::uint64_t master_seed = args.get_uint("seed", 101);
+  rfc::exputil::reject_unread(args);
   const std::vector<double> gammas = {1.0, 2.0, 4.0};
 
   rfc::support::Table table({"n", "gamma", "rounds", "rounds/ln n",
@@ -36,7 +38,7 @@ int main(int argc, char** argv) {
       cfg.network = network;
       cfg.n = n;
       cfg.gamma = gamma;
-      cfg.seed = args.get_uint("seed", 101);
+      cfg.seed = master_seed;
       cfg.measure_convergence = true;
 
       std::uint64_t successes = 0;

@@ -216,6 +216,14 @@ int main(int argc, char** argv) {
     const std::string node_bin = args.get("node-bin", "");
     const auto port_base = static_cast<std::uint16_t>(args.get_uint(
         "port-base", 22000 + static_cast<std::uint16_t>(getpid() % 15000)));
+    const ClusterSpec rumor_spec =
+        rfc::benchnet::cluster_spec_from_cli(args, ClusterSpec::Kind::kRumor);
+    const ClusterSpec protocol_spec = rfc::benchnet::cluster_spec_from_cli(
+        args, ClusterSpec::Kind::kProtocol);
+    // run_one reads the loss flags per run; validate them before the first.
+    args.get_double("drop", 0.0);
+    args.get_uint("drop-seed", 0);
+    args.reject_unread();
 
     std::printf(
         "exp_socket: distributed transport cross-check (transport=%s)\n"
@@ -232,11 +240,8 @@ int main(int argc, char** argv) {
     std::uint16_t next_ports = port_base;
     for (const char* kind_name : {"rumor", "protocol"}) {
       if (workload != "both" && workload != kind_name) continue;
-      const auto kind = std::string(kind_name) == "rumor"
-                            ? ClusterSpec::Kind::kRumor
-                            : ClusterSpec::Kind::kProtocol;
-      const ClusterSpec spec =
-          rfc::benchnet::cluster_spec_from_cli(args, kind);
+      const ClusterSpec& spec =
+          std::string(kind_name) == "rumor" ? rumor_spec : protocol_spec;
       const RunOutcome outcome = run_one(args, spec, kind_name, transport,
                                          node_bin, next_ports);
       // Fresh ports per run: the previous listeners are gone but may

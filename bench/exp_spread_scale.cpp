@@ -48,14 +48,9 @@ int main(int argc, char** argv) {
   cfg.placement = cfg.num_faulty == 0 ? rfc::sim::FaultPlacement::kNone
                                       : rfc::sim::FaultPlacement::kRandom;
   cfg.scheduler = rfc::exputil::scheduler_spec(args);
+  rfc::exputil::reject_unread(args);
 
   auto engine = rfc::gossip::build_spread_engine(cfg);
-  if (args.has("block-labels")) {
-    // Expose the blocked-delivery tuning for A/B runs: --block-labels=K
-    // forces the cache-blocked path on (at any n) with K-label blocks.
-    engine->set_blocked_delivery(
-        1, static_cast<std::uint32_t>(args.get_uint("block-labels", 1u << 15)));
-  }
 
   const auto t0 = std::chrono::steady_clock::now();
   const rfc::gossip::SpreadResult res =

@@ -51,6 +51,8 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::uint32_t>(args.get_uint("n", 512));
   const auto trials = rfc::exputil::sweep_trials(args, 100, 600);
   const double gamma = args.get_double("gamma", 4.0);
+  const std::uint64_t master_seed = args.get_uint("seed", 112);
+  rfc::exputil::reject_unread(args);
 
   const std::vector<TopoCase> cases = {
       {"complete", complete},
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
     // (b) Full Protocol P with a 30% minority color.
     std::uint64_t successes = 0, minority_wins = 0;
     const auto results = rfc::analysis::run_trials<rfc::core::RunResult>(
-        trials, args.get_uint("seed", 112),
+        trials, master_seed,
         [&](std::uint64_t seed, std::size_t index) {
           rfc::core::RunConfig cfg;
           cfg.scheduler = scheduler;

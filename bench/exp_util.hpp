@@ -130,8 +130,21 @@ inline rfc::sim::Budget run_budget(const rfc::support::CliArgs& args) {
 inline std::uint64_t sweep_trials(const rfc::support::CliArgs& args,
                                   std::uint64_t fast_default,
                                   std::uint64_t full_default) {
-  if (args.has("trials")) return args.get_uint("trials", fast_default);
-  return args.get_bool("full") ? full_default : fast_default;
+  const bool full = args.get_bool("full");  // Read even when --trials wins.
+  return args.get_uint("trials", full ? full_default : fast_default);
+}
+
+/// Ends an experiment's option parsing: exits with status 2, naming them,
+/// if any flags were given that the experiment has not read by now.
+/// --csv counts as read, since print_table consumes it after the run.
+inline void reject_unread(const rfc::support::CliArgs& args) {
+  args.has("csv");
+  try {
+    args.reject_unread();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
 }
 
 inline void print_header(const std::string& id, const std::string& claim) {

@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
 
   const auto sizes = rfc::exputil::sweep_sizes(args);
   const auto trials = rfc::exputil::sweep_trials(args, 24, 150);
+  const std::uint64_t master_seed = args.get_uint("seed", 1010);
+  rfc::exputil::reject_unread(args);
 
   rfc::support::Table table({"n", "gamma", "mean q=ceil(g ln n)", "min votes",
                              "max votes", "min/ln n", "max/ln n"});
@@ -27,7 +29,7 @@ int main(int argc, char** argv) {
     rfc::core::RunConfig base;
     base.scheduler = scheduler;
     base.gamma = gamma;
-    base.seed = args.get_uint("seed", 1010);
+    base.seed = master_seed;
     const auto sweep = rfc::analysis::measure_scaling(base, sizes, trials);
     for (const auto& p : sweep.points) {
       const double ln_n = std::log(static_cast<double>(p.n));

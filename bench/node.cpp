@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("--drop must be in [0, 1)");
     }
     if (drop > 0.0 && !args.has("linger-ms")) options.linger_ms = 1000;
+    const std::uint64_t drop_seed = args.get_uint("drop-seed", 99);
 
     // --label-range=LO-HI is declarative: the block is determined by
     // (n, nodes, node-id), and a mismatching range means the launcher and
@@ -100,6 +101,7 @@ int main(int argc, char** argv) {
     const auto port_base =
         static_cast<std::uint16_t>(args.get_uint("port-base", 23000));
     const std::string host = args.get("host", "127.0.0.1");
+    args.reject_unread();
     std::vector<rfc::net::PeerEndpoint> peers(options.num_nodes);
     for (std::uint32_t i = 0; i < options.num_nodes; ++i) {
       peers[i].host = host;
@@ -114,8 +116,7 @@ int main(int argc, char** argv) {
     if (drop > 0.0) {
       client = rfc::net::make_lossy_client(
           std::move(client), drop,
-          rfc::support::derive_seed(args.get_uint("drop-seed", 99),
-                                    options.node_id));
+          rfc::support::derive_seed(drop_seed, options.node_id));
     }
 
     rfc::net::NodeDriver driver(workload, options, *client);

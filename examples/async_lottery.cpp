@@ -38,6 +38,8 @@ int main(int argc, char** argv) {
   }
 
   const auto trials = args.get_uint("trials", 300);
+  const auto master_seed = args.get_uint("seed", 37);
+  args.reject_unread();
   std::printf("asynchronous token lottery: n=%u agents, slack=%u, "
               "scheduler=%s, %llu draws\n",
               config.n, config.slack,
@@ -49,7 +51,7 @@ int main(int argc, char** argv) {
   rfc::support::OnlineStats steps;
   const auto results =
       rfc::analysis::run_trials<rfc::core::AsyncRunResult>(
-          trials, args.get_uint("seed", 37),
+          trials, master_seed,
           [&config](std::uint64_t seed, std::size_t) {
             rfc::core::AsyncRunConfig cfg = config;
             cfg.seed = seed;

@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
   const auto t = static_cast<std::uint32_t>(args.get_uint("t", 8));
   const auto trials = args.get_uint("trials", 400);
   const double gamma = args.get_double("gamma", 4.0);
+  const auto seed = args.get_uint("seed", 29);
+  args.reject_unread();
 
   std::printf("coalition of %u vs %u agents, fair share = %.3f\n\n", t, n,
               static_cast<double>(t) / n);
@@ -54,7 +56,7 @@ int main(int argc, char** argv) {
     cfg.gamma = gamma;
     cfg.coalition_size = t;
     cfg.strategy = strategy;
-    cfg.seed = args.get_uint("seed", 29);
+    cfg.seed = seed;
     const auto report = rfc::analysis::measure_deviation(cfg, trials);
     const double fair = report.fair_share;
     const bool profitable =

@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   const auto trials = args.get_uint("trials", 150);
   const double margin = args.get_double("margin", 1.25);
   const auto seed = args.get_uint("seed", 31);
+  args.reject_unread();
 
   std::printf("tuning gamma for n=%u, alpha=%.2f (%llu trials per probe)\n\n",
               n, alpha, static_cast<unsigned long long>(trials));

@@ -42,6 +42,8 @@ int main(int argc, char** argv) {
   config.placement = parse_placement(args.get("placement", "prefix"));
   config.scheduler =
       rfc::sim::SchedulerSpec::parse(args.get("scheduler", "synchronous"));
+  const auto master_seed = args.get_uint("seed", 11);
+  args.reject_unread();
   // Leader election: colors default to labels.
 
   std::printf("fair leader election: n=%u, faulty=%u (%s placement), "
@@ -55,7 +57,7 @@ int main(int argc, char** argv) {
   std::uint64_t failures = 0;
   rfc::support::OnlineStats rounds;
   const auto results = rfc::analysis::run_trials<rfc::core::RunResult>(
-      trials, args.get_uint("seed", 11),
+      trials, master_seed,
       [&config](std::uint64_t seed, std::size_t) {
         rfc::core::RunConfig cfg = config;
         cfg.seed = seed;

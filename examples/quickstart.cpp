@@ -18,6 +18,8 @@ int main(int argc, char** argv) {
   config.n = static_cast<std::uint32_t>(args.get_uint("n", 1000));
   config.gamma = args.get_double("gamma", 4.0);
   config.seed = args.get_uint("seed", 7);
+  const auto trials = args.get_uint("trials", 200);
+  args.reject_unread();
   config.colors = rfc::core::split_colors(config.n, {0.6, 0.4});
 
   // One execution: run the protocol and look at the outcome.
@@ -30,7 +32,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(run.metrics.max_message_bits));
 
   // Many executions: the winning frequency matches the initial shares.
-  const auto trials = args.get_uint("trials", 200);
   const rfc::analysis::FairnessReport report =
       rfc::analysis::measure_fairness(config, trials);
   std::printf("over %llu runs: failures = %llu\n",

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   }
 
   const auto trials = args.get_uint("trials", 2000);
+  args.reject_unread();
   std::printf("token lottery: %zu participants, %u tokens, n=%u agents, "
               "%llu draws\n",
               stakes.size(), total, config.n,

@@ -140,11 +140,10 @@ class Engine {
     return core_.pull_request_bits();
   }
 
-  /// Tunes the synchronous round's cache-blocked delivery path (see
-  /// EngineCore::set_blocked_delivery); bit-identical to the default path
-  /// by construction, so this only moves the n threshold / block size.
-  void set_blocked_delivery(std::uint32_t min_n, std::uint32_t block_labels) {
-    core_.set_blocked_delivery(min_n, block_labels);
+  /// Sets the synchronous round's delivery block size (see
+  /// EngineCore::set_block_labels); every size gives the same execution.
+  void set_block_labels(std::uint32_t labels) {
+    core_.set_block_labels(labels);
   }
 
  private:

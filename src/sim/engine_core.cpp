@@ -1,7 +1,6 @@
 #include "sim/engine_core.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -22,7 +21,6 @@ EngineCore::EngineCore(std::uint32_t n, std::uint64_t seed,
   // its own worker before the agents start (shard-local RNG prefetch).
   rngs_.assign(n_, rfc::support::Xoshiro256(
                        rfc::support::Xoshiro256::Unseeded{}));
-  actions_.resize(n_);
   pull_replies_.resize(n_);
 }
 
@@ -168,8 +166,8 @@ void EngineCore::flush_deferred(std::vector<DelayedPush>& batch,
                                 support::Arena* arena) {
   if (batch.empty()) return;
   // Senders are unique within a round (one action per agent), so sender
-  // label is a total order shared by the serial, blocked, and sharded
-  // paths regardless of queue accumulation order.
+  // label is a total order, independent of the partition count and of
+  // how the batch was accumulated.
   std::sort(batch.begin(), batch.end(),
             [](const DelayedPush& a, const DelayedPush& b) {
               return a.sender < b.sender;
@@ -240,14 +238,12 @@ void EngineCore::reset_round_arenas() noexcept {
   for (auto& arena : arenas_) arena->reset();
 }
 
-void EngineCore::set_blocked_delivery(std::uint32_t min_n,
-                                      std::uint32_t block_labels) {
-  if (block_labels == 0) {
-    throw std::invalid_argument("Engine: block_labels must be positive");
+void EngineCore::set_block_labels(std::uint32_t labels) {
+  if (labels == 0) {
+    throw std::invalid_argument("Engine: block labels must be positive");
   }
-  blocked_min_n_ = min_n;
   block_shift_ = 0;
-  while ((1u << block_shift_) < block_labels) ++block_shift_;
+  while (block_shift_ < 31 && (1u << block_shift_) < labels) ++block_shift_;
 }
 
 Context EngineCore::make_context(AgentId id) noexcept {
@@ -363,322 +359,6 @@ void EngineCore::execute_push(AgentId sender, AgentId target,
     return;
   }
   deliver_push(sender, target, payload, arena);
-}
-
-void EngineCore::run_synchronous_round(const std::vector<bool>* awake_mask) {
-  ensure_started();
-  advance_churn(time_);  // Round paths: one churn epoch per round.
-  // The shard-barrier arena reset: payloads allocated last round die here,
-  // so an arena-boxed payload is valid for exactly one full round.
-  reset_round_arenas();
-  if (use_blocked_round()) {
-    run_blocked_round(awake_mask);
-  } else {
-    run_serial_round(awake_mask);
-  }
-}
-
-void EngineCore::run_serial_round(const std::vector<bool>* awake_mask) {
-  support::Arena* arena = serial_arena();
-
-  // One Context for the whole round, re-aimed per agent (see
-  // run_blocked_round): only self and the RNG pointer vary per callback.
-  Context ctx = make_context(0, arena);
-
-  // Phase A: collect each awake agent's single active operation, recording
-  // who pulled and who pushed so phases B/C/D walk those lists instead of
-  // rescanning all n labels.  push_back in the label-ordered walk keeps the
-  // lists label-ordered — the pinned delivery order.
-  round_pullers_.clear();
-  round_pushers_.clear();
-  const auto collect = [&](AgentId i) {
-    ctx.self = i;
-    ctx.rng = &rngs_[i];
-    Action& a = actions_[i];
-    a = agents_[i]->on_round(ctx);
-    note_activation(i);
-    if (a.kind == ActionKind::kIdle) return;
-    assert(a.target < n_);
-    ++metrics_.active_links;
-    if (a.kind == ActionKind::kPull) round_pullers_.push_back(i);
-    else round_pushers_.push_back(i);
-  };
-  if (obs_cache_enabled_) {
-    // Sparse path: walk the live list, compacting finished labels in place
-    // (done() is monotone, so a dropped label never wakes again).  The list
-    // is label-ordered and contains exactly the labels the 0..n scan would
-    // not have skipped, so the activation sequence is the scan's.
-    std::size_t w = 0;
-    const std::size_t live = live_list_.size();
-    for (std::size_t r = 0; r < live; ++r) {
-      const AgentId i = live_list_[r];
-      if (done_[i] != 0) continue;
-      live_list_[w++] = i;  // Down agents stay listed: churn is transient.
-      if (is_down(i)) continue;
-      if (awake_mask != nullptr && !(*awake_mask)[i]) continue;
-      collect(i);
-    }
-    live_list_.resize(w);
-  } else {
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      if (faulty_[i] != 0 || is_down(i) || agents_[i]->done() ||
-          (awake_mask != nullptr && !(*awake_mask)[i])) {
-        continue;
-      }
-      collect(i);
-    }
-  }
-
-  // A phase with no work is skipped outright — pull-free rounds (e.g. the
-  // push steady state of a spread) cost nothing beyond phase A.
-  // pull_replies_ slots are only ever written in phase B and cleared again
-  // in phase C, so every slot is empty at round start (which is also why
-  // neither this path nor the sharded one pre-clears them).
-  if (!round_pullers_.empty()) {
-    // Phase B: serve all pull requests from round-start state.
-    for (const AgentId i : round_pullers_) {
-      charge_pull_request(metrics_);
-      const AgentId target = actions_[i].target;
-      pull_replies_[i] = serve_and_charge_pull(target, i, metrics_, arena);
-      note_activation(target);
-    }
-
-    // Phase C: deliver pull replies in puller-label order.
-    for (const AgentId i : round_pullers_) {
-      ctx.self = i;
-      ctx.rng = &rngs_[i];
-      agents_[i]->on_pull_reply(ctx, actions_[i].target, pull_replies_[i]);
-      pull_replies_[i] = {};
-      note_activation(i);
-    }
-  }
-
-  // Phase D: deliver pushes in sender-label order (execute_push inlined
-  // onto the hoisted Context; metrics charged identically for faulty
-  // targets, and note_activation keeps the cache-off path sound).  With a
-  // fault-enabled network the inlined fast path yields to the shared
-  // execute_push so all delivery paths share one fault stage; pushes
-  // delayed in earlier rounds land first, reordered ones last.
-  const bool net_active = net_msgs_ || net_churn_;
-  if (net_msgs_) deliver_due_delayed(arena);
-  NetSinks sinks{&net_delayed_, &net_deferred_};
-  for (const AgentId i : round_pushers_) {
-    const Action& a = actions_[i];
-    if (net_active) {
-      execute_push(i, a.target, a.payload, metrics_, arena, &sinks);
-      note_activation(a.target);
-      continue;
-    }
-    ++metrics_.pushes;
-    metrics_.note_message(a.payload.bit_size());
-    if (faulty_[a.target] == 0) {
-      ctx.self = a.target;
-      ctx.rng = &rngs_[a.target];
-      agents_[a.target]->on_push(ctx, i, a.payload);
-    }
-    note_activation(a.target);
-  }
-  if (net_msgs_) flush_deferred(net_deferred_, arena);
-
-  ++time_;
-  metrics_.rounds = time_;
-}
-
-void EngineCore::run_blocked_round(const std::vector<bool>* awake_mask) {
-  support::Arena* arena = serial_arena();
-  const std::uint32_t shift = block_shift_;
-  const std::uint32_t blocks = ((n_ - 1) >> shift) + 1;
-  if (push_blocks_.size() < blocks) {
-    push_blocks_.resize(blocks);
-    pull_blocks_.resize(blocks);
-  }
-  for (std::uint32_t b = 0; b < blocks; ++b) {
-    push_blocks_[b].clear();  // Capacity kept: steady state allocates nothing.
-    pull_blocks_[b].clear();
-  }
-  if (pull_target_.size() != n_) pull_target_.resize(n_);
-  round_pullers_.clear();
-
-  // One Context for the whole round, re-aimed per agent: only self and the
-  // RNG pointer vary, so the hot loops skip rebuilding the other fields
-  // (make_context) once per callback.
-  Context ctx = make_context(0, arena);
-
-  // Phase A: walk the live list (compacting finished labels in place, as in
-  // run_serial_round) and route each action to its destination block.  The
-  // full Action (payload included) moves into the block queue, so delivery
-  // streams the queue instead of random-reading an n-sized action buffer;
-  // pullers are additionally listed for phase C.
-  const bool net_active = net_msgs_ || net_churn_;
-  std::uint32_t num_pushes = 0;
-  std::size_t w = 0;
-  const std::size_t live = live_list_.size();
-  for (std::size_t r = 0; r < live; ++r) {
-    const AgentId i = live_list_[r];
-    if (done_[i] != 0) continue;
-    live_list_[w++] = i;  // Down agents stay listed: churn is transient.
-    if (is_down(i)) continue;
-    if (awake_mask != nullptr && !(*awake_mask)[i]) continue;
-    ctx.self = i;
-    ctx.rng = &rngs_[i];
-    Agent* agent = agents_[i].get();
-    Action a = agent->on_round(ctx);
-    // note_activation body, minus the faulty recheck (i is non-faulty here)
-    // and minus the done_ compare (done_[i] was 0 at the gate above).
-    obs_valid_[i] = 0;
-    if (agent->done()) {
-      done_[i] = 1;
-      ++num_done_;
-      log_done_transition(i);
-    }
-    if (a.kind == ActionKind::kIdle) continue;
-    assert(a.target < n_);
-    ++metrics_.active_links;
-    if (a.kind == ActionKind::kPull) {
-      round_pullers_.push_back(i);
-      pull_target_[i] = a.target;
-      // Charged at collect time, as on the sharded path (sums are
-      // merge-order independent, so totals match the serial round).
-      charge_pull_request(metrics_);
-      pull_blocks_[a.target >> shift].push_back(PullEntry{i, a.target});
-    } else {
-      ++num_pushes;
-      push_blocks_[a.target >> shift].push_back(
-          PushEntry{std::move(a.payload), i, a.target});
-    }
-  }
-  live_list_.resize(w);
-
-  if (!round_pullers_.empty()) {
-    // Phase B: serve pulls block by block.  Within a block entries are in
-    // requester-label order and a server lives in exactly one block, so
-    // every server sees its pullers in the serial round's order (same RNG
-    // stream consumption); only the cross-server interleaving differs, and
-    // servers' streams are independent.
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      const PullEntry* q = pull_blocks_[b].data();
-      const std::size_t m = pull_blocks_[b].size();
-      for (std::size_t j = 0; j < m; ++j) {
-        // Same two-stage prefetch as phase D (pointer line, then object),
-        // plus the reply slot the serve is about to write: requesters are
-        // label-ordered but sparse, so the stores stride past what the
-        // hardware prefetcher tracks.
-        if (j + 8 < m) {
-          __builtin_prefetch(&agents_[q[j + 8].server]);
-        }
-        if (j + 4 < m) {
-          __builtin_prefetch(agents_[q[j + 4].server].get());
-          __builtin_prefetch(&pull_replies_[q[j + 4].requester], 1);
-        }
-        const PullEntry& e = q[j];
-        if (net_active) {
-          // Fault-enabled rounds take the shared serve path so the
-          // request/reply fault stage has one definition.
-          pull_replies_[e.requester] =
-              serve_and_charge_pull(e.server, e.requester, metrics_, arena);
-          note_activation(e.server);
-          continue;
-        }
-        // serve_and_charge_pull on the hoisted Context (identical fields;
-        // only self and the RNG pointer differ per serve).
-        if (faulty_[e.server] != 0) {
-          pull_replies_[e.requester] = {};  // Silence: no reply observed.
-        } else {
-          ctx.self = e.server;
-          ctx.rng = &rngs_[e.server];
-          Payload reply = agents_[e.server]->serve_pull(ctx, e.requester);
-          if (!reply.empty()) {
-            ++metrics_.pull_replies;
-            metrics_.note_message(reply.bit_size());
-          }
-          pull_replies_[e.requester] = std::move(reply);
-        }
-        note_activation(e.server);
-      }
-    }
-
-    // Phase C: deliver pull replies in puller-label order (the puller list
-    // was filled by the label-ordered phase-A walk, so it already is the
-    // contract's order).
-    const AgentId* pullers = round_pullers_.data();
-    const std::size_t np = round_pullers_.size();
-    for (std::size_t j = 0; j < np; ++j) {
-      if (j + 8 < np) {
-        __builtin_prefetch(&agents_[pullers[j + 8]]);
-      }
-      if (j + 4 < np) {
-        const AgentId ahead = pullers[j + 4];
-        __builtin_prefetch(agents_[ahead].get());
-        __builtin_prefetch(&pull_replies_[ahead], 1);
-      }
-      const AgentId i = pullers[j];
-      ctx.self = i;
-      ctx.rng = &rngs_[i];
-      agents_[i]->on_pull_reply(ctx, pull_target_[i], pull_replies_[i]);
-      pull_replies_[i] = {};
-      note_activation(i);
-    }
-  }
-
-  // Phase D: deliver pushes block by block — per receiver the sender order
-  // is the serial round's (entries are in sender-label order within the
-  // receiver's block), and one block's receivers stay cache-resident while
-  // its queue streams through.  Fault verdicts are pure per-message hashes,
-  // so taking them block by block instead of in sender order changes
-  // nothing; held-back pushes re-enter through the same sorted flushes as
-  // the serial round's.
-  if (net_msgs_) deliver_due_delayed(arena);
-  NetSinks sinks{&net_delayed_, &net_deferred_};
-  if (num_pushes != 0) {
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      const PushEntry* q = push_blocks_[b].data();
-      const std::size_t m = push_blocks_[b].size();
-      for (std::size_t j = 0; j < m; ++j) {
-        // Two-stage software prefetch: the agent-pointer line a few entries
-        // ahead, then the agent object itself one stage later (its address
-        // needs the pointer already resident) — hides the scattered-target
-        // latency the queue's streaming reads cannot.
-        if (j + 8 < m) {
-          __builtin_prefetch(&agents_[q[j + 8].target]);
-        }
-        if (j + 4 < m) {
-          __builtin_prefetch(agents_[q[j + 4].target].get());
-        }
-        const PushEntry& e = q[j];
-        if (net_active) {
-          execute_push(e.sender, e.target, e.payload, metrics_, arena,
-                       &sinks);
-          note_activation(e.target);
-          continue;
-        }
-        // execute_push + note_activation, sharing one faulty_ load and the
-        // hoisted Context (metrics charged identically for faulty targets).
-        ++metrics_.pushes;
-        metrics_.note_message(e.payload.bit_size());
-        if (faulty_[e.target] != 0) continue;
-        ctx.self = e.target;
-        ctx.rng = &rngs_[e.target];
-        Agent* agent = agents_[e.target].get();
-        agent->on_push(ctx, e.sender, e.payload);
-        obs_valid_[e.target] = 0;
-        const std::uint8_t d = agent->done() ? 1 : 0;
-        if (d != done_[e.target]) {
-          done_[e.target] = d;
-          if (d != 0) {
-            ++num_done_;
-            log_done_transition(e.target);
-          } else {
-            --num_done_;
-            unlog_done_transition(e.target);
-          }
-        }
-      }
-    }
-  }
-  if (net_msgs_) flush_deferred(net_deferred_, arena);
-
-  ++time_;
-  metrics_.rounds = time_;
 }
 
 void EngineCore::sequential_activation(AgentId u) {

@@ -2,24 +2,25 @@
 //
 // EngineCore owns *what it means to run agents* — agent storage, fault
 // bookkeeping, per-agent SplitMix-derived RNG streams, exact message
-// accounting, and the two delivery primitives every model composes:
+// accounting, and the state the two delivery primitives work on:
 //
-//   * run_synchronous_round — the paper's phased lock-step round (collect
-//     one active operation per awake agent, serve pulls from round-start
-//     state, deliver replies, deliver pushes, all in label order);
+//   * the synchronous phased round (collect one active operation per awake
+//     agent, serve pulls from round-start state, deliver replies, deliver
+//     pushes).  Its one implementation is ShardedRoundExecutor::run_round
+//     (sim/sharding.hpp), a friend that runs the phases over one or more
+//     contiguous label partitions against this core's buffers and
+//     accounting;
 //   * sequential_activation — one agent wakes alone and its operation
 //     resolves immediately against current state.
 //
 // *When* agents run — activation order and round/step semantics — is a
 // Scheduler policy (sim/scheduler.hpp).  The Engine facade
-// (sim/engine.hpp) binds the two.  EngineCore itself is single-threaded and
-// fully deterministic given (n, seed, topology, fault plan, agents):
-// Monte-Carlo parallelism lives one level up (analysis::MonteCarlo) and
-// runs independent cores on independent seeds.  For parallelism *inside*
-// one engine, sim/sharding.hpp runs the synchronous phased round over
-// label shards on a thread pool, bit-identical to the serial round by
-// construction (ShardedRoundExecutor is a friend so the two
-// implementations share buffers and accounting).
+// (sim/engine.hpp) binds the two.  An execution is fully deterministic
+// given (n, seed, topology, fault plan, agents): the round's partitions
+// touch disjoint agents in each phase, so every (partitions, threads)
+// choice reproduces the one-partition execution bit for bit.  Monte-Carlo
+// parallelism lives one level up (analysis::MonteCarlo) and runs
+// independent cores on independent seeds.
 //
 // Hot state is structure-of-arrays.  The polymorphic Agent objects remain
 // the behavior, but everything the round loop and the observers touch per
@@ -30,29 +31,27 @@
 // own callback running (the coalition blackboard) declares shard_safe()
 // false and gets the virtual-scan behavior unchanged.
 //
-// At large n the synchronous round switches to cache-blocked delivery:
-// phase A routes each action into a destination *block* queue (contiguous
-// label ranges sized to stay cache-resident), and phases B/D drain the
-// queues block by block, so serving and delivering touch one block's agents
-// at a time instead of hopping the whole array per message.  Per receiver
-// the sender order, every RNG stream's consumption, and all metric sums are
-// exactly the serial round's — the same argument that makes the sharded
-// round bit-identical (per-receiver sender-label order is preserved because
-// a receiver lives in exactly one block and queues fill in label order;
-// metrics are order-independent sums).  tests/sharded_equivalence_test.cpp
-// pins this against pre-refactor digests.
+// Delivery is cache-blocked at every n: the round routes each action into
+// the queue of its target's *block* (2^16 contiguous labels, so n <= 2^16
+// is a single block), and the serve and push phases drain the queues block
+// by block, touching one block's agents at a time instead of hopping the
+// whole array per message.  Queues fill in label order and a receiver
+// lives in exactly one block, so every receiver sees its senders (and
+// every server its pullers) in label order whatever the block size;
+// metrics are order-independent sums.  tests/sharded_equivalence_test.cpp
+// pins this against pre-refactor digests, with blocks forced down to one
+// label.
 //
 // Rounds are *sparse*: with the SoA caches live the engine maintains the
 // label-ordered live list (non-faulty, not-done labels) incrementally —
 // phase A iterates it instead of scanning all n labels, compacting done
 // entries in place as it goes (done() is monotone by the Agent contract),
-// and phases B/C/D walk this round's puller/pusher lists instead of
-// rescanning the label space — so a round costs O(live + messages), not
-// O(n).  The iteration order equals the old 0..n scan's (the list is label-
-// ordered and drops exactly the labels the scan skipped), so traces are
-// bit-identical.  Done 0→1 transitions are also appended to a public *done
-// log* (done_log()), which incremental schedulers drain to prune their own
-// wakeable pools eagerly instead of re-deriving them per step.
+// phases B/C/D walk this round's queues and puller list, and the done
+// counter is settled at the round's end from the labels whose done() byte
+// flipped — so a round costs O(live + messages), not O(n).  Done 0→1
+// transitions are also appended to a public *done log* (done_log()), which
+// incremental schedulers drain to prune their own wakeable pools eagerly
+// instead of re-deriving them per step.
 #pragma once
 
 #include <cstdint>
@@ -160,12 +159,12 @@ class EngineCore {
   //
   // With the SoA caches live (done_log_enabled()), every done() 0→1
   // transition observed by the engine appends that label to an append-only
-  // log, in observation order on the serial paths and label order at the
-  // sharded barrier.  A scheduler keeping its own wakeable pool drains the
-  // log from a cursor each step and removes exactly the newly finished
-  // agents — O(transitions) total instead of O(pool) per step.  Labels done
-  // before the first step are never logged (pools built from active_labels()
-  // filter them at build time).
+  // log: in label order at the end of each synchronous round, in
+  // observation order on the sequential path.  A scheduler keeping its own
+  // wakeable pool drains the log from a cursor each step and removes
+  // exactly the newly finished agents — O(transitions) total instead of
+  // O(pool) per step.  Labels done before the first step are never logged
+  // (pools built from active_labels() filter them at build time).
 
   /// True when the engine maintains the done log (== the SoA caches are
   /// live; with any non-cacheable agent installed the log stays empty and
@@ -185,8 +184,8 @@ class EngineCore {
 
   // --- Round arenas. -------------------------------------------------------
 
-  /// Grows the per-shard arena set to `count` (the serial paths use arena
-  /// 0; the sharded executor one per shard).
+  /// Grows the per-partition arena set to `count` (the sequential path uses
+  /// arena 0; the round one per partition).
   void ensure_arenas(std::uint32_t count);
   /// The round arena for shard `idx` (valid after ensure_arenas).
   support::Arena* round_arena(std::uint32_t idx) noexcept {
@@ -196,24 +195,18 @@ class EngineCore {
   /// Payloads built in an arena live until the NEXT round begins.
   void reset_round_arenas() noexcept;
 
-  /// Tunes the cache-blocked delivery path of the synchronous round: it
-  /// activates at n >= min_n (and only with the SoA caches live), routing
-  /// deliveries through blocks of `block_labels` labels (rounded up to a
-  /// power of two).  Defaults: min_n = 2^19, blocks of 2^16 labels (~a few
-  /// MB of agent state per block).  Tests force tiny thresholds to pin the
-  /// blocked path bit-identical at small n.
-  void set_blocked_delivery(std::uint32_t min_n, std::uint32_t block_labels);
+  /// Sets the synchronous round's delivery block to `labels` labels
+  /// (rounded up to a power of two; default 2^16).  Every block size gives
+  /// the same execution, so this exists only for tests that force many
+  /// blocks at small n; must precede the first round.
+  void set_block_labels(std::uint32_t labels);
 
   // --- Execution primitives, composed by Scheduler policies. ---
+  // (The synchronous round is ShardedRoundExecutor::run_round.)
 
   /// Installs-check plus on_start for every active agent in label order.
   /// Idempotent; runs before the first scheduler step.
   void ensure_started();
-
-  /// Executes one synchronous phased round over the agents with
-  /// `awake_mask[i]` true (null = every agent), then advances time by one
-  /// round.  Faulty and done() agents idle regardless of the mask.
-  void run_synchronous_round(const std::vector<bool>* awake_mask = nullptr);
 
   /// Advances time by one step, then wakes `u` alone: its action is
   /// collected and resolved immediately (a pull is served from current
@@ -221,29 +214,16 @@ class EngineCore {
   /// activation, as in the sequential model's analyses.
   void sequential_activation(AgentId u);
 
-  /// The per-callback view handed to agent `id` at the current time (serial
-  /// paths: carries round arena 0).
+  /// The per-callback view handed to agent `id` at the current time
+  /// (carries round arena 0).
   Context make_context(AgentId id) noexcept;
 
  private:
   friend class ShardedRoundExecutor;  // sim/sharding.hpp
 
-  /// One routed push awaiting cache-blocked delivery: the payload travels
-  /// in the queue so phase D never random-reads the action buffer.
-  struct PushEntry {
-    Payload payload;
-    AgentId sender;
-    AgentId target;
-  };
-  /// One routed pull: `requester` pulls `server` (server's block serves).
-  struct PullEntry {
-    AgentId requester;
-    AgentId server;
-  };
-
   /// Where the fault stage parks held-back pushes: the core-owned vectors
-  /// on the serial paths, per-shard vectors on the sharded one (merged at
-  /// the barrier so delivery order stays shard-count independent).  A null
+  /// on the sequential path, per-partition vectors in the round (merged at
+  /// its end so delivery order stays partition-count independent).  A null
   /// member means the context cannot defer that way (the sequential path
   /// has no delivery phase to reorder within) and the push is delivered
   /// immediately instead.
@@ -255,8 +235,8 @@ class EngineCore {
   /// Expands the per-agent RNG streams for labels [lo, hi) from the master
   /// seed.  Stream values are a pure function of (seed, label), so *where*
   /// this runs is free: ensure_started derives the whole range on first
-  /// use, and the sharded executor prefetches each shard's block on its own
-  /// worker thread instead (sim/sharding.hpp), off the serial path.
+  /// use, and a multi-partition round prefetches each partition's block on
+  /// its own worker thread instead (sim/sharding.hpp).
   void seed_rng_block(std::uint32_t lo, std::uint32_t hi) noexcept;
 
   Context make_context(AgentId id, support::Arena* arena) noexcept;
@@ -264,67 +244,54 @@ class EngineCore {
     return arenas_.empty() ? nullptr : arenas_[0].get();
   }
 
-  /// Appends `i` to the done log at its 0→1 transition (at most once per
-  /// label; done_logged_ also covers pre-start done labels, which are
-  /// accounted but never logged).
-  void log_done_transition(AgentId i) {
-    if (done_logged_[i] == 0) {
-      done_logged_[i] = 1;
-      done_log_.push_back(i);
-    }
-  }
-  /// A logged agent un-reported done() — contract breach; flag it so log
-  /// consumers can resync, and allow a future re-transition to log again.
-  void unlog_done_transition(AgentId i) {
-    done_logged_[i] = 0;
-    ++done_epoch_;
-  }
-
-  /// Refreshes the SoA observation caches after agent `i` ran a callback:
-  /// re-reads done() (maintaining the done counter and the done log) and
-  /// invalidates the lazy phase/progress entries.  No-op for faulty labels
-  /// and with the caches disabled.  Serial paths only — the sharded round
-  /// uses the counter-free variant below plus a barrier recount.
-  void note_activation(AgentId i) {
-    if (!obs_cache_enabled_ || faulty_[i] != 0) return;
+  /// Refreshes agent `i`'s SoA observation caches after it ran a callback:
+  /// re-reads done() into done_ and invalidates the lazy phase/progress
+  /// entries.  Returns true when the done byte flipped.  No-op for faulty
+  /// labels and with the caches disabled.  Touches only label i's bytes, so
+  /// it is safe inside a parallel round phase (one partition owns i).
+  bool refresh_done(AgentId i) {
+    if (!obs_cache_enabled_ || faulty_[i] != 0) return false;
     obs_valid_[i] = 0;
     const std::uint8_t d = agents_[i]->done() ? 1 : 0;
-    if (d != done_[i]) {
-      done_[i] = d;
-      if (d != 0) {
-        ++num_done_;
-        log_done_transition(i);
-      } else {
-        --num_done_;
-        unlog_done_transition(i);
-      }
+    if (d == done_[i]) return false;
+    done_[i] = d;
+    return true;
+  }
+  /// Brings the done counter and log in line with done_[i]; done_logged_[i]
+  /// tracks what they account for (pre-start done labels are counted but
+  /// never logged).  A 1→0 flip is an Agent-contract breach ("done is
+  /// final"): bump the epoch so log consumers can resync, and let a later
+  /// 0→1 flip log the label again.
+  void settle_done(AgentId i) {
+    if (done_[i] == done_logged_[i]) return;
+    done_logged_[i] = done_[i];
+    if (done_[i] != 0) {
+      ++num_done_;
+      done_log_.push_back(i);
+    } else {
+      --num_done_;
+      ++done_epoch_;
     }
   }
-  /// Cache refresh safe inside a sharded phase: each agent is owned by one
-  /// shard per phase, so the byte stores cannot race — but the shared done
-  /// counter could, so the executor recounts it at the barrier, where it
-  /// also logs the round's done transitions in label order and compacts
-  /// the live list (the sharded phases must not mutate the shared list
-  /// mid-round, so all list maintenance lands there).
-  void note_activation_sharded(AgentId i) {
-    if (!obs_cache_enabled_ || faulty_[i] != 0) return;
-    obs_valid_[i] = 0;
-    done_[i] = agents_[i]->done() ? 1 : 0;
+  /// Cache refresh plus immediate settlement, for code running outside the
+  /// round's parallel phases.
+  void note_activation(AgentId i) {
+    if (refresh_done(i)) settle_done(i);
+  }
+  /// Cache refresh inside a round phase: the shared counter and log would
+  /// race, so a flip is only recorded in the owning partition's `flipped`
+  /// list, and the executor settles those labels, in label order, when the
+  /// round ends.
+  void note_activation_sharded(AgentId i, std::vector<AgentId>& flipped) {
+    if (refresh_done(i)) flipped.push_back(i);
   }
 
-  /// True when the synchronous round should take the cache-blocked path.
-  bool use_blocked_round() const noexcept {
-    return obs_cache_enabled_ && n_ >= blocked_min_n_;
-  }
-  void run_blocked_round(const std::vector<bool>* awake_mask);
-  void run_serial_round(const std::vector<bool>* awake_mask);
-
-  // Shared accounting/delivery between the synchronous phases, the
-  // sequential activation path, and the sharded round — one definition
-  // keeps every execution model's metrics bit-identical by construction.
-  // `metrics` is metrics_ on the serial paths and a per-shard delta on the
-  // sharded one (merged after the round); `arena` is the round arena the
-  // served/delivered agent's callbacks allocate from.
+  // Shared accounting/delivery between the synchronous round and the
+  // sequential activation path — one definition keeps every execution
+  // model's metrics bit-identical by construction.  `metrics` is metrics_
+  // on the sequential path and a per-partition delta in the round (merged
+  // after it); `arena` is the round arena the served/delivered agent's
+  // callbacks allocate from.
   void charge_pull_request(Metrics& metrics);
   /// Serves `requester`'s pull on `v` (silence if `v` is faulty or down,
   /// or the network dropped the request or the reply; a corrupted reply
@@ -357,8 +324,8 @@ class EngineCore {
   void deliver_push(AgentId sender, AgentId target, const Payload& payload,
                     support::Arena* arena);
   /// Delivers the delayed pushes whose round has come, ordered by (origin
-  /// round, sender).  Serial contexts only (the sharded executor calls it
-  /// at the barrier before its push phase).
+  /// round, sender).  Serial contexts only (the round calls it between
+  /// its reply and push phases).
   void deliver_due_delayed(support::Arena* arena);
   /// Delivers and clears a batch of same-round reordered pushes, ordered by
   /// sender label (senders are unique within a round, so the order is
@@ -384,12 +351,13 @@ class EngineCore {
   std::uint32_t num_done_ = 0;  ///< Non-faulty labels with done_[i] set.
   /// Label-ordered live labels (non-faulty, not done) — the sparse round's
   /// phase-A iteration domain.  Built at ensure_started with the caches;
-  /// done entries compact away in place (serial phase A) or at the sharded
-  /// barrier (ShardedRoundExecutor).
+  /// done entries compact away in place in each partition's phase A, and
+  /// the round closes the gaps between partitions at its end.
   std::vector<AgentId> live_list_;
   std::vector<AgentId> done_log_;  ///< Append-only; see done_log().
-  /// 1 once label i is accounted in the log bookkeeping: logged, or done
-  /// before the first step (those are accounted but never logged).
+  /// done_[i] as last settled into num_done_ and the log (settle_done):
+  /// 1 once label i is logged, or done before the first step (those are
+  /// accounted but never logged).
   std::vector<std::uint8_t> done_logged_;
   std::uint64_t done_epoch_ = 0;  ///< See done_log_epoch().
   /// SoA observation caches live?  Set at ensure_started iff every agent is
@@ -411,38 +379,18 @@ class EngineCore {
   std::vector<DelayedPush> net_delayed_;   ///< Cross-round delayed pushes.
   std::vector<DelayedPush> net_deferred_;  ///< Same-round reordered pushes.
 
-  // --- Round arenas (one per shard; serial paths use index 0). ------------
+  // --- Round arenas (one per partition; the sequential path uses 0). ------
   std::vector<std::unique_ptr<support::Arena>> arenas_;
 
-  // Scratch buffers reused across rounds to avoid per-round allocation;
-  // actions_/pull_replies_ carry payloads by value (no per-message heap
-  // traffic).  actions_ entries are only written for agents that acted this
-  // round and only read through the round's puller/pusher lists, so no
-  // per-label idle writes are needed (a skipped agent's stale slot is never
-  // read; at worst it keeps one old boxed payload alive).
-  std::vector<Action> actions_;
+  /// Pull replies awaiting phase C, indexed by requester; carried by value
+  /// (no per-message heap traffic) and emptied as they are delivered.
   std::vector<Payload> pull_replies_;
-  std::vector<AgentId> round_pullers_;  ///< This round's pullers, label order.
-  std::vector<AgentId> round_pushers_;  ///< This round's pushers (serial path).
-
-  // --- Cache-blocked delivery scratch (large-n synchronous rounds). -------
-  /// Retuned after the 32-byte payload / 40-byte push entry shrink
-  /// (steady-state push-pull rumor rounds, min-of-5 interleaved reps on
-  /// the 1-CPU dev box): the smaller entries pushed the break-even point
-  /// up a quarter-order — at n = 2^17 the straight serial round now wins
-  /// (32.1 ns/agent vs 35.8 for the best blocked setting), n = 2^18 is a
-  /// wash (34.9 vs 35.8), and from n = 2^19 blocking pays again (38.3 vs
-  /// 44.1 unblocked; at n = 2^20, 48.2 vs 62.2).
-  std::uint32_t blocked_min_n_ = 1u << 19;
-  /// Labels per block = 1 << shift.  2^16 measured fastest at n = 2^20
-  /// (48.2 ns/agent-round vs 49.5 at 2^17, 49.6 at 2^15, and 55.0 at
-  /// 2^18) and at n = 2^19 (38.4, within noise of 2^15's 38.3): fewer,
-  /// longer queues beat tighter receiver working sets until the per-block
-  /// agent state outgrows L2.  Tunable per run via set_blocked_delivery.
+  /// Labels per round delivery block = 1 << shift.  2^16 measured fastest
+  /// at n = 2^20 (48.2 ns/agent-round vs 49.5 at 2^17, 49.6 at 2^15, and
+  /// 55.0 at 2^18) and at n = 2^19 (38.4, within noise of 2^15's 38.3):
+  /// fewer, longer queues beat tighter receiver working sets until the
+  /// per-block agent state outgrows L2.
   std::uint32_t block_shift_ = 16;
-  std::vector<AgentId> pull_target_;  ///< Valid for this round's pullers.
-  std::vector<std::vector<PushEntry>> push_blocks_;
-  std::vector<std::vector<PullEntry>> pull_blocks_;
 };
 
 }  // namespace rfc::sim

@@ -17,7 +17,8 @@
 //     shared with ShardedRoundExecutor and the batched-delivery policy).
 //
 // Policies mutate the core only through its execution primitives
-// (run_synchronous_round / sequential_activation, taken by EngineCore&);
+// (ShardedRoundExecutor::run_round / sequential_activation, taken by
+// EngineCore&);
 // everything they *observe* goes through this type, which keeps the
 // observation surface explicit and const.
 #pragma once

@@ -4,9 +4,10 @@
 // *this* frame?  Every verdict (drop / duplicate / reorder / delay /
 // corrupt, and per-epoch crash churn) is a pure SplitMix64-style hash of
 // (model seed, message kind, time, sender, target).  No RNG stream is
-// consumed, so verdicts are independent of delivery order: the serial,
-// cache-blocked, and sharded round paths reach bit-identical outcomes, and
-// a model with all rates zero is indistinguishable from no model at all.
+// consumed, so verdicts are independent of delivery order: the round
+// reaches bit-identical outcomes at every partition count and block size,
+// and a model with all rates zero is indistinguishable from no model at
+// all.
 //
 // Corruption is payload-aware.  Inline payloads are bit-flipped generically
 // (same tag, same advertised bit size, one flipped bit chosen by the
@@ -67,7 +68,7 @@ Payload clone_payload(const Payload& payload);
 /// and re-enter at the end of their own delivery phase instead.  Delivery
 /// sorts by (origin, sender) — unique per push, since an agent sends at
 /// most one push per round — so the order cannot depend on how the pending
-/// list was accumulated (serial, blocked, or per-shard).
+/// list was accumulated (by one partition or many).
 struct DelayedPush {
   std::uint64_t due;
   std::uint64_t origin;  ///< Round the push was sent (sort key).

@@ -36,8 +36,8 @@
 //
 // Every fault verdict is a pure hash of (seed, message kind, time, sender,
 // target) — no RNG stream is consumed — so a spec is deterministic (same
-// seed ⇒ same drops/corruptions), independent of delivery order (serial,
-// cache-blocked, and sharded rounds stay bit-identical to each other), and
+// seed ⇒ same drops/corruptions), independent of delivery order (rounds
+// stay bit-identical at every partition count and block size), and
 // inert at zero rates (pinned bit-identical to the engine with no network
 // model installed).
 //

@@ -31,8 +31,8 @@
 // inline words are the widest member (24 B), and the discriminator, the
 // 16-bit tag, and the bit size pack into the trailing 8 bytes instead of
 // variant's separately padded index — sizeof(Payload) is exactly 32 (was 48),
-// enforced below.  The savings is pure bandwidth: the blocked-delivery
-// queues, the Action buffers, and the transport scratch all stream payloads
+// enforced below.  The savings is pure bandwidth: the round's delivery
+// lanes, the Action buffers, and the transport scratch all stream payloads
 // by value, so phases A/B/D move 1.5× less data per message.  The bit size
 // is stored in 32 bits; the paper's messages are O(log^2 n) ≤ a few kilobits,
 // so the public uint64_t API cannot overflow it (debug-asserted).

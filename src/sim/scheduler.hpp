@@ -116,7 +116,7 @@ using SchedulerPtr = std::unique_ptr<Scheduler>;
 /// The paper's synchronous model: every active agent acts each round.
 /// With sharding.shards > 1 the phased round runs over label shards on a
 /// thread pool (sim/sharding.hpp), bit-identical to the serial round for
-/// every (shards, threads) — S=1 *is* the serial engine.
+/// every (shards, threads) — S=1 *is* the serial engine, run inline.
 class SynchronousScheduler final : public Scheduler {
  public:
   explicit SynchronousScheduler(ShardingConfig sharding = {});
@@ -128,7 +128,7 @@ class SynchronousScheduler final : public Scheduler {
   double step(EngineCore& core, const EngineView& view) override;
 
  private:
-  ShardedRoundExecutor executor_;  ///< Delegates to the serial round at S=1.
+  ShardedRoundExecutor executor_;  ///< Runs inline at S=1.
 };
 
 /// One uniformly random active agent wakes per step (the sequential GOSSIP
@@ -184,7 +184,7 @@ class PartialAsyncScheduler final : public Scheduler {
   double p_;
   rfc::support::Xoshiro256 rng_{0};
   std::vector<bool> awake_;  ///< Scratch mask reused across rounds.
-  ShardedRoundExecutor executor_;  ///< Delegates to the serial round at S=1.
+  ShardedRoundExecutor executor_;  ///< Runs inline at S=1.
 };
 
 struct BatchedDeliveryConfig {

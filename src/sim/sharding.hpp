@@ -1,65 +1,71 @@
-// Sharded execution of the synchronous phased round — the parallel path of
-// the "sharded EngineCore" design.
+// The synchronous phased round — the engine's one implementation of the
+// paper's GOSSIP round, serial or parallel.
 //
 // ShardedRoundExecutor partitions the label space [n] into S *contiguous*
-// shards and runs each phase of EngineCore::run_synchronous_round as S
-// parallel tasks on a support::ThreadPool, with a barrier between phases.
-// Each shard runs the cache-blocked round's kernel (EngineCore::
-// run_blocked_round): every shard's label range is cut into *units* —
-// blocks of 2^block_shift labels clamped to the shard, so a unit never
-// straddles two shards — and each (source shard, destination unit) pair
-// owns one cache-line-sized lane holding two 8-byte-entry queues:
+// shards and runs each phase of the round as S tasks, separated by
+// barriers: on a support::ThreadPool when S > 1, inline on the calling
+// thread (no pool, no task hop) when S = 1 — the serial engine is one
+// partition.  Every shard's label range is cut into *units*: blocks of
+// 2^block_shift labels (EngineCore::block_shift_, 2^16 by default, so
+// n <= 2^16 is one block) clamped to the shard, so a unit never straddles
+// two shards.  Each (source shard, destination unit) pair owns one
+// cache-line-aligned lane holding a pull queue and a push queue:
 //
 //   Phase A (by self-shard):    collect each awake agent's action and route
 //                               it, in label order, into the lane of its
 //                               target's unit.  The destination shard is
 //                               pure arithmetic (contiguous_block_of), the
 //                               unit a shift plus one per-shard offset —
-//                               no per-label table is read.
+//                               no per-label table is read.  A push moves
+//                               its payload into the lane entry, so
+//                               delivery streams it instead of
+//                               random-reading an n-sized action buffer.
 //   Phase B (by server-shard):  serve pulls unit by unit; inside a unit
 //                               the source shards' lanes drain in shard
 //                               order.  Shards are contiguous label ranges
 //                               and phase A fills lanes in label order, so
 //                               every server sees its pullers in global
-//                               requester-label order — the serial
-//                               engine's order, exactly.
-//   Phase C (by puller-shard):  deliver pull replies in puller-label order.
+//                               requester-label order.
+//   Phase C (by puller-shard):  deliver pull replies in puller-label order,
+//                               off the shard's {requester, server} list.
 //   Phase D (by target-shard):  deliver pushes unit by unit; the source-
-//                               shard merge again reproduces global sender-
-//                               label order per receiver.  Lane entries
-//                               are {sender, target}; the payload stays in
-//                               the core's action buffer and is prefetched
-//                               there.
-//   Barrier (by shard):         count done labels, collect the shard's done
-//                               transitions, and compact its segment of the
-//                               live list; the serial remainder sums S
-//                               counts and joins S logs and segments.
+//                               shard merge again yields global sender-
+//                               label order per receiver.
+//   Barrier (serial):           merge the shards' Metrics deltas, settle
+//                               the labels whose done() flipped (in label
+//                               order, so the done log is partition-count
+//                               independent), and close the gaps phase A's
+//                               in-place live-list compaction left between
+//                               shard segments.  The barrier touches only
+//                               flipped labels and the live list, so a round
+//                               stays O(live + messages).
 //
-// Phases B, C and D use the blocked round's two-stage software prefetch
-// (the agent pointer a few entries ahead, then the agent object) and one
-// hoisted Context per task.  All of a shard's mutable scratch — its
-// Metrics delta, puller list, lanes and fault sinks — lives in one
+// Phases B, C and D use a two-stage software prefetch (the agent pointer a
+// few entries ahead, then the agent object) and one hoisted Context per
+// task.  All of a shard's mutable scratch — its Metrics delta, puller
+// list, lanes, fault sinks and flipped labels — lives in one
 // cache-line-aligned struct, so no two workers ever write the same line.
 //
 // Determinism: each agent (its state and its private RNG stream) is touched
 // by exactly one shard per phase — phase A/C by its own shard, phase B/D by
-// the shard owning it as pull-server/push-target — and phases are separated
-// by pool barriers.  Message accounting goes to per-shard Metrics scratch
-// merged in shard order after the round; all counters are sums (plus one
-// max), so the merged totals equal the serial interleaving's.  The result
-// is *bit-identical* to EngineCore::run_synchronous_round for every
+// the shard owning it as pull-server/push-target.  Every receiver sees its
+// senders in label order whatever the block size, and all counters are
+// sums (plus one max), so the execution is *bit-identical* for every
 // (shards, threads) combination and every block size, including thread
 // counts exceeding the core count (tests/sharded_equivalence_test.cpp pins
-// this).
+// this).  Without the engine's SoA caches an agent may observe another
+// label's state, so those rounds use a single block and deliver in global
+// label order.
 //
-// Requirements on agents: callbacks must only touch the agent's own state
-// and the Context handed to them (true of every shipped protocol agent).
-// Agents sharing mutable state across labels — the rational::Coalition
-// blackboard — declare it via Agent::shard_safe() == false, and the
-// executor fails fast at setup instead of silently racing; run those with
-// shards=1.  Setup also prefetches each shard's per-agent RNG streams on
-// its own worker (the streams are pure functions of (seed, label), so the
-// parallel derivation is trace-identical to the serial one).
+// Requirements on agents: with S > 1, callbacks must only touch the
+// agent's own state and the Context handed to them (true of every shipped
+// protocol agent).  Agents sharing mutable state across labels — the
+// rational::Coalition blackboard — declare it via Agent::shard_safe() ==
+// false, and the executor fails fast at setup instead of silently racing;
+// run those with shards=1.  Setup also prefetches each shard's per-agent
+// RNG streams on its own worker (the streams are pure functions of
+// (seed, label), so the parallel derivation is trace-identical to the
+// serial one).
 #pragma once
 
 #include <cstdint>
@@ -124,9 +130,10 @@ class ShardedRoundExecutor {
 
   const ShardingConfig& config() const noexcept { return cfg_; }
 
-  /// Executes one synchronous phased round over `core` (mask semantics as
-  /// in EngineCore::run_synchronous_round), bit-identical to the serial
-  /// round.  With shards <= 1 this delegates to the serial path.
+  /// Executes one synchronous phased round over the agents of `core` with
+  /// `awake_mask[i]` true (null = every agent), then advances its time by
+  /// one round.  Faulty, down and done() agents idle regardless of the
+  /// mask.  An exception from an agent callback propagates to the caller.
   void run_round(EngineCore& core, const std::vector<bool>* awake_mask);
 
  private:
@@ -135,8 +142,9 @@ class ShardedRoundExecutor {
     AgentId requester;
     AgentId server;
   };
-  /// One routed push; the payload stays in the core's action buffer.
+  /// One routed push, carrying its moved payload to the target's unit.
   struct PushItem {
+    Payload payload;
     AgentId sender;
     AgentId target;
   };
@@ -151,9 +159,9 @@ class ShardedRoundExecutor {
   /// other shards' scratch.  Capacities persist across rounds.
   struct alignas(64) ShardScratch {
     Metrics metrics;  ///< This round's delta, merged in shard order.
-    /// This round's pullers in label order — phase C walks these instead
-    /// of rescanning the shard's range.
-    std::vector<AgentId> pullers;
+    /// This round's pulls in requester-label order — phase C walks these
+    /// instead of rescanning the shard's range.
+    std::vector<PullItem> pullers;
     std::uint32_t pushes = 0;  ///< Pushes routed by this shard this round.
     std::vector<Lane> lanes;   ///< Indexed by destination unit.
     /// Network-fault sinks of phase D (delayed / reordered pushes), merged
@@ -162,29 +170,44 @@ class ShardedRoundExecutor {
     /// unless a fault-enabled network model is installed.
     std::vector<DelayedPush> delayed;
     std::vector<DelayedPush> deferred;
-    /// The shard's segment [live_begin, live_end) of the core's live list
-    /// (phase A), and its end after the barrier's in-place compaction.
+    /// The shard's segment [live_begin, live_end) of the core's live list,
+    /// and its end after phase A's in-place compaction.
     std::size_t live_begin = 0;
     std::size_t live_end = 0;
     std::size_t live_kept_end = 0;
-    std::uint32_t done_count = 0;    ///< Done non-faulty labels (barrier).
-    std::vector<AgentId> done_log;   ///< New done transitions, label order.
+    /// Labels of this shard whose done() byte flipped since the last
+    /// settlement (EngineCore::note_activation_sharded).
+    std::vector<AgentId> flipped;
   };
 
-  /// Lazily sizes the shard geometry and scratch to `core` (n is fixed per
-  /// engine; the unit size is its block_shift_ at the first round — any
-  /// unit size gives the same execution) and spins up the pool.
+  /// Lazily sizes the shard partition and scratch to `core` (n is fixed
+  /// per engine), and for S > 1 checks the agents, spins up the pool and
+  /// prefetches the RNG streams.  Runs before the core starts.
   void bind(EngineCore& core);
-  /// Runs fn(shard) for every shard on the pool and waits (a barrier).
-  void parallel_phase(const std::function<void(std::uint32_t)>& fn);
-  /// The barrier's done bookkeeping (see the header comment): a parallel
-  /// per-shard recount, then the serial join in shard order.
-  void recount_done(EngineCore& core);
+  /// Cuts the shards into units for the core's block size (after the core
+  /// started: the caches decide between blocks and one label-order block)
+  /// and pre-sizes the lanes.
+  void bind_units(const EngineCore& core);
+  /// Runs fn(shard) for every shard and returns once all are done (a
+  /// barrier): inline for one shard, on the pool otherwise.
+  template <typename Fn>
+  void parallel_phase(Fn&& fn);
+  void pool_phase(const std::function<void(std::uint32_t)>& fn);
+  // The round's phases for one shard (see the header comment).
+  void collect(EngineCore& core, std::uint32_t s,
+               const std::vector<bool>* awake_mask);
+  void serve_pulls(EngineCore& core, std::uint32_t d);
+  void deliver_replies(EngineCore& core, std::uint32_t s);
+  void deliver_pushes(EngineCore& core, std::uint32_t d);
+  /// The barrier's done bookkeeping: settles every shard's flipped labels
+  /// in label order and joins the compacted live-list segments.
+  void settle_done(EngineCore& core);
 
   ShardingConfig cfg_;
   std::unique_ptr<rfc::support::ThreadPool> pool_;
+  static constexpr std::uint32_t kUnbound = ~0u;
   std::uint32_t bound_n_ = 0;
-  std::uint32_t bound_shift_ = 0;
+  std::uint32_t bound_shift_ = kUnbound;  ///< Unit size = 1 << this.
   std::uint32_t shards_ = 1;                ///< Effective count, <= cfg.shards.
   std::vector<std::uint32_t> shard_begin_;  ///< size shards_+1; [s, s+1).
   /// Units: label x of shard s lives in unit (x >> bound_shift_) +

@@ -49,6 +49,26 @@ TEST(CliArgs, DefaultsWhenAbsent) {
   EXPECT_FALSE(args.has("k"));
 }
 
+TEST(CliArgs, RejectUnreadNamesEveryFlagNeverRead) {
+  const auto args =
+      make({"--n=8", "--netwrok=drop=0.5", "--full", "--block-labels=16"});
+  EXPECT_EQ(args.get_uint("n", 0), 8u);
+  EXPECT_TRUE(args.has("full"));
+  EXPECT_EQ(args.get_uint("seed", 3), 3u);  // Absent: nothing to reject.
+  try {
+    args.reject_unread();
+    ADD_FAILURE() << "unread flags were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown flag(s) for this binary: --block-labels, --netwrok");
+  }
+  // Reading the rest (any getter counts) clears the rejection.
+  EXPECT_EQ(args.get("netwrok", ""), "drop=0.5");
+  EXPECT_EQ(args.get_uint("block-labels", 0), 16u);
+  EXPECT_NO_THROW(args.reject_unread());
+  EXPECT_NO_THROW(make({}).reject_unread());
+}
+
 TEST(CliArgs, PositionalArguments) {
   const auto args = make({"input.txt", "--n=4", "extra"});
   ASSERT_EQ(args.positional().size(), 2u);

@@ -43,8 +43,8 @@ inline void mix_metrics(net::Fnv1a& fnv, const sim::Metrics& m) noexcept {
   fnv.mix_u64(m.denials);
 }
 
-/// Pre-run hook: lets a test retune the engine (e.g. force the
-/// cache-blocked delivery path at tiny n) before the run starts.
+/// Pre-run hook: lets a test retune the engine (e.g. force many delivery
+/// blocks at tiny n) before the run starts.
 using EngineConfigureHook = std::function<void(sim::Engine&)>;
 
 /// Runs a rumor spread and digests result + metrics + every agent's state.

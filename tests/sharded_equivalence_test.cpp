@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -377,15 +378,15 @@ TEST(ShardedEquivalence, PinnedProtocolDigests) {
 }
 
 TEST(ShardedEquivalence, PinnedDigestsUnderForcedBlockedDelivery) {
-  // The cache-blocked delivery path normally activates only at n >= 2^16;
-  // force it on at tiny n with several block sizes (1 label per block is
-  // the degenerate extreme, 8 cuts n=64 into 8 blocks, 4096 makes a single
-  // block).  Every combination must reproduce the serial constants exactly
-  // — the blocked round is bit-identical by construction, and this is the
-  // test that keeps it honest.
+  // Delivery blocks hold 2^16 labels, so these sizes normally run as one
+  // block; force many at tiny n with several block sizes (1 label per
+  // block is the degenerate extreme, 8 cuts n=64 into 8 blocks, 4096 makes
+  // a single block).  Every combination must reproduce the serial
+  // constants exactly — the blocked round is bit-identical by
+  // construction, and this is the test that keeps it honest.
   for (const std::uint32_t block_labels : {1u, 8u, 4096u}) {
     const auto force = [block_labels](Engine& engine) {
-      engine.set_blocked_delivery(1, block_labels);
+      engine.set_block_labels(block_labels);
     };
     EXPECT_EQ(kPinnedRumorDigest64,
               rfc::testing::rumor_end_state_digest(
@@ -400,7 +401,7 @@ TEST(ShardedEquivalence, PinnedDigestsUnderForcedBlockedDelivery) {
   }
   // One larger run: n=4096 over 512-label blocks.
   const auto force = [](Engine& engine) {
-    engine.set_blocked_delivery(1, 512);
+    engine.set_block_labels(512);
   };
   EXPECT_EQ(kPinnedRumorDigest4096,
             rfc::testing::rumor_end_state_digest(
@@ -434,7 +435,7 @@ std::vector<NetworkSpec> multi_block_networks() {
 }
 
 void force_16_label_blocks(Engine& engine) {
-  engine.set_blocked_delivery(1, 16);
+  engine.set_block_labels(16);
 }
 
 TEST(ShardedEquivalence, MultiBlockRumorMatchesSerialDigest) {
@@ -545,23 +546,24 @@ TEST(ShardedEquivalence, MultiBlockDeliveryOrderAndDoneLogMatchSerial) {
       core->set_agent(i, std::make_unique<OrderHashAgent>());
       if (i % 97 == 0) core->set_faulty(i);
     }
-    core->set_blocked_delivery(1, 16);
+    core->set_block_labels(16);
     return core;
   };
   for (const ShardCase& c : multi_block_cases()) {
     const auto serial = build();
     const auto sharded = build();
+    ShardedRoundExecutor serial_executor(ShardingConfig{1, 1});
     ShardedRoundExecutor executor(ShardingConfig{c.shards, c.threads});
     while (!serial->all_done()) {
       ASSERT_LT(serial->time(), 64u) << case_name(c);
       const std::size_t serial_from = serial->done_log().size();
       const std::size_t sharded_from = sharded->done_log().size();
-      serial->run_synchronous_round();
+      serial_executor.run_round(*serial, nullptr);
       executor.run_round(*sharded, nullptr);
       const std::string where =
           case_name(c) + " round " + std::to_string(serial->time());
-      // The serial round logs in observation order; the sharded barrier
-      // logs the same labels in label order.
+      // Both log a round's transitions in label order; sorting the serial
+      // slice keeps the check independent of that choice.
       std::vector<AgentId> expected(serial->done_log().begin() + serial_from,
                                     serial->done_log().end());
       std::sort(expected.begin(), expected.end());
@@ -614,6 +616,121 @@ TEST(ShardedEquivalence, BlockOfInvertsBlockBegin) {
     }
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+// --------------------------------------------------------------------------
+// Sparse rounds: once most agents are done, a round's work — counted here
+// as done() calls, the engine's per-activation observation — is bounded by
+// the live agents plus the round's messages, at every partition count.
+// --------------------------------------------------------------------------
+
+constexpr PayloadTag kSparseTag = 0xF3;
+
+/// Counts its done() calls.  Labels >= kLive finish after their second
+/// round; the first kLive labels never finish.  Every agent alternates
+/// pushes and pulls at random peers and answers every pull, so each pull
+/// costs one request and one reply message.
+class DoneCountingAgent final : public Agent {
+ public:
+  static constexpr std::uint32_t kLive = 16;
+
+  Action on_round(const Context& ctx) override {
+    ++rounds_;
+    if (ctx.self >= kLive && rounds_ >= 2) finished_ = true;
+    const AgentId peer = ctx.random_peer();
+    if (rounds_ % 2 == 0) return Action::pull(peer);
+    return Action::push(peer, Payload::inline_words(kSparseTag, 8, rounds_));
+  }
+  Payload serve_pull(const Context&, AgentId) override {
+    return Payload::inline_words(kSparseTag, 8, rounds_);
+  }
+  bool done() const override {
+    ++done_calls_;
+    return finished_;
+  }
+  bool cacheable_observations() const noexcept override { return true; }
+
+  std::uint64_t done_calls() const noexcept { return done_calls_; }
+
+ private:
+  std::uint32_t rounds_ = 0;
+  bool finished_ = false;
+  mutable std::uint64_t done_calls_ = 0;
+};
+
+TEST(ShardedEquivalence, SparseRoundWorkBoundedByLiveAgentsAndMessages) {
+  constexpr std::uint32_t kN = 4096;
+  for (const char* spec : {"synchronous", "synchronous:shards=4,threads=4"}) {
+    Engine engine(EngineConfig{kN, 2024, nullptr,
+                               SchedulerSpec::parse(spec).make()});
+    for (AgentId i = 0; i < kN; ++i) {
+      engine.set_agent(i, std::make_unique<DoneCountingAgent>());
+    }
+    const auto total_done_calls = [&engine] {
+      std::uint64_t calls = 0;
+      for (AgentId i = 0; i < kN; ++i) {
+        calls += static_cast<const DoneCountingAgent&>(engine.agent(i))
+                     .done_calls();
+      }
+      return calls;
+    };
+    for (int r = 0; r < 2; ++r) engine.step();
+    std::uint32_t live = 0;
+    for (AgentId i = 0; i < kN; ++i) live += engine.agent(i).done() ? 0 : 1;
+    ASSERT_EQ(live, DoneCountingAgent::kLive) << spec;
+    for (int r = 0; r < 6; ++r) {
+      const std::uint64_t calls_before = total_done_calls();
+      const std::uint64_t messages_before = engine.metrics().messages();
+      engine.step();
+      const std::uint64_t calls = total_done_calls() - calls_before;
+      const std::uint64_t messages =
+          engine.metrics().messages() - messages_before;
+      EXPECT_GT(messages, 0u) << spec << " round " << engine.round();
+      EXPECT_LE(calls, live + messages) << spec << " round " << engine.round();
+    }
+    EXPECT_FALSE(engine.all_done()) << spec;
+  }
+}
+
+// --------------------------------------------------------------------------
+// Exceptions: every round runs through the executor's phase barrier, so an
+// agent's exception must reach Engine::step's caller unchanged — never
+// std::terminate from a pool worker — at every partition count.
+// --------------------------------------------------------------------------
+
+struct RoundThreeError : std::runtime_error {
+  RoundThreeError() : std::runtime_error("push received in round 3") {}
+};
+
+/// Pushes to a random peer every round and throws on a push received in
+/// the third round.
+class ThrowingPushAgent final : public Agent {
+ public:
+  Action on_round(const Context& ctx) override {
+    return Action::push(ctx.random_peer(),
+                        Payload::inline_words(kSparseTag, 8, ctx.round));
+  }
+  Payload serve_pull(const Context&, AgentId) override { return {}; }
+  void on_push(const Context& ctx, AgentId, const Payload&) override {
+    if (ctx.round == 2) throw RoundThreeError();
+  }
+  bool done() const override { return false; }
+  bool cacheable_observations() const noexcept override { return true; }
+};
+
+TEST(ShardedEquivalence, AgentExceptionReachesStepCaller) {
+  constexpr std::uint32_t kN = 64;
+  for (const char* spec : {"synchronous", "synchronous:shards=4,threads=4",
+                           "batched:block=2,shards=2"}) {
+    Engine engine(EngineConfig{kN, 7, nullptr,
+                               SchedulerSpec::parse(spec).make()});
+    for (AgentId i = 0; i < kN; ++i) {
+      engine.set_agent(i, std::make_unique<ThrowingPushAgent>());
+    }
+    EXPECT_NO_THROW(engine.step()) << spec;
+    EXPECT_NO_THROW(engine.step()) << spec;
+    EXPECT_THROW(engine.step(), RoundThreeError) << spec;
+  }
 }
 
 // --------------------------------------------------------------------------
