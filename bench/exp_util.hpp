@@ -5,6 +5,7 @@
 // in EXPERIMENTS.md (minutes).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -16,18 +17,41 @@
 #include "sim/network_spec.hpp"
 #include "sim/scheduler_spec.hpp"
 #include "support/cli.hpp"
+#include "support/parse.hpp"
 #include "support/table.hpp"
 
 namespace rfc::exputil {
 
 /// Network sizes for scaling sweeps.  `--max-n=N` trims the sweep (CI smoke
 /// runs use it to stay in the sub-second range); `--full` extends it to the
-/// paper-scale sizes quoted in EXPERIMENTS.md.
+/// paper-scale sizes quoted in EXPERIMENTS.md; `--sizes=a,b,...` replaces
+/// it with an explicit list (e.g. one size above the sweep), which
+/// `--max-n` still trims.  A malformed list exits with status 2.
 inline std::vector<std::uint32_t> sweep_sizes(
     const rfc::support::CliArgs& args) {
   std::vector<std::uint32_t> sizes = {64, 128, 256, 512, 1024, 2048};
   if (args.get_bool("full")) {
     sizes.insert(sizes.end(), {4096, 8192});
+  }
+  if (args.has("sizes")) {
+    const std::string list = args.get("sizes", "");
+    sizes.clear();
+    std::size_t begin = 0;
+    while (true) {
+      const std::size_t end = std::min(list.find(',', begin), list.size());
+      std::uint64_t n = 0;
+      if (!rfc::support::parse_uint64(list.substr(begin, end - begin), n) ||
+          n == 0 || n > UINT32_MAX) {
+        std::fprintf(stderr,
+                     "--sizes must be a comma-separated list of positive "
+                     "network sizes, got '%s'\n",
+                     list.c_str());
+        std::exit(2);
+      }
+      sizes.push_back(static_cast<std::uint32_t>(n));
+      if (end == list.size()) break;
+      begin = end + 1;
+    }
   }
   if (args.has("max-n")) {
     const std::uint64_t cap = args.get_uint("max-n", 0);

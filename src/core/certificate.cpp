@@ -24,13 +24,23 @@ std::uint64_t Certificate::bit_size(
          + params.label_bits();                    // owner label
 }
 
-std::uint64_t Certificate::vote_sum(
-    const ProtocolParams& params) const noexcept {
+std::uint64_t vote_sum(const ProtocolParams& params,
+                       const ReceivedVotes& votes) noexcept {
+  const std::uint64_t m = params.m;
   std::uint64_t sum = 0;
   for (const ReceivedVote& v : votes) {
-    sum = (sum + v.value % params.m) % params.m;
+    // Honest values are already in [m], so the division is the rare path.
+    // With both terms in [m], one conditional subtract reduces the sum,
+    // written as sum - (m - h) so that it cannot overflow for any m.
+    const std::uint64_t h = v.value < m ? v.value : v.value % m;
+    sum = sum >= m - h ? sum - (m - h) : sum + h;
   }
   return sum;
+}
+
+std::uint64_t Certificate::vote_sum(
+    const ProtocolParams& params) const noexcept {
+  return core::vote_sum(params, votes);
 }
 
 std::uint64_t Certificate::digest() const noexcept {

@@ -45,6 +45,10 @@ struct Certificate {
   std::uint64_t digest() const noexcept;
 };
 
+/// Σ_{h ∈ votes} h mod m: the key a certificate over `votes` must carry.
+std::uint64_t vote_sum(const ProtocolParams& params,
+                       const ReceivedVotes& votes) noexcept;
+
 /// The honest certificate for agent `owner`: k computed from `votes`.
 Certificate make_certificate(const ProtocolParams& params, sim::AgentId owner,
                              Color color, ReceivedVotes votes);

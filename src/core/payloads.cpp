@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/verification.hpp"
 #include "sim/network.hpp"
 
 namespace rfc::core {
@@ -33,25 +34,41 @@ sim::Payload clone_certificate(const sim::Payload& p) {
                                                Certificate{*cert});
 }
 
+/// H boxed with its well_formed_intention verdict under `params`.
+IntentionBox audited_box(VoteIntention intention,
+                         const ProtocolParams& params) {
+  const bool well_formed = well_formed_intention(params, intention);
+  return {std::move(intention), params.m, params.n, params.q, well_formed};
+}
+
+/// The parameters an intention box's verdict was stamped for.
+ProtocolParams stamp_params(const IntentionBox& box) noexcept {
+  ProtocolParams params;
+  params.n = box.n;
+  params.q = box.q;
+  params.m = box.m;
+  return params;
+}
+
 sim::Payload corrupt_intention(const sim::Payload& p, std::uint64_t salt) {
-  const VoteIntention* intent = intention_in(p);
-  if (intent == nullptr || intent->empty()) return {};
-  VoteIntention tampered = *intent;
+  const IntentionBox* box = intention_box_in(p);
+  if (box == nullptr || box->intention.empty()) return {};
+  VoteIntention tampered = box->intention;
   // Flip one bit of one vote value: the commitment H no longer matches the
   // votes actually pushed, which is exactly Verification's check (iii).
+  // The flip may push the value out of [m], so the verdict is recomputed.
   tampered[(salt >> 6u) % tampered.size()].value ^=
       std::uint64_t{1} << (salt % 64u);
-  return sim::Payload::make_boxed<VoteIntention>(kIntentionPayloadTag,
-                                                 p.bit_size(),
-                                                 std::move(tampered));
+  return sim::Payload::make_boxed<IntentionBox>(
+      kIntentionPayloadTag, p.bit_size(),
+      audited_box(std::move(tampered), stamp_params(*box)));
 }
 
 sim::Payload clone_intention(const sim::Payload& p) {
-  const VoteIntention* intent = intention_in(p);
-  if (intent == nullptr) return {};
-  return sim::Payload::make_boxed<VoteIntention>(kIntentionPayloadTag,
-                                                 p.bit_size(),
-                                                 VoteIntention{*intent});
+  const IntentionBox* box = intention_box_in(p);
+  if (box == nullptr) return {};
+  return sim::Payload::make_boxed<IntentionBox>(kIntentionPayloadTag,
+                                                p.bit_size(), *box);
 }
 
 [[maybe_unused]] const bool kOpsRegistered = [] {
@@ -69,8 +86,8 @@ sim::Payload make_intention_payload(VoteIntention intention,
   const std::uint64_t bits =
       intention.size() * (static_cast<std::uint64_t>(params.value_bits()) +
                           params.label_bits());
-  return sim::Payload::make_boxed<VoteIntention>(kIntentionPayloadTag, bits,
-                                                 std::move(intention));
+  return sim::Payload::make_boxed<IntentionBox>(
+      kIntentionPayloadTag, bits, audited_box(std::move(intention), params));
 }
 
 sim::Payload make_intention_payload_in(rfc::support::Arena* arena,
@@ -79,8 +96,9 @@ sim::Payload make_intention_payload_in(rfc::support::Arena* arena,
   const std::uint64_t bits =
       intention.size() * (static_cast<std::uint64_t>(params.value_bits()) +
                           params.label_bits());
-  return sim::Payload::make_boxed_in<VoteIntention>(
-      arena, kIntentionPayloadTag, bits, std::move(intention));
+  return sim::Payload::make_boxed_in<IntentionBox>(
+      arena, kIntentionPayloadTag, bits,
+      audited_box(std::move(intention), params));
 }
 
 sim::Payload make_vote_payload(std::uint64_t value,

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "core/certificate.hpp"
 #include "core/params.hpp"
@@ -22,7 +23,7 @@ namespace rfc::core {
 // --- Tags (core range 0x20..0x2F; see sim/payload.hpp) --------------------
 inline constexpr sim::PayloadTag kVotePayloadTag = 0x20;        // inline
 inline constexpr sim::PayloadTag kDigestPayloadTag = 0x21;      // inline
-inline constexpr sim::PayloadTag kIntentionPayloadTag = 0x22;   // VoteIntention
+inline constexpr sim::PayloadTag kIntentionPayloadTag = 0x22;   // IntentionBox
 inline constexpr sim::PayloadTag kCertificatePayloadTag = 0x23; // Certificate
 // Sequential-model payloads (factories local to core/async_protocol.cpp;
 // the tags live here so the core tag space has one registry).
@@ -31,7 +32,10 @@ inline constexpr sim::PayloadTag kAsyncReplyPayloadTag = 0x29;  // AsyncReply
 
 // --- Factories ------------------------------------------------------------
 
-/// Commitment-phase reply: a full copy of the sender's vote intention H.
+/// Commitment-phase reply: a full copy of the sender's vote intention H,
+/// boxed with its well_formed_intention verdict under `params` (see
+/// IntentionBox).  Every intention payload is built here or by the
+/// network-adversary ops in payloads.cpp, so every box carries a verdict.
 sim::Payload make_intention_payload(VoteIntention intention,
                                     const ProtocolParams& params);
 
@@ -39,7 +43,7 @@ sim::Payload make_intention_payload(VoteIntention intention,
 /// delivery hook, never cached): bump-allocates in the engine's round arena
 /// when one is live (Context::arena), falling back to the shared form when
 /// `arena` is null.  Producers that cache the payload across rounds
-/// (ProtocolAgent's reply caches) must keep the plain factory.
+/// (ProtocolAgent's H_u and CE_u boxes) must keep the plain factory.
 sim::Payload make_intention_payload_in(rfc::support::Arena* arena,
                                        VoteIntention intention,
                                        const ProtocolParams& params);
@@ -65,15 +69,25 @@ sim::Payload make_digest_payload(std::uint64_t digest) noexcept;
 
 // --- Typed accessors (null / false on tag mismatch or empty payload) ------
 
-inline const VoteIntention* intention_in(const sim::Payload& p) noexcept {
-  return p.boxed_as<VoteIntention>(kIntentionPayloadTag);
+inline const IntentionBox* intention_box_in(const sim::Payload& p) noexcept {
+  return p.boxed_as<IntentionBox>(kIntentionPayloadTag);
 }
 
-/// A shared handle to a heap-boxed intention; null for an arena-boxed one
-/// (which dies at the round barrier and must be copied to be retained).
+inline const VoteIntention* intention_in(const sim::Payload& p) noexcept {
+  const IntentionBox* box = intention_box_in(p);
+  return box != nullptr ? &box->intention : nullptr;
+}
+
+/// A shared handle to a heap-boxed intention (aliasing its IntentionBox,
+/// which it keeps alive); null for an arena-boxed one, which dies at the
+/// round barrier and must be copied to be retained.
 inline std::shared_ptr<const VoteIntention> shared_intention_in(
     const sim::Payload& p) noexcept {
-  return p.shared_as<VoteIntention>(kIntentionPayloadTag);
+  std::shared_ptr<const IntentionBox> box =
+      p.shared_as<IntentionBox>(kIntentionPayloadTag);
+  if (box == nullptr) return nullptr;
+  const VoteIntention* intention = &box->intention;
+  return {std::move(box), intention};
 }
 
 inline const Certificate* certificate_in(const sim::Payload& p) noexcept {

@@ -24,7 +24,20 @@ ProtocolAgent::ProtocolAgent(const ProtocolParams& params, Color color)
     : params_(params), color_(color) {}
 
 void ProtocolAgent::on_start(const sim::Context& ctx) {
-  intention_ = choose_intention(ctx);
+  intention_payload_ = make_intention_payload(choose_intention(ctx), params_);
+}
+
+const VoteIntention& ProtocolAgent::intention() const noexcept {
+  static const VoteIntention kNone;
+  const VoteIntention* h = intention_in(intention_payload_);
+  return h != nullptr ? *h : kNone;
+}
+
+const Certificate& ProtocolAgent::certificate_or_default(
+    const sim::Payload& payload) noexcept {
+  static const Certificate kNone;
+  const Certificate* certificate = certificate_in(payload);
+  return certificate != nullptr ? *certificate : kNone;
 }
 
 VoteIntention ProtocolAgent::choose_intention(const sim::Context& ctx) {
@@ -44,15 +57,12 @@ sim::Action ProtocolAgent::commitment_action(const sim::Context& ctx) {
 
 sim::Payload ProtocolAgent::commitment_reply(const sim::Context&,
                                              sim::AgentId) {
-  if (cached_intention_payload_.empty()) {
-    cached_intention_payload_ = make_intention_payload(intention_, params_);
-  }
-  return cached_intention_payload_;
+  return intention_payload_;
 }
 
 VoteEntry ProtocolAgent::vote_for_round(const sim::Context&,
                                         std::uint32_t i) {
-  return intention_.at(i);
+  return intention().at(i);
 }
 
 Certificate ProtocolAgent::build_own_certificate(const sim::Context& ctx) {
@@ -60,9 +70,11 @@ Certificate ProtocolAgent::build_own_certificate(const sim::Context& ctx) {
 }
 
 void ProtocolAgent::consider_certificate(const Certificate& certificate) {
-  if (certificate.less_than(min_cert_)) {
-    min_cert_ = certificate;
-    cached_min_cert_payload_ = arriving_box_of(certificate);
+  if (certificate.less_than(min_certificate())) {
+    min_cert_payload_ = arriving_box_of(certificate);
+    if (min_cert_payload_.empty()) {
+      min_cert_payload_ = make_certificate_payload(certificate, params_);
+    }
   }
 }
 
@@ -70,7 +82,7 @@ sim::Payload ProtocolAgent::arriving_box_of(
     const Certificate& certificate) const {
   // Only a heap box can be kept past this round, and only one that holds
   // exactly `certificate` at its honest wire size can stand in for the
-  // payload min_cert_payload() would build.
+  // payload make_certificate_payload would build.
   if (arriving_cert_ == nullptr || arriving_cert_->is_arena_boxed() ||
       certificate_in(*arriving_cert_) != &certificate ||
       arriving_cert_->bit_size() != certificate.bit_size(params_)) {
@@ -79,18 +91,10 @@ sim::Payload ProtocolAgent::arriving_box_of(
   return *arriving_cert_;
 }
 
-sim::Payload ProtocolAgent::min_cert_payload() {
-  if (!has_min_certificate_) return {};
-  if (cached_min_cert_payload_.empty()) {
-    cached_min_cert_payload_ = make_certificate_payload(min_cert_, params_);
-  }
-  return cached_min_cert_payload_;
-}
-
 sim::Action ProtocolAgent::coherence_action(const sim::Context& ctx) {
   if (params_.coherence_digest) {
     return sim::Action::push(ctx.random_peer(),
-                             make_digest_payload(min_cert_.digest()));
+                             make_digest_payload(min_certificate().digest()));
   }
   return sim::Action::push(ctx.random_peer(), min_cert_payload());
 }
@@ -103,20 +107,22 @@ sim::Payload ProtocolAgent::find_min_reply(const sim::Context&,
 void ProtocolAgent::on_coherence_certificate(const Certificate& certificate) {
   // After Find-Min converges every honest agent holds the winner's box, and
   // one immutable object is equal to itself; other boxes get the deep check.
-  if (&certificate == certificate_in(cached_min_cert_payload_)) return;
-  if (!(certificate == min_cert_)) fail_protocol();
+  const Certificate& min = min_certificate();
+  if (&certificate == &min) return;
+  if (!(certificate == min)) fail_protocol();
 }
 
 void ProtocolAgent::on_coherence_digest(std::uint64_t digest) {
-  if (digest != min_cert_.digest()) fail_protocol();
+  if (digest != min_certificate().digest()) fail_protocol();
 }
 
 void ProtocolAgent::finalize(const sim::Context&) {
+  const Certificate& min = min_certificate();
   const VerificationResult result =
-      verify_certificate(params_, min_cert_, collected_);
+      verify_certificate(params_, min, collected_);
   verification_failure_ = result.failure;
   if (result.accepted()) {
-    decide(min_cert_.color);
+    decide(min.color);
   } else {
     fail_protocol();
   }
@@ -126,7 +132,7 @@ std::uint64_t ProtocolAgent::local_memory_bits() const noexcept {
   const std::uint64_t entry_bits =
       params_.value_bits() + params_.label_bits();
   std::uint64_t bits =
-      intention_.size() * entry_bits;  // H_u.
+      intention().size() * entry_bits;  // H_u.
   for (const auto& [peer, record] : collected_) {  // L_u.
     bits += params_.label_bits() + 1;  // Peer label + faulty flag.
     if (record.intention) bits += record.intention->size() * entry_bits;
@@ -134,8 +140,8 @@ std::uint64_t ProtocolAgent::local_memory_bits() const noexcept {
   const std::uint64_t vote_bits =
       params_.label_bits() + params_.round_bits() + params_.value_bits();
   bits += received_votes_.size() * vote_bits;  // W_u.
-  if (has_own_certificate_) bits += own_cert_.bit_size(params_);
-  if (has_min_certificate_) bits += min_cert_.bit_size(params_);
+  if (has_own_certificate()) bits += own_certificate().bit_size(params_);
+  if (has_min_certificate_) bits += min_certificate().bit_size(params_);
   return bits;
 }
 
@@ -163,11 +169,10 @@ sim::Action ProtocolAgent::on_round(const sim::Context& ctx) {
     }
     case Phase::kFindMin:
       if (ctx.round == params_.find_min_begin()) {
-        own_cert_ = build_own_certificate(ctx);
-        has_own_certificate_ = true;
-        min_cert_ = own_cert_;
+        own_cert_payload_ =
+            make_certificate_payload(build_own_certificate(ctx), params_);
+        min_cert_payload_ = own_cert_payload_;
         has_min_certificate_ = true;
-        cached_min_cert_payload_ = {};
       }
       return sim::Action::pull(ctx.random_peer());
     case Phase::kCoherence:
@@ -197,22 +202,31 @@ sim::Payload ProtocolAgent::serve_pull(const sim::Context& ctx,
 
 void ProtocolAgent::record_commitment_reply(sim::AgentId target,
                                             const sim::Payload& reply) {
+  // L_u holds at most q records under the synchronous schedule.
+  if (collected_.empty()) collected_.reserve(params_.q);
   // First declaration wins: if we already hold a record for `target`
   // (pulled it twice), the original stands.
   const auto [it, inserted] =
       collected_.emplace(target, CommitmentRecord{true, nullptr});
   if (!inserted) return;
   // "Replies in an unexpected way" (footnote 4): no intention, wrong length
-  // or out-of-domain entries leave the peer marked faulty.
-  const VoteIntention* h = intention_in(reply);
-  if (h == nullptr || !well_formed_intention(params_, *h)) return;
+  // or out-of-domain entries leave the peer marked faulty.  The box's
+  // stamped verdict stands in for the scan when it was computed for our
+  // parameters.
+  const IntentionBox* box = intention_box_in(reply);
+  if (box == nullptr) return;
+  const bool well_formed = box->stamped_for(params_)
+                               ? box->well_formed
+                               : well_formed_intention(params_, box->intention);
+  if (!well_formed) return;
   CommitmentRecord& record = it->second;
   record.marked_faulty = false;
   // Keep the heap box the reply arrived in; an arena box dies at the round
   // barrier, so it is copied once into a box of our own.
-  record.intention = reply.is_arena_boxed()
-                         ? std::make_shared<const VoteIntention>(*h)
-                         : shared_intention_in(reply);
+  record.intention =
+      reply.is_arena_boxed()
+          ? std::make_shared<const VoteIntention>(box->intention)
+          : shared_intention_in(reply);
 }
 
 void ProtocolAgent::on_pull_reply(const sim::Context& ctx, sim::AgentId target,

@@ -41,26 +41,39 @@ class ProtocolAgent : public sim::Agent {
   }
 
   // ---- Diagnostics read by the runner after execution ------------------
-  const VoteIntention& intention() const noexcept { return intention_; }
+  /// H_u, read through the box this agent serves (empty before on_start).
+  const VoteIntention& intention() const noexcept;
   const ReceivedVotes& received_votes() const noexcept {
     return received_votes_;
   }
   const CollectedIntentions& collected_intentions() const noexcept {
     return collected_;
   }
-  /// The boxes this agent serves: its Commitment reply and its CE_min
-  /// (empty until first served or adopted).  L_u records and adopted
-  /// CE_min payloads share these objects instead of copying them.
+  /// The boxes holding this agent's only copies of H_u, CE_u and CE_min
+  /// (each empty until built or adopted).  The intention box is the
+  /// Commitment reply, and L_u records and adopted CE_min payloads share
+  /// these objects instead of copying them.
   const sim::Payload& intention_payload() const noexcept {
-    return cached_intention_payload_;
+    return intention_payload_;
+  }
+  const sim::Payload& own_certificate_payload() const noexcept {
+    return own_cert_payload_;
   }
   const sim::Payload& min_certificate_payload() const noexcept {
-    return cached_min_cert_payload_;
+    return min_cert_payload_;
   }
-  bool has_own_certificate() const noexcept { return has_own_certificate_; }
-  const Certificate& own_certificate() const noexcept { return own_cert_; }
+  bool has_own_certificate() const noexcept {
+    return !own_cert_payload_.empty();
+  }
+  /// CE_u; a default certificate before Find-Min begins.
+  const Certificate& own_certificate() const noexcept {
+    return certificate_or_default(own_cert_payload_);
+  }
   bool has_min_certificate() const noexcept { return has_min_certificate_; }
-  const Certificate& min_certificate() const noexcept { return min_cert_; }
+  /// CE_min; a default certificate until one is built or adopted.
+  const Certificate& min_certificate() const noexcept {
+    return certificate_or_default(min_cert_payload_);
+  }
   /// Labels that pulled us during the Commitment phase (first pull only is
   /// binding, but we record all for the Def. 5 diagnostics).
   const std::vector<sim::AgentId>& commitment_pullers() const noexcept {
@@ -150,12 +163,14 @@ class ProtocolAgent : public sim::Agent {
     decided_ = true;
   }
 
-  /// Shared payload wrapping min_cert_, rebuilt only when it changes.
+  /// The CE_min box once Find-Min has begun for this agent, empty before.
   /// Serving Θ(log n) pulls per Find-Min round from one boxed allocation
   /// keeps the simulator's constant factors down.  When the default
   /// consider_certificate adopts a certificate that arrived heap-boxed, this
   /// is that very box, so a converged network serves one shared object.
-  sim::Payload min_cert_payload();
+  sim::Payload min_cert_payload() const {
+    return has_min_certificate_ ? min_cert_payload_ : sim::Payload{};
+  }
 
   void decide(Color c) noexcept {
     final_color_ = c;
@@ -165,17 +180,13 @@ class ProtocolAgent : public sim::Agent {
   // ---- Protocol state (visible to deviation subclasses) ----------------
   ProtocolParams params_;
   Color color_;                      ///< c_u, the initially supported color.
-  VoteIntention intention_;          ///< H_u.
   /// L_u.  Records hold shared handles to the immutable intention boxes
   /// the replies arrived in; arena-boxed replies are copied on retention.
   CollectedIntentions collected_;
   ReceivedVotes received_votes_;     ///< W_u.
-  Certificate own_cert_;             ///< CE_u (after Voting).
-  /// CE_min_u (during/after Find-Min).  A value, so deviation hooks keep
-  /// their signatures; its boxed form (cached_min_cert_payload_) is the
-  /// shared heap box it arrived in whenever the default path adopted it.
-  Certificate min_cert_;
-  bool has_own_certificate_ = false;
+  /// Set when this agent builds CE_u at find_min_begin.  An agent a
+  /// scheduler did not activate in that round may still adopt a
+  /// certificate, which finalize audits, but it serves no CE_min.
   bool has_min_certificate_ = false;
   bool failed_ = false;
   bool decided_ = false;
@@ -195,8 +206,17 @@ class ProtocolAgent : public sim::Agent {
   /// exactly `certificate`; empty otherwise (arena boxes are never kept).
   sim::Payload arriving_box_of(const Certificate& certificate) const;
 
-  sim::Payload cached_intention_payload_;
-  sim::Payload cached_min_cert_payload_;
+  /// The certificate boxed in `payload`, or a default one if it is empty.
+  static const Certificate& certificate_or_default(
+      const sim::Payload& payload) noexcept;
+
+  /// H_u, boxed once in on_start: the Commitment reply and the vote plan.
+  sim::Payload intention_payload_;
+  /// CE_u, boxed once when Find-Min begins.
+  sim::Payload own_cert_payload_;
+  /// CE_min: the own box, a shared arriving heap box, or a private copy of
+  /// an arrival that could not be shared.
+  sim::Payload min_cert_payload_;
   /// The Find-Min reply under consideration (set only for the duration of
   /// the consider_certificate call in on_pull_reply).
   const sim::Payload* arriving_cert_ = nullptr;

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/params.hpp"
 #include "sim/agent.hpp"
 
 namespace rfc::core {
@@ -34,6 +35,25 @@ struct VoteEntry {
 /// H_u: exactly q entries, one per Voting-phase round.
 using VoteIntention = std::vector<VoteEntry>;
 
+/// The immutable object a Commitment-reply payload boxes: H plus its
+/// well_formed_intention verdict (verification.hpp) and the (n, q, m) the
+/// verdict was computed for.  The verdict is a pure function of (H, n, q,
+/// m), so the producer computes it once and each of the ~q auditors of the
+/// box reads it instead of rescanning H; an auditor whose parameters differ
+/// from the stamp recomputes it.
+struct IntentionBox {
+  VoteIntention intention;
+  std::uint64_t m = 0;
+  std::uint32_t n = 0;
+  std::uint32_t q = 0;
+  bool well_formed = false;
+
+  /// Whether the stamped verdict holds for `params`.
+  bool stamped_for(const ProtocolParams& params) const noexcept {
+    return n == params.n && q == params.q && m == params.m;
+  }
+};
+
 /// A vote as received in the Voting phase: agent `voter` pushed `value`
 /// during voting round `round_index`.  The triple identifies the vote
 /// uniquely (each agent pushes exactly one vote per round), which is what
@@ -58,6 +78,8 @@ using ReceivedVotes = std::vector<ReceivedVote>;
 /// in, not a copy: every auditor of an honest peer holds the same object.
 /// A reply boxed in a round arena dies at the round barrier, so the
 /// receiver copies it once into a fresh shared box before retaining it.
+/// The handle aliases the H inside the reply's IntentionBox, so auditors
+/// read a plain VoteIntention and keep the whole box alive.
 struct CommitmentRecord {
   bool marked_faulty = false;
   /// Non-null iff !marked_faulty.
@@ -83,6 +105,7 @@ class CollectedIntentions {
   std::size_t size() const noexcept { return entries_.size(); }
   bool empty() const noexcept { return entries_.empty(); }
   void clear() noexcept { entries_.clear(); }
+  void reserve(std::size_t records) { entries_.reserve(records); }
 
   const_iterator find(sim::AgentId peer) const noexcept {
     const const_iterator it = entries_.begin() + lower_bound(peer);

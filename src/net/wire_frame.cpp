@@ -99,6 +99,8 @@ core::WireResult<sim::Payload> decode_payload(
     }
     auto intention = core::decode_intention_checked(r, *params);
     if (!intention.ok()) return R::failure(intention.error);
+    // Re-boxed through the factory, so the receiving auditors get the
+    // box's well-formedness verdict under the same params.
     return R::success(
         core::make_intention_payload(std::move(*intention.value), *params));
   }

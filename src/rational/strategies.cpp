@@ -205,10 +205,11 @@ sim::Payload PlayDeadAgent::commitment_reply(const sim::Context&,
 
 sim::Payload FindMinSuppressAgent::find_min_reply(const sim::Context& ctx,
                                                   sim::AgentId) {
-  if (!has_own_certificate_) return {};
+  if (!has_own_certificate()) return {};
   // Serve our own certificate, never the smaller ones we have seen; the
   // auditor copies it out within the round, so it is arena-transient.
-  return core::make_certificate_payload_in(ctx.arena, own_cert_, params_);
+  return core::make_certificate_payload_in(ctx.arena, own_certificate(),
+                                           params_);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,11 +257,8 @@ void AdaptiveVoteAgent::on_push(const sim::Context& ctx, sim::AgentId sender,
                                 const sim::Payload& payload) {
   core::ProtocolAgent::on_push(ctx, sender, payload);
   if (ctx.self == coalition_->beneficiary()) {
-    std::uint64_t sum = 0;
-    for (const core::ReceivedVote& v : received_votes_) {
-      sum = (sum + v.value % params_.m) % params_.m;
-    }
-    coalition_->publish_beneficiary_vote_sum(sum);
+    coalition_->publish_beneficiary_vote_sum(
+        core::vote_sum(params_, received_votes_));
   }
 }
 
@@ -278,8 +276,8 @@ void SkipVerificationAgent::on_coherence_digest(std::uint64_t) {
 }
 
 void SkipVerificationAgent::finalize(const sim::Context&) {
-  if (has_min_certificate_) {
-    decide(min_cert_.color);
+  if (has_min_certificate()) {
+    decide(min_certificate().color);
   } else {
     fail_protocol();
   }

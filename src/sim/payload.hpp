@@ -18,7 +18,7 @@
 //     reply consumed in this round's delivery hook) and consumers must copy
 //     the value out, never retain the payload across rounds.  Every shipped
 //     delivery hook copies arena objects it keeps; agents that cache a
-//     payload across rounds (ProtocolAgent's intention/certificate caches)
+//     payload across rounds (ProtocolAgent's intention/certificate boxes)
 //     keep the shared_ptr form, and consumers retain a heap box by handle
 //     (`shared_as`) rather than by copy.
 //

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/payloads.hpp"
+#include "sim/network.hpp"
+#include "support/rng.hpp"
 
 namespace rfc::core {
 namespace {
@@ -26,6 +28,41 @@ TEST(Certificate, VoteSumReducesOversizedValues) {
   Certificate ce;
   ce.votes = {{1, 0, p.m + 5}};  // Malformed value still sums mod m.
   EXPECT_EQ(ce.vote_sum(p), 5u);
+}
+
+TEST(Certificate, VoteSumMatchesTheDivisionFormula) {
+  // Property test of the one-division-per-malformed-vote sum against the
+  // two-divisions-per-vote formula it replaced, up to m = 2^63 (n = 2^21)
+  // and with values at and above m.
+  const auto old_sum = [](const ProtocolParams& p, const ReceivedVotes& w) {
+    std::uint64_t sum = 0;
+    for (const ReceivedVote& v : w) sum = (sum + v.value % p.m) % p.m;
+    return sum;
+  };
+  rfc::support::Xoshiro256 rng(7);
+  for (const std::uint32_t n : {2u, 3u, 256u, 2048u, 1u << 20, 1u << 21}) {
+    const ProtocolParams p = ProtocolParams::make(n);
+    for (int trial = 0; trial < 200; ++trial) {
+      ReceivedVotes votes(rng.below(40));
+      for (ReceivedVote& v : votes) {
+        switch (rng.below(4)) {
+          case 0: v.value = rng.below(p.m); break;      // Honest.
+          case 1: v.value = p.m - 1 - rng.below(4); break;  // Near m.
+          case 2: v.value = p.m + rng.below(p.m); break;    // In [m, 2m).
+          default: v.value = rng.next(); break;             // Any word.
+        }
+      }
+      ASSERT_EQ(vote_sum(p, votes), old_sum(p, votes)) << "n=" << n;
+      Certificate ce;
+      ce.votes = votes;
+      ASSERT_EQ(ce.vote_sum(p), old_sum(p, votes));
+    }
+  }
+  const ProtocolParams top = ProtocolParams::make(1u << 21);
+  ASSERT_EQ(top.m, std::uint64_t{1} << 63);
+  const ReceivedVotes edge = {
+      {1, 0, top.m - 1}, {2, 0, top.m - 1}, {3, 0, ~std::uint64_t{0}}};
+  EXPECT_EQ(vote_sum(top, edge), old_sum(top, edge));
 }
 
 TEST(Certificate, MakeCertificateComputesKey) {
@@ -103,6 +140,27 @@ TEST(IntentionPayload, SizeIsPerEntry) {
                 (p.value_bits() + p.label_bits()));
   ASSERT_NE(intention_in(payload), nullptr);
   EXPECT_EQ(intention_in(payload)->size(), p.q);
+}
+
+TEST(IntentionPayload, BoxCarriesItsVerdictAndParams) {
+  const auto p = params();
+  const sim::Payload honest = make_intention_payload(VoteIntention(p.q, {1, 2}), p);
+  ASSERT_NE(intention_box_in(honest), nullptr);
+  EXPECT_TRUE(intention_box_in(honest)->well_formed);
+  EXPECT_TRUE(intention_box_in(honest)->stamped_for(p));
+  EXPECT_FALSE(intention_box_in(honest)->stamped_for(ProtocolParams::make(512)));
+
+  const sim::Payload short_h =
+      make_intention_payload(VoteIntention(p.q - 1, {1, 2}), p);
+  EXPECT_FALSE(intention_box_in(short_h)->well_formed);
+
+  // The network adversary's tampering re-audits: flipping bit 63 of entry 0
+  // (salt 63) pushes that value out of [m].
+  const sim::Payload tampered = sim::corrupt_payload(honest, 63);
+  ASSERT_NE(intention_box_in(tampered), nullptr);
+  EXPECT_GE(intention_in(tampered)->front().value, p.m);
+  EXPECT_FALSE(intention_box_in(tampered)->well_formed);
+  EXPECT_TRUE(intention_box_in(tampered)->stamped_for(p));
 }
 
 TEST(VotePayload, SizeIsValueWidth) {

@@ -194,6 +194,61 @@ TEST(ProtocolAgent, FindMinConvergesOnOneSharedBox) {
   }
 }
 
+TEST(ProtocolAgent, IntentionAndOwnCertificateLiveOnlyInTheirBoxes) {
+  // One copy of H_u and CE_u per agent: the accessors read the very objects
+  // the agent serves, not member copies of them.
+  World w(64, 4.0);
+  for (std::uint32_t r = 0; r <= 2 * w.params.q; ++r) w.engine.step();
+  for (const auto* agent : w.agents) {
+    ASSERT_TRUE(agent->has_own_certificate());
+    EXPECT_EQ(&agent->intention(), intention_in(agent->intention_payload()));
+    EXPECT_EQ(&agent->own_certificate(),
+              certificate_in(agent->own_certificate_payload()));
+  }
+}
+
+TEST(ProtocolAgent, FaultFreeRunEndsWithOneMinCertificateObject) {
+  // After a fault-free run every honest agent's CE_min is the same object,
+  // read straight through the shared box.
+  World w(256, 4.0);
+  w.run_all();
+  const Certificate* min = &w.agents[0]->min_certificate();
+  for (const auto* agent : w.agents) {
+    ASSERT_TRUE(agent->decided());
+    ASSERT_FALSE(agent->failed());
+    EXPECT_EQ(&agent->min_certificate(), min);
+  }
+}
+
+TEST(ProtocolAgent, VerdictStampedForOtherParamsIsRecomputed) {
+  // A box stamped well-formed for n=64 holds a target outside [32]; an n=32
+  // auditor must not trust that verdict, and marks the peer faulty.
+  const ProtocolParams p32 = ProtocolParams::make(32, 2.0);
+  ProtocolParams p64_stamp = p32;
+  p64_stamp.n = 64;
+  VoteIntention h(p32.q, {1, 3});
+  h.back().target = 40;
+  const sim::Payload reply = make_intention_payload(h, p64_stamp);
+  ASSERT_NE(intention_box_in(reply), nullptr);
+  ASSERT_TRUE(intention_box_in(reply)->well_formed);
+
+  ProtocolAgent auditor(p32, 0);
+  sim::Context ctx;
+  ctx.self = 0;
+  ctx.n = 32;
+  ctx.round = 0;  // Commitment.
+  auditor.on_pull_reply(ctx, 5, reply);
+  auditor.on_pull_reply(ctx, 6, make_intention_payload(h, p32));
+  h.back().target = 20;
+  auditor.on_pull_reply(ctx, 7, make_intention_payload(h, p64_stamp));
+
+  const CollectedIntentions& collected = auditor.collected_intentions();
+  ASSERT_EQ(collected.size(), 3u);
+  EXPECT_TRUE(collected.find(5)->second.marked_faulty);
+  EXPECT_TRUE(collected.find(6)->second.marked_faulty);
+  EXPECT_FALSE(collected.find(7)->second.marked_faulty);
+}
+
 TEST(ProtocolAgent, CoherenceComparesDistinctBoxesDeeply) {
   // The Coherence check skips the deep compare only for the agent's own
   // CE_min object; any other box is compared by value.

@@ -257,6 +257,78 @@ TEST(Strategies, EquivocatorLiesOutliveTheirRoundArenas) {
             0x53763cc20f358055ull);
 }
 
+/// An honest agent that notes whether its latest Find-Min adoption came
+/// from an arena-boxed reply, with a copy of that certificate taken while
+/// the box was live.
+class ArenaAdoptionWatcher final : public core::ProtocolAgent {
+ public:
+  using core::ProtocolAgent::ProtocolAgent;
+
+  void on_pull_reply(const sim::Context& ctx, sim::AgentId target,
+                     const sim::Payload& reply) override {
+    const core::Certificate* before = &min_certificate();
+    core::ProtocolAgent::on_pull_reply(ctx, target, reply);
+    if (params_.phase_of_round(ctx.round) == core::Phase::kFindMin &&
+        &min_certificate() != before) {
+      last_adoption_from_arena_ = reply.is_arena_boxed();
+      last_adopted_ = min_certificate();
+    }
+  }
+
+  bool last_adoption_from_arena() const noexcept {
+    return last_adoption_from_arena_;
+  }
+  const core::Certificate& last_adopted() const noexcept {
+    return last_adopted_;
+  }
+
+ private:
+  bool last_adoption_from_arena_ = false;
+  core::Certificate last_adopted_;
+};
+
+TEST(Strategies, SuppressorCertificatesOutliveTheirRoundArenas) {
+  // Find-Min suppressors serve their own certificate boxed in the round
+  // arena, which is reset at every round barrier.  An honest agent that
+  // adopts one must hold a heap copy: rounds later its CE_min still equals
+  // what it adopted, and the box it serves is not an arena box.
+  core::RunConfig cfg;
+  cfg.n = 256;
+  cfg.gamma = 4.0;
+  cfg.seed = 11;
+  cfg.colors = core::split_colors(cfg.n, {0.5, 0.3, 0.2});
+  const CoalitionPtr coalition = make_prefix_coalition(128);
+  cfg.coalition = coalition->members();
+  cfg.factory =
+      make_deviating_factory(DeviationStrategy::kFindMinSuppress, coalition);
+
+  auto engine = core::build_protocol_engine(cfg);
+  const core::ProtocolParams params =
+      core::ProtocolParams::make(cfg.n, cfg.gamma, cfg.strict_verification);
+  std::vector<const ArenaAdoptionWatcher*> watchers;
+  for (sim::AgentId u = 0; u < cfg.n; ++u) {
+    if (coalition->contains(u)) continue;
+    auto watcher =
+        std::make_unique<ArenaAdoptionWatcher>(params, cfg.colors.at(u));
+    watchers.push_back(watcher.get());
+    engine->set_agent(u, std::move(watcher));
+  }
+  const core::RunResult result = core::run_protocol_on(*engine, cfg);
+  EXPECT_FALSE(result.failed());
+
+  std::size_t kept_from_arena = 0;
+  for (const ArenaAdoptionWatcher* watcher : watchers) {
+    if (!watcher->last_adoption_from_arena()) continue;
+    EXPECT_FALSE(watcher->min_certificate_payload().is_arena_boxed());
+    EXPECT_EQ(watcher->min_certificate(), watcher->last_adopted());
+    EXPECT_FALSE(watcher->failed());
+    ++kept_from_arena;
+  }
+  // At this seed a suppressor owns the global minimum, so honest agents
+  // end Find-Min on a certificate that reached them in an arena box.
+  EXPECT_GT(kept_from_arena, 5u);
+}
+
 TEST(Strategies, ForgingStillCaughtUnderDigestCoherence) {
   // The digest optimization must not weaken the audit chain: forged
   // certificates still lose under strict verification.
