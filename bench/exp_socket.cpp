@@ -10,6 +10,8 @@
 // compared against gossip::run_rumor_spreading / core::run_protocol on the
 // engine; any difference is printed and the process exits nonzero, which
 // is what makes the CTest socket_smoke_* entries real acceptance tests.
+// Loopback runs also print the transport counters (frames, payload
+// encodes/decodes and interner hits, resends) summed over the nodes.
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -17,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,7 +37,16 @@ struct RunOutcome {
   rfc::net::ClusterResult cluster;
   rfc::net::ClusterResult reference;
   std::string mismatch;
+  /// Summed over the nodes; loopback only (a NODE-REPORT line carries none).
+  std::optional<rfc::net::TransportCounters> transport;
 };
+
+rfc::net::TransportCounters sum_transport(
+    const std::vector<rfc::net::NodeReport>& reports) {
+  rfc::net::TransportCounters sum;
+  for (const rfc::net::NodeReport& r : reports) sum += r.transport;
+  return sum;
+}
 
 std::vector<std::string> child_args(const rfc::support::CliArgs& args,
                                     const ClusterSpec& spec,
@@ -168,6 +180,7 @@ RunOutcome run_one(const rfc::support::CliArgs& args, ClusterSpec spec,
   const double drop = args.get_double("drop", 0.0);
   RunOutcome outcome;
   if (transport == "loopback") {
+    std::vector<rfc::net::NodeReport> reports;
     if (drop > 0.0) {
       // Injected loss on the in-process transport: every outgoing message
       // is dropped with probability `drop`, and the cross-check below must
@@ -176,19 +189,18 @@ RunOutcome run_one(const rfc::support::CliArgs& args, ClusterSpec spec,
       if (spec.linger_ms == 0) spec.linger_ms = 1000;
       const std::uint64_t drop_seed = args.get_uint("drop-seed", 99);
       rfc::net::LoopbackHub hub(spec.num_nodes);
-      outcome.cluster = rfc::net::merge_reports(
-          wl, rfc::net::run_local_cluster(
-                  spec, [&](rfc::net::NodeId id) {
-                    return rfc::net::make_lossy_client(
-                        rfc::net::make_comm_client(
-                            rfc::net::TransportKind::kLoopback, &hub),
-                        drop, rfc::support::derive_seed(drop_seed, id));
-                  }));
+      reports = rfc::net::run_local_cluster(spec, [&](rfc::net::NodeId id) {
+        return rfc::net::make_lossy_client(
+            rfc::net::make_comm_client(rfc::net::TransportKind::kLoopback,
+                                       &hub),
+            drop, rfc::support::derive_seed(drop_seed, id));
+      });
     } else {
-      outcome.cluster = rfc::net::merge_reports(
-          wl, rfc::net::run_local_cluster(
-                  spec, rfc::net::TransportKind::kLoopback));
+      reports = rfc::net::run_local_cluster(
+          spec, rfc::net::TransportKind::kLoopback);
     }
+    outcome.cluster = rfc::net::merge_reports(wl, reports);
+    outcome.transport = sum_transport(reports);
   } else {
     if (node_bin.empty()) {
       throw std::runtime_error(
@@ -236,6 +248,11 @@ int main(int argc, char** argv) {
 
     rfc::support::Table table({"workload", "nodes", "n", "complete",
                                "rounds", "messages", "digest", "check"});
+    rfc::support::Table transport_table(
+        {"workload", "frames_sent", "frames_received", "payload_encodes",
+         "encode_hits", "payload_decodes", "decode_hits", "resend_requests",
+         "resends_answered"});
+    bool have_transport = false;
     bool ok = true;
     std::uint16_t next_ports = port_base;
     for (const char* kind_name : {"rumor", "protocol"}) {
@@ -261,12 +278,28 @@ int main(int argc, char** argv) {
                      std::to_string(outcome.cluster.rounds),
                      std::to_string(outcome.cluster.metrics.messages()),
                      digest, match ? "ok" : "MISMATCH"});
+      if (const auto& t = outcome.transport) {
+        have_transport = true;
+        transport_table.add_row(
+            {kind_name, std::to_string(t->frames_sent),
+             std::to_string(t->frames_received),
+             std::to_string(t->payloads.encodes),
+             std::to_string(t->payloads.encode_hits),
+             std::to_string(t->payloads.decodes),
+             std::to_string(t->payloads.decode_hits),
+             std::to_string(t->resend_requests_sent),
+             std::to_string(t->resend_requests_answered)});
+      }
       if (!match) {
         std::fprintf(stderr, "exp_socket: %s mismatch: %s\n", kind_name,
                      outcome.mismatch.c_str());
       }
     }
     std::printf("%s", table.render().c_str());
+    if (have_transport) {
+      std::printf("\nTransport counters, summed over the nodes:\n%s",
+                  transport_table.render().c_str());
+    }
     if (!ok) return 1;
     std::printf("\nAll transport runs match the in-memory engine.\n");
     return 0;

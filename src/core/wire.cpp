@@ -1,5 +1,6 @@
 #include "core/wire.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -119,10 +120,16 @@ WireResult<Certificate> decode_certificate_checked(
     return R::failure(WireError::kCountOverflow);
   }
   c.k = *k;
-  c.votes.reserve(static_cast<std::size_t>(*count));
   const std::uint32_t label_bits = params.label_bits();
   const std::uint32_t round_bits = params.round_bits();
   const std::uint32_t value_bits = params.value_bits();
+  // A count within n*q can still claim far more votes than the stream
+  // holds (n*q votes is ~900 MiB at n = 2^20): reserve only what the
+  // remaining bits can carry, and let a short stream fail as kTruncated.
+  const std::uint64_t vote_bits =
+      std::uint64_t{label_bits} + round_bits + value_bits;
+  c.votes.reserve(static_cast<std::size_t>(
+      std::min(*count, r.remaining() / std::max<std::uint64_t>(vote_bits, 1))));
   for (std::uint64_t i = 0; i < *count; ++i) {
     const auto voter = r.read(label_bits);
     const auto round = r.read(round_bits);

@@ -67,6 +67,11 @@ struct WireResult {
 /// per field of every transport frame.
 class BitWriter {
  public:
+  BitWriter() = default;
+  /// Continues the byte-aligned stream `bytes`: later writes append to it.
+  explicit BitWriter(std::vector<std::uint8_t> bytes) noexcept
+      : bytes_(std::move(bytes)), bit_count_(bytes_.size() * 8) {}
+
   /// Appends the low `bits` bits of `value`.  Throws std::invalid_argument
   /// when `bits` > 64.
   void write(std::uint64_t value, std::uint32_t bits);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,10 +14,12 @@ namespace rfc::net {
 
 namespace {
 
-/// Sync-point tracing for debugging distributed runs (RFC_NET_TRACE=1).
-bool trace_enabled() {
-  static const bool on = std::getenv("RFC_NET_TRACE") != nullptr;
-  return on;
+FrameCodec codec_for(const Workload& workload) {
+  if (workload.n == 0) {
+    throw std::invalid_argument("NodeDriver: workload has n == 0");
+  }
+  return FrameCodec{workload.n,
+                    workload.has_params ? &workload.params : nullptr};
 }
 
 [[noreturn]] void protocol_violation(const char* what, NodeId from,
@@ -35,9 +35,11 @@ bool trace_enabled() {
 
 NodeDriver::NodeDriver(const Workload& workload, const NodeOptions& options,
                        CommClient& client)
-    : workload_(&workload), options_(options), client_(&client) {
+    : workload_(&workload),
+      options_(options),
+      client_(&client),
+      interner_(codec_for(workload)) {
   const std::uint32_t n = workload_->n;
-  if (n == 0) throw std::invalid_argument("NodeDriver: workload has n == 0");
   if (options_.num_nodes == 0 || options_.node_id >= options_.num_nodes) {
     throw std::invalid_argument("NodeDriver: node_id/num_nodes out of range");
   }
@@ -51,9 +53,6 @@ NodeDriver::NodeDriver(const Workload& workload, const NodeOptions& options,
       !workload_->digest_agent) {
     throw std::invalid_argument("NodeDriver: workload hooks not set");
   }
-
-  codec_.n = n;
-  codec_.params = workload_->has_params ? &workload_->params : nullptr;
 
   first_ = sim::contiguous_block_begin(n, options_.num_nodes,
                                        options_.node_id);
@@ -132,22 +131,27 @@ std::uint64_t NodeDriver::local_digest() const {
 }
 
 void NodeDriver::send_frame(NodeId to, const Frame& frame) {
-  std::vector<std::uint8_t> bytes = codec_.encode(frame);
+  std::vector<std::uint8_t> bytes = interner_.encode(frame);
   client_->send(to, bytes.data(), bytes.size());
+  ++counters_.frames_sent;
   // Everything except the resend requests themselves is kept for replay;
   // the buffer holds at most two rounds of traffic (see prune_sent).
-  if (frame.kind != FrameKind::kResendRequest) {
+  if (frame.kind == FrameKind::kResendRequest) {
+    ++counters_.resend_requests_sent;
+  } else {
     sent_frames_[frame.round][to].push_back(std::move(bytes));
   }
 }
 
 void NodeDriver::answer_resend(NodeId to, std::uint64_t round) {
+  ++counters_.resend_requests_answered;
   const auto rit = sent_frames_.find(round);
   if (rit == sent_frames_.end()) return;
   const auto pit = rit->second.find(to);
   if (pit == rit->second.end()) return;
   for (const std::vector<std::uint8_t>& bytes : pit->second) {
     client_->send(to, bytes.data(), bytes.size());
+    ++counters_.frames_sent;
   }
 }
 
@@ -172,7 +176,8 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
     throw std::runtime_error("NodeDriver: frame from invalid peer " +
                              std::to_string(from));
   }
-  auto decoded = codec_.decode(data, size);
+  ++counters_.frames_received;
+  auto decoded = interner_.decode(data, size);
   if (!decoded.ok()) {
     throw std::runtime_error(std::string("NodeDriver: bad frame from peer ") +
                              std::to_string(from) + ": " +
@@ -203,15 +208,6 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
   RoundInbox& inbox = inbox_[frame.round];
   switch (frame.kind) {
     case FrameKind::kRoundStatus:
-      if (trace_enabled()) {
-        std::fprintf(stderr,
-                     "[trace] node %u recv status from=%u r=%llu "
-                     "complete=%d (round_=%llu)\n",
-                     options_.node_id, from,
-                     static_cast<unsigned long long>(frame.round),
-                     static_cast<int>(frame.complete),
-                     static_cast<unsigned long long>(round_));
-      }
       inbox.status[from] = frame.complete;
       break;
     case FrameKind::kActionsDone:
@@ -312,12 +308,6 @@ bool NodeDriver::exchange_status(bool local_complete, bool* all_complete) {
   status.kind = FrameKind::kRoundStatus;
   status.round = round_;
   status.complete = local_complete;
-  if (trace_enabled()) {
-    std::fprintf(stderr, "[trace] node %u bcast status r=%llu complete=%d\n",
-                 options_.node_id,
-                 static_cast<unsigned long long>(round_),
-                 static_cast<int>(local_complete));
-  }
   broadcast(status);
   wait_for("round-status", [&](NodeId p) {
     return inbox_[round_].status.count(p) != 0;
@@ -582,6 +572,8 @@ NodeReport NodeDriver::run(const std::vector<PeerEndpoint>& peers) {
   report.rounds = round_;
   report.metrics = metrics_;
   report.state_digest = local_digest();
+  report.transport = counters_;
+  report.transport.payloads = interner_.counters();
   return report;
 }
 

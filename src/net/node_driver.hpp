@@ -34,6 +34,12 @@
 // are dropped silently — so retransmission changes nothing about the
 // execution, which stays bit-identical to the engine's.
 //
+// Wire boundary: every frame in and out passes through a PayloadInterner
+// (net/payload_interner.hpp), which encodes each boxed payload once and
+// decodes each distinct intention or certificate once, so local receivers
+// of one payload share one box.  The report's TransportCounters count the
+// frames, that codec work, and the resend traffic.
+//
 // Determinism: agent RNG streams are derive_seed(seed, label), the fault
 // plan and the partial-async mask stream (one Bernoulli per label per
 // round, faulty included) are derived identically on every node, and all
@@ -51,6 +57,7 @@
 #include <vector>
 
 #include "net/comm_client.hpp"
+#include "net/payload_interner.hpp"
 #include "net/wire_frame.hpp"
 #include "net/workload.hpp"
 #include "sim/metrics.hpp"
@@ -78,6 +85,28 @@ struct NodeOptions {
   int linger_ms = 0;
 };
 
+/// What one node's wire boundary did over a run.  Diagnostics only: the
+/// counts depend on the transport (loss, resends), so the cross-check
+/// against the engine ignores them.
+struct TransportCounters {
+  std::uint64_t frames_sent = 0;      ///< Frames handed to the transport,
+                                      ///< replays and resend requests too.
+  std::uint64_t frames_received = 0;  ///< Frames the transport delivered.
+  std::uint64_t resend_requests_sent = 0;
+  std::uint64_t resend_requests_answered = 0;  ///< Received and replayed
+                                               ///< (possibly with nothing).
+  InternerCounters payloads;          ///< Section encodes/decodes and hits.
+
+  TransportCounters& operator+=(const TransportCounters& other) noexcept {
+    frames_sent += other.frames_sent;
+    frames_received += other.frames_received;
+    resend_requests_sent += other.resend_requests_sent;
+    resend_requests_answered += other.resend_requests_answered;
+    payloads += other.payloads;
+    return *this;
+  }
+};
+
 struct NodeReport {
   NodeId node_id = 0;
   std::uint32_t first_label = 0;  ///< Local block [first_label, end_label).
@@ -88,6 +117,7 @@ struct NodeReport {
   /// harness can merge node metrics by plain summation.
   sim::Metrics metrics;
   std::uint64_t state_digest = 0;  ///< FNV-1a over the local block's agents.
+  TransportCounters transport;     ///< Not part of the NODE-REPORT line.
 };
 
 class NodeDriver final : public CommClientCallback {
@@ -160,7 +190,7 @@ class NodeDriver final : public CommClientCallback {
   const Workload* workload_;
   NodeOptions options_;
   CommClient* client_;
-  FrameCodec codec_;
+  PayloadInterner interner_;  ///< Every frame in and out goes through it.
 
   std::uint32_t first_ = 0;               ///< Local block begin.
   std::uint32_t end_ = 0;                 ///< Local block end.
@@ -175,6 +205,7 @@ class NodeDriver final : public CommClientCallback {
 
   std::uint64_t round_ = 0;
   sim::Metrics metrics_;
+  TransportCounters counters_;  ///< All but `payloads` (see interner_).
   std::map<std::uint64_t, RoundInbox> inbox_;
   std::vector<bool> peer_down_;           ///< tcp disconnects, fail-fast.
   /// Encoded frames already sent, by round then destination — the resend

@@ -1,6 +1,5 @@
 #include "net/wire_frame.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -17,15 +16,31 @@ bool known_kind(std::uint64_t raw) noexcept {
          raw <= static_cast<std::uint64_t>(FrameKind::kResendRequest);
 }
 
-bool carries_payload(FrameKind kind) noexcept {
-  return kind == FrameKind::kPullReply || kind == FrameKind::kPush;
-}
+// magic, kind, round, agent, target, complete, count.
+constexpr std::uint64_t kHeaderBits = 8 + 8 + 32 + 32 + 32 + 8 + 32;
+static_assert(kHeaderBits == FrameCodec::kHeaderBytes * 8,
+              "the frame header must be byte-aligned: the payload section "
+              "is encoded and cached on its own");
 
 bool carries_labels(FrameKind kind) noexcept {
   return kind == FrameKind::kPullRequest || carries_payload(kind);
 }
 
+/// Bits a section can take after its tag: the 224 bits of the generic
+/// inline form, or a boxed payload's charged bits plus a count prefix.  An
+/// inline payload's declared size plays no part: it arrives from the wire
+/// as any u32, and must not size an allocation.
+std::uint64_t section_bits_bound(const sim::Payload& payload) noexcept {
+  if (payload.empty()) return 16;
+  if (payload.is_inline()) return 16 + 32 + 3 * 64;
+  return 16 + payload.bit_size() + 64;
+}
+
 }  // namespace
+
+bool carries_payload(FrameKind kind) noexcept {
+  return kind == FrameKind::kPullReply || kind == FrameKind::kPush;
+}
 
 const char* to_string(FrameKind kind) noexcept {
   switch (kind) {
@@ -131,73 +146,101 @@ core::WireResult<sim::Payload> decode_payload(
 }
 
 std::vector<std::uint8_t> FrameCodec::encode(const Frame& frame) const {
+  const bool section = carries_payload(frame.kind);
+  std::vector<std::uint8_t> bytes;
+  // Allocate once: the header, then the section's bound.
+  bytes.reserve(kHeaderBytes +
+                (section ? (section_bits_bound(frame.payload) + 7) / 8 : 0));
+  encode_header(frame, bytes);
+  if (section) encode_section(frame.payload, bytes);
+  return bytes;
+}
+
+void FrameCodec::encode_header(const Frame& frame,
+                               std::vector<std::uint8_t>& out) const {
   if (frame.round > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("FrameCodec: round overflows the u32 header");
   }
-  core::BitWriter w;
-  // Allocate once: the header, then a payload that never takes more than
-  // its charged bits plus a count prefix, or the 224 bits of the generic
-  // inline form.
-  constexpr std::uint64_t kHeaderBits = 8 + 8 + 32 + 32 + 32 + 8 + 32;
-  w.reserve(kHeaderBits +
-            (carries_payload(frame.kind)
-                 ? 16 + std::max<std::uint64_t>(
-                            frame.payload.bit_size() + 64, 32 + 3 * 64)
-                 : 0));
-  w.write(kFrameMagic, 8);
-  w.write(static_cast<std::uint64_t>(frame.kind), 8);
-  w.write(frame.round, 32);
-  w.write(frame.agent, 32);
-  w.write(frame.target, 32);
-  w.write(frame.complete ? 1 : 0, 8);
-  w.write(frame.count, 32);
-  if (carries_payload(frame.kind)) {
-    encode_payload(w, frame.payload, params);
-  }
-  return w.take_bytes();
+  // Every field is whole bytes, written big-endian (the bit order BitWriter
+  // would produce).
+  const auto put = [&out](std::uint64_t value, int bytes) {
+    for (int i = bytes - 1; i >= 0; --i) {
+      out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+    }
+  };
+  put(kFrameMagic, 1);
+  put(static_cast<std::uint64_t>(frame.kind), 1);
+  put(frame.round, 4);
+  put(frame.agent, 4);
+  put(frame.target, 4);
+  put(frame.complete ? 1 : 0, 1);
+  put(frame.count, 4);
+}
+
+void FrameCodec::encode_section(const sim::Payload& payload,
+                                std::vector<std::uint8_t>& out) const {
+  core::BitWriter w(std::move(out));
+  w.reserve(section_bits_bound(payload));
+  encode_payload(w, payload, params);
+  out = w.take_bytes();
 }
 
 core::WireResult<Frame> FrameCodec::decode(const std::uint8_t* data,
                                            std::size_t size) const {
-  using R = core::WireResult<Frame>;
-  core::BitReader r(data, static_cast<std::uint64_t>(size) * 8);
+  auto frame = decode_header(data, size);
+  if (!frame.ok() || !carries_payload(frame.value->kind)) return frame;
+  auto payload =
+      decode_section(data + kHeaderBytes, size - kHeaderBytes);
+  if (!payload.ok()) return core::WireResult<Frame>::failure(payload.error);
+  frame.value->payload = std::move(*payload.value);
+  return frame;
+}
 
-  const auto magic = r.read(8);
-  if (!magic) return R::failure(core::WireError::kTruncated);
-  if (*magic != kFrameMagic) return R::failure(core::WireError::kBadFrame);
-  const auto kind = r.read(8);
-  if (!kind) return R::failure(core::WireError::kTruncated);
-  if (!known_kind(*kind)) return R::failure(core::WireError::kBadFrame);
+core::WireResult<Frame> FrameCodec::decode_header(const std::uint8_t* data,
+                                                  std::size_t size) const {
+  using R = core::WireResult<Frame>;
+  // The fields are whole bytes at fixed offsets (see encode_header).
+  const auto get = [data](std::size_t at, int bytes) {
+    std::uint64_t value = 0;
+    for (int i = 0; i < bytes; ++i) value = value << 8 | data[at + i];
+    return value;
+  };
+  if (size < 1) return R::failure(core::WireError::kTruncated);
+  if (data[0] != kFrameMagic) return R::failure(core::WireError::kBadFrame);
+  if (size < 2) return R::failure(core::WireError::kTruncated);
+  if (!known_kind(data[1])) return R::failure(core::WireError::kBadFrame);
+  if (size < kHeaderBytes) return R::failure(core::WireError::kTruncated);
 
   Frame frame;
-  frame.kind = static_cast<FrameKind>(*kind);
-  const auto round = r.read(32);
-  const auto agent = r.read(32);
-  const auto target = r.read(32);
-  const auto complete = r.read(8);
-  const auto count = r.read(32);
-  if (!round || !agent || !target || !complete || !count) {
-    return R::failure(core::WireError::kTruncated);
-  }
-  frame.round = *round;
-  frame.agent = static_cast<sim::AgentId>(*agent);
-  frame.target = static_cast<sim::AgentId>(*target);
-  frame.complete = *complete != 0;
-  frame.count = static_cast<std::uint32_t>(*count);
+  frame.kind = static_cast<FrameKind>(data[1]);
+  frame.round = get(2, 4);
+  frame.agent = static_cast<sim::AgentId>(get(6, 4));
+  frame.target = static_cast<sim::AgentId>(get(10, 4));
+  frame.complete = data[14] != 0;
+  frame.count = static_cast<std::uint32_t>(get(15, 4));
 
   if (carries_labels(frame.kind) && n != 0 &&
       (frame.agent >= n || frame.target >= n)) {
     return R::failure(core::WireError::kRangeViolation);
   }
-  if (carries_payload(frame.kind)) {
-    auto payload = decode_payload(r, params);
-    if (!payload.ok()) return R::failure(payload.error);
-    frame.payload = std::move(*payload.value);
+  // Only a payload section may follow the header; extra bytes after a mark
+  // or a pull request mean a framing slip (or a hostile overlong buffer).
+  if (!carries_payload(frame.kind) && size > kHeaderBytes) {
+    return R::failure(core::WireError::kBadFrame);
   }
-  // Only byte-boundary padding may trail a frame; whole extra bytes mean a
-  // framing slip (or a hostile overlong buffer).
-  if (r.remaining() >= 8) return R::failure(core::WireError::kBadFrame);
   return R::success(std::move(frame));
+}
+
+core::WireResult<sim::Payload> FrameCodec::decode_section(
+    const std::uint8_t* data, std::size_t size) const {
+  core::BitReader r(data, static_cast<std::uint64_t>(size) * 8);
+  auto payload = decode_payload(r, params);
+  // Only byte-boundary padding may trail a section; whole extra bytes mean
+  // a framing slip (or a hostile overlong buffer).
+  if (payload.ok() && r.remaining() >= 8) {
+    return core::WireResult<sim::Payload>::failure(core::WireError::kBadFrame);
+  }
+  return payload;
 }
 
 }  // namespace rfc::net

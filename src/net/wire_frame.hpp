@@ -1,9 +1,10 @@
 // Transport frames of the distributed round protocol.
 //
-// Every byte a NodeDriver puts on a CommClient is one Frame, encoded with
-// core/wire's BitWriter (MSB-first) and parsed back with the checked
-// decoders — transport input is hostile by assumption, so every decode
-// returns a structured core::WireError instead of asserting.
+// Every byte a NodeDriver puts on a CommClient is one Frame: a header of
+// whole big-endian fields, then (on pull replies and pushes) a payload
+// section encoded with core/wire's BitWriter (MSB-first) and parsed back
+// with the checked decoders — transport input is hostile by assumption, so
+// every decode returns a structured core::WireError instead of asserting.
 //
 // Frame layout (bit-packed, then padded to a byte boundary):
 //
@@ -19,6 +20,9 @@
 //                  sync points exact even over a reordering transport (UDP)
 //   payload        kPullReply / kPush: see below
 //
+// The header is 152 bits, exactly FrameCodec::kHeaderBytes (19) bytes, so
+// the payload section always starts on a byte boundary.
+//
 // Payload encoding: a 16-bit tag, then tag-dependent content.  Tag 0 is the
 // empty payload (a silent pull reply).  The boxed core tags (0x22 vote
 // intentions, 0x23 certificates) use the exact bit-level encodings of
@@ -28,6 +32,7 @@
 // boxed tag 0x29 has no wire form and is rejected as kUnsupportedTag.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -77,10 +82,24 @@ void encode_payload(core::BitWriter& w, const sim::Payload& payload,
 core::WireResult<sim::Payload> decode_payload(
     core::BitReader& r, const core::ProtocolParams* params);
 
+/// True for the frame kinds that carry a payload section (pull replies and
+/// pushes).
+bool carries_payload(FrameKind kind) noexcept;
+
 /// Frame codec bound to one run's geometry: `n` validates agent labels
 /// (0 = unknown, labels pass unchecked) and `params` enables the boxed
 /// protocol payloads.
+///
+/// A frame is a fixed kHeaderBytes header, followed on payload-carrying
+/// kinds by a payload section (the 16-bit tag and its body, zero-padded to
+/// a byte).  The header is byte-aligned, so the two halves encode and
+/// decode independently: encode/decode are exactly the header functions
+/// followed by the section functions, and net::PayloadInterner reuses the
+/// section functions to encode a boxed payload once for every frame that
+/// carries it.
 struct FrameCodec {
+  static constexpr std::size_t kHeaderBytes = 19;
+
   std::uint32_t n = 0;
   const core::ProtocolParams* params = nullptr;
 
@@ -89,6 +108,24 @@ struct FrameCodec {
   /// everything it holds, so `data` may be reused as soon as this returns.
   core::WireResult<Frame> decode(const std::uint8_t* data,
                                  std::size_t size) const;
+
+  /// Appends the kHeaderBytes header of `frame` (its payload is ignored).
+  /// Throws std::invalid_argument when the round overflows 32 bits.
+  void encode_header(const Frame& frame, std::vector<std::uint8_t>& out) const;
+  /// Appends `payload` as a section.  Throws as encode_payload does, and
+  /// `out` is then unspecified.
+  void encode_section(const sim::Payload& payload,
+                      std::vector<std::uint8_t>& out) const;
+
+  /// Parses and validates the header at the front of `data`: magic, kind,
+  /// and (on label-carrying kinds) agent labels.  The returned frame has an
+  /// empty payload; the section, if the kind carries one, starts at
+  /// data + kHeaderBytes.  A kind without a section must end at the header.
+  core::WireResult<Frame> decode_header(const std::uint8_t* data,
+                                        std::size_t size) const;
+  /// Parses a whole section; only byte-boundary padding may trail it.
+  core::WireResult<sim::Payload> decode_section(const std::uint8_t* data,
+                                                std::size_t size) const;
 };
 
 }  // namespace rfc::net

@@ -138,6 +138,29 @@ TEST(LoopbackCluster, RunsAreBitReproducible) {
   EXPECT_EQ(cross_check(a, b), "");
 }
 
+TEST(LoopbackCluster, ProtocolNodesShareDecodedBoxes) {
+  // Intentions and certificates cross the wire many times each: every node
+  // encodes a box once and decodes a distinct payload once, and the run
+  // still matches the engine.
+  const ClusterSpec spec = protocol_spec(3, 0);
+  const std::vector<NodeReport> reports =
+      run_local_cluster(spec, TransportKind::kLoopback);
+  TransportCounters sum;
+  for (const NodeReport& r : reports) sum += r.transport;
+  EXPECT_GT(sum.payloads.decode_hits, 0u);
+  EXPECT_GT(sum.payloads.encode_hits, 0u);
+  // A reliable transport: nothing lost, nothing resent.
+  EXPECT_EQ(sum.frames_sent, sum.frames_received);
+  EXPECT_EQ(sum.resend_requests_sent, 0u);
+  // Every payload frame sent is either encoded or a cache hit, and every
+  // one received is either decoded or shared.
+  EXPECT_EQ(sum.payloads.encodes + sum.payloads.encode_hits,
+            sum.payloads.decodes + sum.payloads.decode_hits);
+  EXPECT_EQ(cross_check(merge_reports(make_cluster_workload(spec), reports),
+                        reference_result(spec)),
+            "");
+}
+
 // --------------------------------------------------------------------------
 // Loss regression: before the resend protocol, ONE lost sync frame hung the
 // cluster until the sync timeout (the bug src/net/socket_client.hpp used to

@@ -2,7 +2,11 @@
 // frame codec, and no truncation or mutation of a valid frame can crash the
 // decoder — hostile input yields a structured core::WireError, never an
 // assert, a throw, or an unbounded allocation.
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
@@ -11,8 +15,37 @@
 #include "core/payloads.hpp"
 #include "core/wire.hpp"
 #include "gossip/rumor.hpp"
+#include "net/payload_interner.hpp"
 #include "net/wire_frame.hpp"
 #include "support/rng.hpp"
+
+// Allocation probe: this binary's global operator new records the largest
+// request made while the probe is armed, so a test can pin how much memory
+// a hostile input makes the decoder ask for.
+namespace {
+
+std::atomic<bool> probe_armed{false};
+std::atomic<std::size_t> largest_request{0};
+
+void* probed_new(std::size_t size) {
+  if (probe_armed.load(std::memory_order_relaxed)) {
+    std::size_t seen = largest_request.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !largest_request.compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return probed_new(size); }
+void* operator new[](std::size_t size) { return probed_new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rfc::net {
 namespace {
@@ -237,6 +270,53 @@ TEST(FrameCodec, RejectsCertificateCountBomb) {
   EXPECT_EQ(decoded.error, core::WireError::kCountOverflow);
 }
 
+TEST(CertificateCountBound, HostileCountReservesOnlyWhatTheStreamHolds) {
+  // At n = 2^20 a certificate may hold up to n*q votes, so a count of n*q
+  // passes the domain check; the 19-byte payload below claims exactly that
+  // and then ends.  Reserving the claimed count asked for ~900 MiB; the
+  // decoder may reserve only what the remaining bits can carry.
+  const auto p = core::ProtocolParams::make(1u << 20, 3.0);
+  const std::uint64_t claimed = static_cast<std::uint64_t>(p.n) * p.q;
+  core::BitWriter w;
+  w.write(0, p.value_bits());  // k
+  w.write(claimed, core::certificate_count_bits(p));
+  while (w.bit_count() < 19 * 8) w.write(0, 1);
+  ASSERT_EQ(w.bytes().size(), 19u);
+
+  const std::uint64_t vote_bits =
+      std::uint64_t{p.label_bits()} + p.round_bits() + p.value_bits();
+  const std::size_t bound =
+      (19 * 8 / vote_bits + 1) * sizeof(core::ReceivedVote);
+  largest_request = 0;
+  probe_armed = true;
+  core::BitReader r(w.bytes(), w.bit_count());
+  const auto decoded = core::decode_certificate_checked(r, p);
+  probe_armed = false;
+  EXPECT_EQ(decoded.error, core::WireError::kTruncated);
+  EXPECT_LE(largest_request.load(), bound)
+      << "claimed " << claimed << " votes of " << sizeof(core::ReceivedVote)
+      << " B";
+}
+
+TEST(FrameCodec, DeclaredInlineSizeDoesNotSizeTheEncodeBuffer) {
+  // A decoded inline payload carries whatever u32 size its sender declared;
+  // re-encoding it (a relay, a resend) must allocate only the fixed inline
+  // form, not a buffer of the declared size.
+  const auto p = params();
+  const FrameCodec codec{p.n, &p};
+  Frame f;
+  f.kind = FrameKind::kPush;
+  f.agent = 1;
+  f.target = 2;
+  f.payload = sim::Payload::inline_words(0xF0, 0xFFFFFFFFull, 1, 2, 3);
+  largest_request = 0;
+  probe_armed = true;
+  const std::vector<std::uint8_t> bytes = codec.encode(f);
+  probe_armed = false;
+  EXPECT_EQ(bytes.size(), FrameCodec::kHeaderBytes + (16 + 32 + 3 * 64) / 8);
+  EXPECT_LE(largest_request.load(), bytes.size());
+}
+
 TEST(FrameFuzz, EveryTruncationFailsStructurally) {
   const auto p = params();
   const FrameCodec codec{p.n, &p};
@@ -276,6 +356,32 @@ TEST(FrameFuzz, RandomMutationsNeverCrashTheDecoder) {
       EXPECT_NE(decoded.error, core::WireError::kNone);
     }
   }
+}
+
+TEST(FrameFuzz, InternerDecodesMutatedFramesAsTheCodecDoes) {
+  // The interner caches decodes; hostile bytes must still get exactly the
+  // codec's verdict, on first sight and on every repeat.
+  const auto p = params();
+  const FrameCodec codec{p.n, &p};
+  PayloadInterner interner(codec);
+  rfc::support::Xoshiro256 rng(777);
+  const std::vector<Frame> frames = every_frame(p);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<std::uint8_t> bytes =
+        codec.encode(frames[rng.below(frames.size())]);
+    if (rng.below(2) == 0) {
+      bytes[rng.below(bytes.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.below(8));
+    }
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const auto want = codec.decode(bytes.data(), bytes.size());
+      const auto got = interner.decode(bytes.data(), bytes.size());
+      ASSERT_EQ(got.error, want.error) << "iteration " << iter;
+      if (!want.ok()) continue;
+      EXPECT_EQ(codec.encode(*got.value), codec.encode(*want.value));
+    }
+  }
+  EXPECT_GT(interner.counters().decode_hits, 0u);
 }
 
 TEST(FrameFuzz, RandomGarbageNeverCrashesTheDecoder) {
