@@ -1,5 +1,5 @@
-// Microbenchmarks of the GOSSIP simulation engine itself: raw round
-// throughput with idle, pushing, and pulling agents, plus per-policy
+// Microbenchmarks of the GOSSIP simulation engine itself: push-pull round
+// throughput (dense, sparse-tail and sharded), engine setup, and per-policy
 // scheduler dispatch overhead.  These bound how large an n the experiment
 // sweeps can afford and baseline future scheduler work.
 #include <benchmark/benchmark.h>
@@ -28,41 +28,6 @@ class IdleAgent final : public Agent {
   }
   bool done() const override { return false; }
 };
-
-/// An agent that pulls a random peer every round (peer replies nothing).
-class PullAgent final : public Agent {
- public:
-  Action on_round(const Context& ctx) override {
-    return Action::pull(ctx.random_peer());
-  }
-  rfc::sim::Payload serve_pull(const Context&, rfc::sim::AgentId) override {
-    return {};
-  }
-  bool done() const override { return false; }
-};
-
-template <typename AgentT>
-void run_rounds(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  Engine engine({n, 42});
-  for (std::uint32_t i = 0; i < n; ++i) {
-    engine.set_agent(i, std::make_unique<AgentT>());
-  }
-  for (auto _ : state) {
-    engine.step();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
-void BM_EngineIdleRound(benchmark::State& state) {
-  run_rounds<IdleAgent>(state);
-}
-BENCHMARK(BM_EngineIdleRound)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_EnginePullRound(benchmark::State& state) {
-  run_rounds<PullAgent>(state);
-}
-BENCHMARK(BM_EnginePullRound)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_EngineRumorRound(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
@@ -209,52 +174,5 @@ BENCHMARK_CAPTURE(BM_SchedulerDispatch, adversarial,
 BENCHMARK_CAPTURE(BM_SchedulerDispatch, adversarial_phase,
                   "adversarial:victim_fraction=0.25,phase=vote");
 BENCHMARK_CAPTURE(BM_SchedulerDispatch, poisson, "poisson");
-BENCHMARK_CAPTURE(BM_SchedulerDispatch, poisson_heap, "poisson:queue=heap");
-
-/// An agent that is done() from the start — engine-level dead weight.
-class DoneAgent final : public Agent {
- public:
-  Action on_round(const Context&) override { return Action::idle(); }
-  rfc::sim::Payload serve_pull(const Context&, rfc::sim::AgentId) override {
-    return {};
-  }
-  bool done() const override { return true; }
-};
-
-// Per-event cost of the continuous-time path in the end-phase regime that
-// separates the two queue substrates: all agents but one are done, and the
-// survivor sits at the *last* label so the run loop's short-circuiting
-// all_done() scan walks the full done prefix.  The Gillespie scan path pays
-// that O(n) scan per event (its own sampling is O(1) once the active set
-// compacts); the heap path replaces it with the scheduler's O(1)
-// exhausted() check and schedules only live agents, so its per-event cost
-// stays flat as n grows.  Events run through Engine::run in small batches —
-// the loop whose predicate is the cost being measured.  items/sec is per
-// event; compare the scan-vs-heap trend across ->Arg(n), not absolute
-// numbers.
-void BM_SchedulerStep(benchmark::State& state, const std::string& spec_text) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto spec = rfc::sim::SchedulerSpec::parse(spec_text);
-  Engine engine({n, 42, nullptr, spec.make()});
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    engine.set_agent(i, std::make_unique<DoneAgent>());
-  }
-  engine.set_agent(n - 1, std::make_unique<IdleAgent>());
-  constexpr std::uint64_t kBatch = 16;
-  std::uint64_t target = 0;
-  for (auto _ : state) {
-    target += kBatch;
-    engine.run(rfc::sim::Budget::of_events(target));
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-BENCHMARK_CAPTURE(BM_SchedulerStep, poisson_scan, "poisson")
-    ->Arg(1 << 10)
-    ->Arg(1 << 14)
-    ->Arg(1 << 17);
-BENCHMARK_CAPTURE(BM_SchedulerStep, poisson_heap, "poisson:queue=heap")
-    ->Arg(1 << 10)
-    ->Arg(1 << 14)
-    ->Arg(1 << 17);
 
 }  // namespace

@@ -32,21 +32,6 @@ std::uint64_t Engine::run(std::uint64_t max_time) {
 }
 
 std::uint64_t Engine::run(const Budget& budget) {
-  if (scheduler_->self_terminating()) {
-    // The policy tracks its own pending-event set: loop on its O(1)
-    // exhaustion report instead of the O(n) all-done scan, so the per-event
-    // run-loop cost is the scheduler's step cost alone.  The event-clock
-    // guard catches the drain corner — stale heap entries for agents whose
-    // done() flipped off-turn (e.g. via a coalition blackboard) can leave
-    // exhausted() false with nothing actually wakeable.
-    while (!budget.exhausted(core_.time(), core_.virtual_time()) &&
-           !scheduler_->exhausted()) {
-      const std::uint64_t before = core_.time();
-      step();
-      if (core_.time() == before) break;  // Drained: no event executed.
-    }
-    return core_.time();
-  }
   while (!budget.exhausted(core_.time(), core_.virtual_time()) &&
          !all_done()) {
     step();

@@ -91,10 +91,9 @@ class Engine {
 
   /// Runs until every non-faulty agent reports done() or the budget is
   /// exhausted (events and/or virtual-time horizon, whichever trips first);
-  /// returns the number of events executed in total.  Self-terminating
-  /// schedulers (Scheduler::self_terminating(), e.g. the event-driven
-  /// Poisson path) are looped on their O(1) exhausted() report instead of
-  /// the O(n) all-done scan, so their per-event run cost stays O(log n).
+  /// returns the number of events executed in total.  The completion check
+  /// is all_done(), O(1) per event when every agent sets
+  /// cacheable_observations() and an O(n) scan otherwise.
   std::uint64_t run(const Budget& budget);
 
   /// Runs until virtual_time() reaches `virtual_horizon` (or all agents are
@@ -107,7 +106,8 @@ class Engine {
     return run(Budget::until(virtual_horizon));
   }
 
-  /// True when every non-faulty agent reports done().
+  /// True when every non-faulty agent reports done() (see
+  /// EngineCore::all_done for when this is O(1)).
   bool all_done() const { return core_.all_done(); }
 
   Agent& agent(AgentId id) { return core_.agent(id); }

@@ -12,6 +12,17 @@ namespace rfc::sim {
 
 void Scheduler::attach(EngineCore& /*core*/) {}
 
+AgentId ActiveSet::draw_live(rfc::support::Xoshiro256& rng,
+                             const EngineCore& core) {
+  while (!labels_.empty()) {
+    const std::size_t k = rng.below(labels_.size());
+    const AgentId u = labels_[k];
+    if (!core.agent_done(u)) return u;
+    swap_remove(k);
+  }
+  return kNoAgent;
+}
+
 SynchronousScheduler::SynchronousScheduler(ShardingConfig sharding)
     : executor_(sharding) {}
 
@@ -45,21 +56,12 @@ double SequentialScheduler::step(EngineCore& core,
     core.sequential_activation(u);
     return 1.0;
   }
-  // wasted=skip: lazy swap-remove compaction, exactly the Poisson sampler's
-  // discipline — a drawn agent observed done() leaves the pool and the draw
-  // repeats (amortized O(1): each label is removed at most once), so every
-  // step wakes a live agent and an empty pool ends the run.
-  while (!active_.empty()) {
-    const std::size_t k = rng_.below(active_.size());
-    const AgentId u = active_.at(k);
-    if (core.agent_done(u)) {
-      active_.swap_remove(k);
-      continue;
-    }
-    core.sequential_activation(u);
-    return 1.0;
-  }
-  return 0.0;
+  // wasted=skip: the Poisson sampler's lazy swap-remove draw, so every step
+  // wakes a live agent and an empty pool ends the run.
+  const AgentId u = active_.draw_live(rng_, core);
+  if (u == kNoAgent) return 0.0;
+  core.sequential_activation(u);
+  return 1.0;
 }
 
 PartialAsyncScheduler::PartialAsyncScheduler(double wake_probability,
@@ -411,21 +413,10 @@ double PoissonClockScheduler::step(EngineCore& core,
   }
   // Superposition of |active| independent rate-λ clocks: the next tick is
   // uniform over agents and Exp(λ·|active|)-distributed in time.  Agent
-  // first, time second — the pinned draw order.  A drawn agent observed
-  // done() is swap-removed and the draw repeats (amortized O(1): each label
-  // is removed at most once), so dead clocks neither absorb wake-ups nor
-  // inflate the aggregate rate below.
-  AgentId u = kNoAgent;
-  while (!active_.empty()) {
-    const std::size_t k = rng_.below(active_.size());
-    const AgentId candidate = active_.at(k);
-    if (core.agent_done(candidate)) {
-      active_.swap_remove(k);
-      continue;
-    }
-    u = candidate;
-    break;
-  }
+  // first, time second — the pinned draw order.  draw_live swap-removes
+  // drawn agents observed done(), so dead clocks neither absorb wake-ups
+  // nor inflate the aggregate rate below.
+  const AgentId u = active_.draw_live(rng_, core);
   if (u == kNoAgent) return 0.0;
   const double aggregate_rate =
       rate_ * static_cast<double>(active_.size());
@@ -433,55 +424,6 @@ double PoissonClockScheduler::step(EngineCore& core,
   const double dt = -std::log1p(-rng_.uniform01()) / aggregate_rate;
   core.sequential_activation(u);
   return dt;
-}
-
-EventDrivenPoissonScheduler::EventDrivenPoissonScheduler(double rate)
-    : rate_(rate) {
-  if (!(rate_ > 0.0)) {
-    throw std::invalid_argument(
-        "EventDrivenPoissonScheduler: clock rate must be positive");
-  }
-}
-
-void EventDrivenPoissonScheduler::attach(EngineCore& core) {
-  rng_ = rfc::support::Xoshiro256(
-      rfc::support::derive_seed(core.seed(), kStream));
-  built_ = false;  // Rebind: rebuild the heap from the new core's agents.
-}
-
-double EventDrivenPoissonScheduler::exp_interarrival() {
-  // uniform01() ∈ [0, 1), so the argument of log1p stays in (-1, 0].
-  return -std::log1p(-rng_.uniform01()) / rate_;
-}
-
-double EventDrivenPoissonScheduler::step(EngineCore& core,
-                                         const EngineView& /*view*/) {
-  if (!built_) {
-    core.ensure_started();  // The done() observations below read agent state.
-    queue_.reset(core.n());
-    // Seed every live clock in label order (the deterministic build order):
-    // faulty agents are excluded by active_labels(), already-done agents
-    // never enter the heap.  The scratch keeps its capacity across rebinds.
-    core.active_labels(labels_scratch_);
-    for (const AgentId u : labels_scratch_) {
-      if (!core.agent_done(u)) queue_.schedule(u, exp_interarrival());
-    }
-    built_ = true;
-  }
-  while (!queue_.empty()) {
-    const EventQueue::Event event = queue_.pop();
-    if (core.agent_done(event.id)) continue;  // Finished off-turn: drop.
-    const double dt = event.time - now_;
-    now_ = event.time;
-    core.sequential_activation(event.id);
-    // Re-arm the clock unless the activation completed the agent — done()
-    // is monotone ("done for good"), so a dropped clock never returns.
-    if (!core.agent_done(event.id)) {
-      queue_.schedule(event.id, now_ + exp_interarrival());
-    }
-    return dt;
-  }
-  return 0.0;
 }
 
 SchedulerPtr make_synchronous_scheduler(ShardingConfig sharding) {
@@ -510,10 +452,6 @@ SchedulerPtr make_adversarial_scheduler(AdversarialConfig cfg) {
 
 SchedulerPtr make_poisson_clock_scheduler(double rate) {
   return std::make_unique<PoissonClockScheduler>(rate);
-}
-
-SchedulerPtr make_event_driven_poisson_scheduler(double rate) {
-  return std::make_unique<EventDrivenPoissonScheduler>(rate);
 }
 
 }  // namespace rfc::sim

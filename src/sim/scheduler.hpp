@@ -2,7 +2,7 @@
 //
 // A Scheduler owns *when* agents run — activation order and the passage of
 // simulated time — while EngineCore (sim/engine_core.hpp) owns *what*
-// running means (phased delivery, fault silence, message accounting).  Eight
+// running means (phased delivery, fault silence, message accounting).  Seven
 // policies ship:
 //
 //   * SynchronousScheduler — the paper's model (Section 2): every active
@@ -37,11 +37,9 @@
 //     asynchronous model: every active agent carries an independent rate-λ
 //     Poisson clock, so wake-ups are a rate-λ·|active| process (simulated
 //     Gillespie-style: exponential inter-event times, uniform wake choice).
-//   * EventDrivenPoissonScheduler — the same model simulated event-driven:
-//     each agent's next wake is pre-drawn into a pending-event heap
-//     (sim/event_queue.hpp) and the engine advances directly to the next
-//     event — O(log n) per event instead of the scan path's O(n) run-loop
-//     cost, equal in distribution by Poisson superposition.
+//     It is the only continuous-time simulator: O(1) per event, with
+//     Engine::run's all_done() check O(1) too whenever every agent sets
+//     cacheable_observations() (all shipped agents do).
 //
 // The engine↔scheduler contract is split in two: policies *observe* the
 // execution through the read-only sim::EngineView handed to step() (clocks,
@@ -63,13 +61,14 @@
 // round-trip and a registry; the factories below are the low-level API.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/agent.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/sharding.hpp"
 #include "support/rng.hpp"
 
@@ -97,21 +96,60 @@ class Scheduler {
   /// ensure_started() (directly or via an execution primitive) before
   /// touching agents.
   virtual double step(EngineCore& core, const EngineView& view) = 0;
-
-  /// True when the policy tracks its own pending-event set and therefore
-  /// knows, in O(1), when nothing is left to schedule.  Engine::run loops
-  /// such policies on exhausted() instead of the O(n) all_done() scan — the
-  /// event-driven path's run-loop cost drops from O(n) to O(log n) per
-  /// event.
-  virtual bool self_terminating() const noexcept { return false; }
-
-  /// For self-terminating policies: true once no live pending event
-  /// remains, i.e. the next step() would return 0.0.  Policies that are not
-  /// self-terminating always report false (the run loop ignores it).
-  virtual bool exhausted() const noexcept { return false; }
 };
 
 using SchedulerPtr = std::unique_ptr<Scheduler>;
+
+/// Incrementally maintained wakeable-label set for the sampling schedulers:
+/// built once from EngineCore::active_labels(), sampled by index, and
+/// compacted by swap-remove as agents are discovered done — O(1) per
+/// removal, order not preserved.  PoissonClockScheduler draws from this set
+/// so completed agents stop absorbing wake draws (and stop contributing to
+/// the aggregate clock rate) from the first time they are drawn.
+class ActiveSet {
+ public:
+  /// Adopts the label set; marks the set built.
+  void build(std::vector<AgentId> labels) {
+    labels_ = std::move(labels);
+    built_ = true;
+  }
+
+  /// Clears back to the unbuilt state, keeping the grown capacity — the
+  /// scheduler rebind path (Scheduler::attach may see a different core, so
+  /// the labels must be refilled, but the allocation is reusable exactly
+  /// like the shard routing queues').
+  void reset() noexcept {
+    labels_.clear();
+    built_ = false;
+  }
+
+  /// Allocation-free rebuild: expose the storage for refill (e.g. via
+  /// EngineCore::active_labels(out&)), then call mark_built().
+  std::vector<AgentId>& mutable_labels() noexcept { return labels_; }
+  void mark_built() noexcept { built_ = true; }
+
+  bool built() const noexcept { return built_; }
+  bool empty() const noexcept { return labels_.empty(); }
+  std::size_t size() const noexcept { return labels_.size(); }
+  AgentId at(std::size_t k) const { return labels_.at(k); }
+
+  /// Swap-removes the label at index `k`.
+  void swap_remove(std::size_t k) {
+    labels_.at(k) = labels_.back();
+    labels_.pop_back();
+  }
+
+  /// The lazy swap-remove draw shared by `sequential:wasted=skip` and
+  /// `poisson`: one rng.below(size()) draw per attempt; a drawn label whose
+  /// agent reports done() is swap-removed and the draw repeats (amortized
+  /// O(1): each label is removed at most once).  Returns the drawn live
+  /// label, or kNoAgent once the set is empty.  The core must be started.
+  AgentId draw_live(rfc::support::Xoshiro256& rng, const EngineCore& core);
+
+ private:
+  std::vector<AgentId> labels_;
+  bool built_ = false;
+};
 
 /// The paper's synchronous model: every active agent acts each round.
 /// With sharding.shards > 1 the phased round runs over label shards on a
@@ -438,54 +476,6 @@ class PoissonClockScheduler final : public Scheduler {
   ActiveSet active_;
 };
 
-/// The Poisson-clock model simulated event-driven (`poisson:queue=heap`):
-/// every active agent's *next* wake time is pre-drawn — independent Exp(λ)
-/// inter-arrival per agent, the superposition theorem's other face — and
-/// held in a pending-event min-heap (sim/event_queue.hpp).  Each step pops
-/// the earliest event, wakes that agent, and re-draws its next tick; agents
-/// observed done() at pop time are dropped from the heap instead of wasting
-/// a redraw, and agents that finish during their own activation are simply
-/// not rescheduled.  Per event the cost is O(log n), and because the policy
-/// is self_terminating() the engine's run loop skips its O(n) completion
-/// scan — the whole continuous-time path becomes O(log n) per event.
-///
-/// Distribution contract: wake choices are uniform over the live set and
-/// inter-event times are Exp(λ·|live|) — identical in law to the scan
-/// path (chi-square-tested in scheduler_differential_test) — but the RNG
-/// stream and draw order differ, so traces are *not* bit-comparable with
-/// `queue=scan`; end states under matched seeds are compared
-/// distributionally instead.
-class EventDrivenPoissonScheduler final : public Scheduler {
- public:
-  /// Distinct stream tag: the heap path draws per-agent exponentials, not
-  /// the scan path's (uniform agent, aggregate exponential) pairs, so the
-  /// streams must never be conflated.
-  static constexpr std::uint64_t kStream = 0x93B7u;
-
-  /// `rate` is each agent's clock rate λ; must be positive.
-  explicit EventDrivenPoissonScheduler(double rate = 1.0);
-
-  const char* name() const noexcept override { return "poisson-heap"; }
-  double rate() const noexcept { return rate_; }
-  bool self_terminating() const noexcept override { return true; }
-  bool exhausted() const noexcept override {
-    return built_ && queue_.empty();
-  }
-  void attach(EngineCore& core) override;
-  double step(EngineCore& core, const EngineView& view) override;
-
- private:
-  /// One Exp(rate_) inter-arrival draw.
-  double exp_interarrival();
-
-  double rate_;
-  rfc::support::Xoshiro256 rng_{0};
-  EventQueue queue_;
-  std::vector<AgentId> labels_scratch_;  ///< Build-order scratch, reused.
-  double now_ = 0.0;  ///< Time of the last popped event.
-  bool built_ = false;  ///< Cleared by attach(): a rebind rebuilds the heap.
-};
-
 SchedulerPtr make_synchronous_scheduler(ShardingConfig sharding = {});
 SchedulerPtr make_sequential_scheduler(bool skip_wasted = false);
 SchedulerPtr make_partial_async_scheduler(double wake_probability,
@@ -493,6 +483,5 @@ SchedulerPtr make_partial_async_scheduler(double wake_probability,
 SchedulerPtr make_batched_delivery_scheduler(BatchedDeliveryConfig cfg = {});
 SchedulerPtr make_adversarial_scheduler(AdversarialConfig cfg = {});
 SchedulerPtr make_poisson_clock_scheduler(double rate = 1.0);
-SchedulerPtr make_event_driven_poisson_scheduler(double rate = 1.0);
 
 }  // namespace rfc::sim

@@ -141,23 +141,12 @@ Registry make_builtin_registry() {
       /*activation_based=*/true};
   reg["poisson"] = {
       [](const SchedulerSpec& spec) {
-        const double rate = spec.param_double("rate", 1.0);
-        const std::string queue = spec.has_param("queue")
-                                      ? spec.params().at("queue")
-                                      : "scan";
-        if (queue == "scan") return make_poisson_clock_scheduler(rate);
-        if (queue == "heap") {
-          return make_event_driven_poisson_scheduler(rate);
-        }
-        throw std::invalid_argument("SchedulerSpec: poisson:queue=\"" +
-                                    queue + "\" is not scan or heap");
+        return make_poisson_clock_scheduler(spec.param_double("rate", 1.0));
       },
       activation_steps,
-      {"rate", "queue"},
-      "continuous-time rate-λ Poisson clocks (rate=1): queue=scan (default) "
-      "samples Gillespie-style over the active pool, queue=heap pre-draws "
-      "per-agent wakes into a pending-event heap — O(log n) per event, "
-      "identical in distribution",
+      {"rate"},
+      "continuous-time rate-λ Poisson clocks (rate=1), sampled "
+      "Gillespie-style over the active pool",
       /*activation_based=*/true};
   return reg;
 }
@@ -406,13 +395,6 @@ SchedulerSpec SchedulerSpec::adversarial(const AdversarialConfig& cfg) {
 
 SchedulerSpec SchedulerSpec::poisson(double rate) {
   Params params;
-  if (rate != 1.0) params["rate"] = format_param_double(rate);
-  return SchedulerSpec("poisson", std::move(params));
-}
-
-SchedulerSpec SchedulerSpec::poisson_heap(double rate) {
-  Params params;
-  params["queue"] = "heap";
   if (rate != 1.0) params["rate"] = format_param_double(rate);
   return SchedulerSpec("poisson", std::move(params));
 }

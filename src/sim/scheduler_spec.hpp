@@ -39,12 +39,8 @@
 //                                               cursor — the pinned traces)
 //   poisson                                     rate-1 Poisson clocks
 //   poisson:rate=2                              rate-λ Poisson clocks
-//   poisson:queue=heap                          the same model event-driven:
-//                                               per-agent wakes pre-drawn
-//                                               into a pending-event heap,
-//                                               O(log n) per event (default
-//                                               queue=scan is the Gillespie
-//                                               sampler)
+//                                               (Gillespie sampler; rate is
+//                                               the policy's only key)
 //
 // `parse(to_string())` is the identity for every spec, and `make()` builds
 // the live sim::Scheduler.  Unknown policies, unknown keys, and malformed
@@ -123,10 +119,6 @@ class SchedulerSpec {
                                const ShardingConfig& sharding = {});
   static SchedulerSpec adversarial(const AdversarialConfig& cfg);
   static SchedulerSpec poisson(double rate = 1.0);
-  /// The event-driven Poisson path (`poisson:queue=heap`): same model and
-  /// policy name, O(log n) per event, distinct RNG stream (traces are not
-  /// bit-comparable with the scan path).
-  static SchedulerSpec poisson_heap(double rate = 1.0);
 
   /// One registry entry: how to build the policy and how its discrete time
   /// axis relates to synchronous rounds.

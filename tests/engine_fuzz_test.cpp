@@ -107,12 +107,7 @@ rfc::sim::SchedulerSpec random_valid_spec(rfc::support::Xoshiro256& rng) {
       return SchedulerSpec::batched(
           static_cast<std::uint32_t>(1 + rng.below(12)),
           {.shards = static_cast<std::uint32_t>(1 + rng.below(4))});
-    case 4: {
-      // Both continuous-time queue substrates, uniformly.
-      const double rate = 0.25 + rng.uniform01() * 4.0;
-      return rng.bernoulli(0.5) ? SchedulerSpec::poisson(rate)
-                                : SchedulerSpec::poisson_heap(rate);
-    }
+    case 4: return SchedulerSpec::poisson(0.25 + rng.uniform01() * 4.0);
     case 5: {
       rfc::sim::AdversarialConfig cfg;
       cfg.victim_fraction = rng.uniform01();

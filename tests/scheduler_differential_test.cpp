@@ -46,7 +46,6 @@
 #include "sim/metrics.hpp"
 #include "sim/network_spec.hpp"
 #include "sim/scheduler_spec.hpp"
-#include "support/chi_square.hpp"
 
 namespace rfc::sim {
 namespace {
@@ -72,10 +71,7 @@ std::vector<SchedulerSpec> specs_for(const std::string& policy) {
     return {SchedulerSpec::parse("batched:block=3")};
   }
   if (policy == "poisson") {
-    // Both continuous-time simulators: the Gillespie scan sampler and the
-    // event-driven heap path (same law, different queue substrate).
-    return {SchedulerSpec::parse("poisson:rate=2"),
-            SchedulerSpec::parse("poisson:queue=heap,rate=2")};
+    return {SchedulerSpec::parse("poisson:rate=2")};
   }
   if (policy == "adversarial") {
     // The static, phase-gated, and all three reactive targeting rules.
@@ -371,122 +367,6 @@ TEST(SchedulerDifferential, ShardedRunsBitIdenticalToSerial) {
     }
   }
   EXPECT_EQ(covered, 3u);  // synchronous, partial-async, batched.
-}
-
-// --------------------------------------------------------------------------
-// poisson:queue=heap vs queue=scan: the two continuous-time simulators must
-// agree in *law* — wake choices uniform over the live set (two-sample
-// chi-square), inter-event times Exp(λ·|live|) (virtual-time totals), and
-// matched-seed end states equivalent where the trace contract allows (the
-// RNG streams differ by design, so bit-identity is out of scope).
-// --------------------------------------------------------------------------
-
-class WakeCountingAgent final : public Agent {
- public:
-  std::uint64_t activations() const noexcept { return activations_; }
-  Action on_round(const Context&) override {
-    ++activations_;
-    return Action::idle();
-  }
-  Payload serve_pull(const Context&, AgentId) override { return {}; }
-  bool done() const override { return false; }
-
- private:
-  std::uint64_t activations_ = 0;
-};
-
-std::vector<std::uint64_t> poisson_wake_counts(const SchedulerSpec& spec,
-                                               std::uint32_t n,
-                                               std::uint64_t seed,
-                                               std::uint64_t events) {
-  Engine engine({n, seed, nullptr, spec.make()});
-  for (AgentId i = 0; i < n; ++i) {
-    engine.set_agent(i, std::make_unique<WakeCountingAgent>());
-  }
-  engine.run(events);
-  std::vector<std::uint64_t> counts(n);
-  for (AgentId i = 0; i < n; ++i) {
-    counts[i] =
-        static_cast<const WakeCountingAgent&>(engine.agent(i)).activations();
-  }
-  return counts;
-}
-
-TEST(SchedulerDifferential, PoissonHeapWakeDistributionMatchesScanChiSquare) {
-  // Two-sample chi-square over the per-agent wake counts of T events under
-  // each path: statistic Σ (h_i - s_i)² / (h_i + s_i), df = n - 1 for equal
-  // totals.  Rejects only if the heap path's wake choices are *not* drawn
-  // from the same (uniform) law as the scan path's.
-  const std::uint32_t n = 24;
-  const std::uint64_t events = 400ull * n;
-  const auto scan = poisson_wake_counts(SchedulerSpec::parse("poisson"), n,
-                                        4242, events);
-  const auto heap = poisson_wake_counts(
-      SchedulerSpec::parse("poisson:queue=heap"), n, 4242, events);
-  double statistic = 0.0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const double h = static_cast<double>(heap[i]);
-    const double s = static_cast<double>(scan[i]);
-    ASSERT_GT(h + s, 0.0) << i;
-    statistic += (h - s) * (h - s) / (h + s);
-  }
-  const double p = rfc::support::chi_square_sf(statistic, n - 1);
-  EXPECT_GT(p, 0.001) << "two-sample statistic=" << statistic;
-}
-
-TEST(SchedulerDifferential, PoissonHeapVirtualTimeLawMatchesScan) {
-  // T events of an aggregate rate-λn process span vt ≈ T/(λn) with relative
-  // sd 1/√T under either simulator; the totals must agree far inside that
-  // band (15% at T=3200 is ~8 sigma).
-  const std::uint32_t n = 32;
-  const std::uint64_t events = 3200;
-  for (const double rate : {1.0, 2.0}) {
-    Engine scan({n, 77, nullptr, SchedulerSpec::poisson(rate).make()});
-    Engine heap({n, 77, nullptr, SchedulerSpec::poisson_heap(rate).make()});
-    for (AgentId i = 0; i < n; ++i) {
-      scan.set_agent(i, std::make_unique<WakeCountingAgent>());
-      heap.set_agent(i, std::make_unique<WakeCountingAgent>());
-    }
-    scan.run(events);
-    heap.run(events);
-    const double expected = static_cast<double>(events) / (rate * n);
-    EXPECT_NEAR(scan.virtual_time(), expected, 0.15 * expected) << rate;
-    EXPECT_NEAR(heap.virtual_time(), expected, 0.15 * expected) << rate;
-    EXPECT_NEAR(heap.virtual_time(), scan.virtual_time(),
-                0.2 * scan.virtual_time())
-        << rate;
-  }
-}
-
-TEST(SchedulerDifferential, PoissonHeapEndStateMatchesScanUnderMatchedSeeds) {
-  // Matched-seed rumor runs under both paths: the broadcast completes in
-  // both, informs the same (full) active set, and the event/virtual-time
-  // totals agree within the concentration of the Θ(n log n) / Θ(log n)
-  // bounds — the end-state equivalence the trace contract allows.
-  for (const bool faults : {false, true}) {
-    gossip::SpreadConfig cfg;
-    cfg.n = 48;
-    cfg.mechanism = gossip::Mechanism::kPushPull;
-    cfg.seed = 3131;
-    cfg.num_faulty = faults ? 8 : 0;
-    cfg.placement = faults ? FaultPlacement::kRandom : FaultPlacement::kNone;
-    cfg.max_rounds = 200'000;
-    cfg.scheduler = SchedulerSpec::poisson();
-    const auto scan = gossip::run_rumor_spreading(cfg);
-    cfg.scheduler = SchedulerSpec::poisson_heap();
-    const auto heap = gossip::run_rumor_spreading(cfg);
-    ASSERT_TRUE(scan.complete) << faults;
-    ASSERT_TRUE(heap.complete) << faults;
-    EXPECT_GT(heap.rounds, scan.rounds / 3) << faults;
-    EXPECT_LT(heap.rounds, scan.rounds * 3) << faults;
-    EXPECT_GT(heap.virtual_time, scan.virtual_time / 3.0) << faults;
-    EXPECT_LT(heap.virtual_time, scan.virtual_time * 3.0) << faults;
-    // Message accounting is per-event and mechanism-bound, so the per-event
-    // averages agree in law as well; pin the cheap invariant that both
-    // paths actually exchanged rumor traffic.
-    EXPECT_GT(scan.metrics.total_bits, 0u) << faults;
-    EXPECT_GT(heap.metrics.total_bits, 0u) << faults;
-  }
 }
 
 // --------------------------------------------------------------------------

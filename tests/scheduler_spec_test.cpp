@@ -148,6 +148,12 @@ TEST(SchedulerSpec, MakeRejectsBadParameters) {
                std::invalid_argument);
   EXPECT_THROW(SchedulerSpec::parse("synchronous:p=0.5").make(),
                std::invalid_argument);
+  // poisson's schema is {rate}: the deleted queue= key fails loudly for
+  // both of its former values.
+  EXPECT_THROW(SchedulerSpec::parse("poisson:queue=heap").make(),
+               std::invalid_argument);
+  EXPECT_THROW(SchedulerSpec::parse("poisson:queue=scan").make(),
+               std::invalid_argument);
   // Malformed values (the satellite case: a typo must not silently fall
   // back to a default).
   EXPECT_THROW(SchedulerSpec::parse("partial-async:p=abc").make(),

@@ -490,140 +490,66 @@ TEST(PoissonClockScheduler, CompactsDoneAgentsOutOfTheActiveSet) {
   };
   const std::uint32_t n = 24;
   const std::uint64_t k = 3;
-  for (const SchedulerSpec& spec :
-       {SchedulerSpec::poisson(), SchedulerSpec::poisson_heap()}) {
-    Engine engine({n, 83, nullptr, spec.make()});
-    for (AgentId i = 0; i < n; ++i) {
-      engine.set_agent(i, std::make_unique<DoneAfterAgent>(k));
-    }
-    const std::uint64_t events = engine.run(1'000'000);
-    EXPECT_TRUE(engine.all_done()) << spec.to_string();
-    EXPECT_EQ(events, k * n) << spec.to_string();
-  }
-}
-
-// --------------------------------------------------------------------------
-// EventDrivenPoissonScheduler (poisson:queue=heap)
-// --------------------------------------------------------------------------
-
-TEST(PoissonHeapScheduler, RejectsNonPositiveRateAndUnknownQueue) {
-  EXPECT_THROW(make_event_driven_poisson_scheduler(0.0),
-               std::invalid_argument);
-  EXPECT_THROW(make_event_driven_poisson_scheduler(-2.0),
-               std::invalid_argument);
-  EXPECT_THROW(SchedulerSpec::parse("poisson:queue=wheel").make(),
-               std::invalid_argument);
-  EXPECT_NE(SchedulerSpec::parse("poisson:queue=scan").make(), nullptr);
-  EXPECT_NE(SchedulerSpec::parse("poisson:queue=heap,rate=2").make(),
-            nullptr);
-}
-
-TEST(PoissonHeapScheduler, SpecSelectsTheHeapPath) {
-  EXPECT_STREQ(SchedulerSpec::poisson_heap().make()->name(), "poisson-heap");
-  EXPECT_STREQ(SchedulerSpec::parse("poisson:queue=heap").make()->name(),
-               "poisson-heap");
-  EXPECT_STREQ(SchedulerSpec::parse("poisson:queue=scan").make()->name(),
-               "poisson");
-  EXPECT_STREQ(SchedulerSpec::parse("poisson").make()->name(), "poisson");
-  EXPECT_EQ(SchedulerSpec::poisson_heap(2.0).to_string(),
-            "poisson:queue=heap,rate=2");
-  EXPECT_EQ(SchedulerSpec::parse(SchedulerSpec::poisson_heap(2.0).to_string()),
-            SchedulerSpec::poisson_heap(2.0));
-  // Self-termination is the heap path's engine contract; the scan path
-  // keeps the classic all-done run loop.
-  EXPECT_TRUE(SchedulerSpec::poisson_heap().make()->self_terminating());
-  EXPECT_FALSE(SchedulerSpec::poisson().make()->self_terminating());
-}
-
-TEST(PoissonHeapScheduler, WakeCountsAreUniformChiSquare) {
-  // Per-agent Exp(λ) clocks and the scan path's aggregate process are the
-  // same law (Poisson superposition): wake counts stay uniform.
-  const std::uint32_t n = 24;
-  const std::uint64_t events = 400ull * n;
-  Engine engine = counting_engine(n, 61, SchedulerSpec::poisson_heap());
-  engine.run(events);
-  const auto counts = wake_counts(engine);
-  const std::vector<double> uniform(n, 1.0);
-  const auto gof = rfc::support::chi_square_gof(counts, uniform);
-  EXPECT_EQ(gof.dof, n - 1);
-  EXPECT_FALSE(gof.rejected(0.001))
-      << "statistic=" << gof.statistic << " p=" << gof.p_value;
-}
-
-TEST(PoissonHeapScheduler, FixedSeedDeterminismTrace) {
-  const std::uint32_t n = 12;
-  std::vector<AgentId> trace_a, trace_b;
-  Engine a = counting_engine(n, 67, SchedulerSpec::poisson_heap(), &trace_a);
-  Engine b = counting_engine(n, 67, SchedulerSpec::poisson_heap(), &trace_b);
-  a.run(500);
-  b.run(500);
-  EXPECT_EQ(trace_a, trace_b);
-  EXPECT_EQ(a.virtual_time(), b.virtual_time());
-  std::vector<AgentId> trace_c;
-  Engine c = counting_engine(n, 68, SchedulerSpec::poisson_heap(), &trace_c);
-  c.run(500);
-  EXPECT_NE(trace_a, trace_c);
-  // The heap path draws from its own stream: same seed, different trace
-  // than the scan path (equal in distribution, not bit-identical).
-  std::vector<AgentId> trace_scan;
-  Engine s = counting_engine(n, 67, SchedulerSpec::poisson(), &trace_scan);
-  s.run(500);
-  EXPECT_NE(trace_a, trace_scan);
-}
-
-TEST(PoissonHeapScheduler, VirtualTimeMatchesAggregateRate) {
-  // T events over n independent rate-λ clocks take ~T/(λn) virtual time —
-  // the same aggregate law the scan path simulates directly.
-  const std::uint32_t n = 32;
-  const std::uint64_t events = 3200;
-  Engine one = counting_engine(n, 71, SchedulerSpec::poisson_heap());
-  one.run(events);
-  const double expected = static_cast<double>(events) / n;
-  EXPECT_NEAR(one.virtual_time(), expected, 0.2 * expected);
-  Engine two = counting_engine(n, 71, SchedulerSpec::poisson_heap(2.0));
-  two.run(events);
-  EXPECT_NEAR(two.virtual_time(), expected / 2, 0.1 * expected);
-}
-
-TEST(PoissonHeapScheduler, RumorCompletesInLogVirtualTime) {
-  gossip::SpreadConfig cfg;
-  cfg.n = 256;
-  cfg.mechanism = gossip::Mechanism::kPushPull;
-  cfg.seed = 73;
-  cfg.scheduler = SchedulerSpec::poisson_heap();
-  cfg.max_rounds = 1'000'000;
-  const auto r = gossip::run_rumor_spreading(cfg);
-  ASSERT_TRUE(r.complete);
-  EXPECT_GT(r.rounds, 256u);
-  const double log_n = std::log(256.0);
-  EXPECT_GT(r.virtual_time, 0.5 * log_n);
-  EXPECT_LT(r.virtual_time, 12.0 * log_n);
-}
-
-TEST(PoissonHeapScheduler, FaultyAgentsNeverWake) {
-  const std::uint32_t n = 16;
-  Engine engine({n, 79, nullptr, SchedulerSpec::poisson_heap().make()});
-  engine.set_faulty(2);
-  engine.set_faulty(5);
+  Engine engine({n, 83, nullptr, SchedulerSpec::poisson().make()});
   for (AgentId i = 0; i < n; ++i) {
-    engine.set_agent(i, std::make_unique<CountingAgent>());
+    engine.set_agent(i, std::make_unique<DoneAfterAgent>(k));
   }
-  engine.run(600);
-  const auto counts = wake_counts(engine);
-  EXPECT_EQ(counts[2], 0u);
-  EXPECT_EQ(counts[5], 0u);
+  const std::uint64_t events = engine.run(1'000'000);
+  EXPECT_TRUE(engine.all_done());
+  EXPECT_EQ(events, k * n);
 }
 
-TEST(PoissonHeapScheduler, ObserverSeesEveryEventExactlyOnce) {
-  Engine engine({8, 2, nullptr, SchedulerSpec::poisson_heap().make()});
-  for (AgentId i = 0; i < 8; ++i) {
-    engine.set_agent(i, std::make_unique<gossip::RumorAgent>(
-                            gossip::Mechanism::kPushPull, i == 0, 8));
+TEST(PoissonClockScheduler, CompletionCheckCostsOneDoneCallPerEvent) {
+  // The end-phase regime: every agent but the last label is done, so a
+  // completion check that scanned labels would call done() on the whole
+  // done prefix every event.  With cacheable observations the engine reads
+  // done() once per activation and Engine::run's all_done() is O(1) — the
+  // property that keeps the Gillespie scan flat in n.
+  class CountedDoneAgent final : public Agent {
+   public:
+    CountedDoneAgent(bool is_done, std::uint64_t* calls) noexcept
+        : done_(is_done), calls_(calls) {}
+    Action on_round(const Context&) override { return Action::idle(); }
+    Payload serve_pull(const Context&, AgentId) override { return {}; }
+    bool done() const override {
+      ++*calls_;
+      return done_;
+    }
+    bool cacheable_observations() const noexcept override { return true; }
+
+   private:
+    bool done_;
+    std::uint64_t* calls_;
+  };
+  const std::uint32_t n = 1u << 14;
+  std::uint64_t calls = 0;
+  Engine engine({n, 89, nullptr, SchedulerSpec::poisson().make()});
+  for (AgentId i = 0; i < n; ++i) {
+    engine.set_agent(i, std::make_unique<CountedDoneAgent>(i + 1 < n, &calls));
   }
-  int calls = 0;
-  engine.set_round_observer([&calls](const Engine&) { ++calls; });
-  engine.run(5);
-  EXPECT_EQ(calls, 5);
+  const std::uint64_t warmup = 64;
+  const std::uint64_t events = 4096;
+  ASSERT_EQ(engine.run(Budget::of_events(warmup)), warmup);
+  const std::uint64_t before = calls;
+  ASSERT_EQ(engine.run(Budget::of_events(warmup + events)), warmup + events);
+  EXPECT_LE(calls - before, events);
+}
+
+TEST(ActiveSet, BuildSampleSwapRemove) {
+  ActiveSet s;
+  EXPECT_FALSE(s.built());
+  s.build({2, 4, 6, 8});
+  EXPECT_TRUE(s.built());
+  EXPECT_EQ(s.size(), 4u);
+  EXPECT_EQ(s.at(1), 4u);
+  s.swap_remove(1);  // 4 replaced by the tail (8).
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.at(1), 8u);
+  s.swap_remove(2);
+  s.swap_remove(0);
+  s.swap_remove(0);
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.built());  // Emptied, not unbuilt.
 }
 
 // --------------------------------------------------------------------------
@@ -661,13 +587,6 @@ TEST(SchedulerSpecProtocol, RunsEndToEndUnderAdversarial) {
   EXPECT_GT(r.rounds, 0u);
 }
 
-TEST(SchedulerSpecProtocol, RunsEndToEndUnderPoissonHeap) {
-  const auto r = run_protocol_under("poisson:queue=heap");
-  EXPECT_EQ(r.num_active, 32u);
-  EXPECT_GT(r.rounds, 0u);
-  EXPECT_GT(r.metrics.virtual_time, 0.0);
-}
-
 // --------------------------------------------------------------------------
 // Facade plumbing
 // --------------------------------------------------------------------------
@@ -678,7 +597,6 @@ TEST(Scheduler, NamesAreStable) {
   EXPECT_STREQ(make_partial_async_scheduler(0.5)->name(), "partial-async");
   EXPECT_STREQ(make_adversarial_scheduler()->name(), "adversarial");
   EXPECT_STREQ(make_poisson_clock_scheduler()->name(), "poisson");
-  EXPECT_STREQ(make_event_driven_poisson_scheduler()->name(), "poisson-heap");
 }
 
 TEST(Scheduler, EngineDefaultsToSynchronous) {
