@@ -303,7 +303,7 @@ void NodeDriver::wait_for(const char* what, Satisfied satisfied) {
   }
 }
 
-bool NodeDriver::exchange_status(bool local_complete, bool* all_complete) {
+bool NodeDriver::exchange_status(bool local_complete) {
   Frame status;
   status.kind = FrameKind::kRoundStatus;
   status.round = round_;
@@ -314,8 +314,7 @@ bool NodeDriver::exchange_status(bool local_complete, bool* all_complete) {
   });
   bool complete = local_complete;
   for (const auto& [peer, flag] : inbox_[round_].status) complete &= flag;
-  *all_complete = complete;
-  return true;
+  return complete;
 }
 
 void NodeDriver::execute_round() {
@@ -537,7 +536,7 @@ NodeReport NodeDriver::run(const std::vector<PeerEndpoint>& peers) {
     // agreed on, via the status barrier) before a round may execute, and
     // the round budget caps executed rounds.
     for (;;) {
-      exchange_status(block_complete(), &global_complete);
+      global_complete = exchange_status(block_complete());
       if (global_complete) break;
       if (workload_->max_rounds != 0 && round_ >= workload_->max_rounds) {
         break;

@@ -183,8 +183,10 @@ class NodeDriver final : public CommClientCallback {
   template <typename Satisfied>
   void wait_for(const char* what, Satisfied satisfied);
 
-  /// True once the status barrier has all flags; sets `all_complete`.
-  bool exchange_status(bool local_complete, bool* all_complete);
+  /// Broadcasts this node's completion flag, waits for every peer's, and
+  /// returns their conjunction: true when every agent in the cluster is
+  /// done.
+  bool exchange_status(bool local_complete);
   void execute_round();
 
   const Workload* workload_;

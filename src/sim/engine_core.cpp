@@ -292,8 +292,7 @@ void EngineCore::ensure_started() {
     obs_valid_.assign(n_, 0);
     phase_cache_.assign(n_, AgentPhase::kUnknown);
     progress_cache_.assign(n_, 0.0);
-    done_logged_.assign(n_, 0);
-    done_log_.clear();
+    done_settled_.assign(n_, 0);
     num_done_ = 0;
     live_list_.clear();
     live_list_.reserve(n_ - num_faulty_);
@@ -302,7 +301,7 @@ void EngineCore::ensure_started() {
       if (faulty_[i] != 0) continue;
       if (done_[i] != 0) {
         ++num_done_;
-        done_logged_[i] = 1;  // Pre-start done: accounted, never logged.
+        done_settled_[i] = 1;
       } else {
         live_list_.push_back(i);
       }

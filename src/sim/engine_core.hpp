@@ -48,10 +48,7 @@
 // entries in place as it goes (done() is monotone by the Agent contract),
 // phases B/C/D walk this round's queues and puller list, and the done
 // counter is settled at the round's end from the labels whose done() byte
-// flipped — so a round costs O(live + messages), not O(n).  Done 0→1
-// transitions are also appended to a public *done log* (done_log()), which
-// incremental schedulers drain to prune their own wakeable pools eagerly
-// instead of re-deriving them per step.
+// flipped — so a round costs O(live + messages), not O(n).
 #pragma once
 
 #include <cstdint>
@@ -155,29 +152,6 @@ class EngineCore {
   /// the caller across calls — scheduler attach/rebuild paths use this).
   void active_labels(std::vector<AgentId>& out) const;
 
-  // --- The done log: incremental active-set maintenance for schedulers. ---
-  //
-  // With the SoA caches live (done_log_enabled()), every done() 0→1
-  // transition observed by the engine appends that label to an append-only
-  // log: in label order at the end of each synchronous round, in
-  // observation order on the sequential path.  A scheduler keeping its own
-  // wakeable pool drains the log from a cursor each step and removes
-  // exactly the newly finished agents — O(transitions) total instead of
-  // O(pool) per step.  Labels done before the first step are never logged
-  // (pools built from active_labels() filter them at build time).
-
-  /// True when the engine maintains the done log (== the SoA caches are
-  /// live; with any non-cacheable agent installed the log stays empty and
-  /// consumers must fall back to lazy done() checks).
-  bool done_log_enabled() const noexcept { return obs_cache_enabled_; }
-  /// The append-only done-transition log (labels, first-observed order).
-  const std::vector<AgentId>& done_log() const noexcept { return done_log_; }
-  /// Bumped if a logged agent ever un-reports done() — an Agent-contract
-  /// breach ("done is final").  Consumers treating the log as ground truth
-  /// may resync on a change; the shipped schedulers keep a lazy done()
-  /// check at wake time regardless, so they stay correct without it.
-  std::uint64_t done_log_epoch() const noexcept { return done_epoch_; }
-
   /// Bits charged for a pull *request* (the "send me your X" control
   /// message): one peer label, per the paper's accounting.
   std::uint64_t pull_request_bits() const noexcept;
@@ -257,20 +231,16 @@ class EngineCore {
     done_[i] = d;
     return true;
   }
-  /// Brings the done counter and log in line with done_[i]; done_logged_[i]
-  /// tracks what they account for (pre-start done labels are counted but
-  /// never logged).  A 1→0 flip is an Agent-contract breach ("done is
-  /// final"): bump the epoch so log consumers can resync, and let a later
-  /// 0→1 flip log the label again.
+  /// Brings the done counter in line with done_[i]; done_settled_[i] is
+  /// the byte it last accounted for, so settling a label twice, or after a
+  /// 1→0 flip (an Agent-contract breach: "done is final"), stays exact.
   void settle_done(AgentId i) {
-    if (done_[i] == done_logged_[i]) return;
-    done_logged_[i] = done_[i];
+    if (done_[i] == done_settled_[i]) return;
+    done_settled_[i] = done_[i];
     if (done_[i] != 0) {
       ++num_done_;
-      done_log_.push_back(i);
     } else {
       --num_done_;
-      ++done_epoch_;
     }
   }
   /// Cache refresh plus immediate settlement, for code running outside the
@@ -278,10 +248,9 @@ class EngineCore {
   void note_activation(AgentId i) {
     if (refresh_done(i)) settle_done(i);
   }
-  /// Cache refresh inside a round phase: the shared counter and log would
-  /// race, so a flip is only recorded in the owning partition's `flipped`
-  /// list, and the executor settles those labels, in label order, when the
-  /// round ends.
+  /// Cache refresh inside a round phase: the shared counter would race, so
+  /// a flip is only recorded in the owning partition's `flipped` list, and
+  /// the executor settles those labels when the round ends.
   void note_activation_sharded(AgentId i, std::vector<AgentId>& flipped) {
     if (refresh_done(i)) flipped.push_back(i);
   }
@@ -354,12 +323,8 @@ class EngineCore {
   /// done entries compact away in place in each partition's phase A, and
   /// the round closes the gaps between partitions at its end.
   std::vector<AgentId> live_list_;
-  std::vector<AgentId> done_log_;  ///< Append-only; see done_log().
-  /// done_[i] as last settled into num_done_ and the log (settle_done):
-  /// 1 once label i is logged, or done before the first step (those are
-  /// accounted but never logged).
-  std::vector<std::uint8_t> done_logged_;
-  std::uint64_t done_epoch_ = 0;  ///< See done_log_epoch().
+  /// done_[i] as last settled into num_done_ (settle_done).
+  std::vector<std::uint8_t> done_settled_;
   /// SoA observation caches live?  Set at ensure_started iff every agent is
   /// shard_safe() (their observations change only through their own
   /// callbacks, so activation-keyed refresh is sound).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -13,7 +12,14 @@ namespace rfc::sim {
 
 namespace {
 
-using Registry = std::map<std::string, NetworkSpec::Policy>;
+/// One table entry: how to build the policy.
+struct Policy {
+  NetworkModelPtr (*factory)(const NetworkSpec&);
+  std::vector<std::string> keys;  ///< Accepted parameter names.
+  std::string summary;            ///< One-liner for --help style listings.
+};
+
+using Registry = std::map<std::string, Policy>;
 
 [[noreturn]] void bad_value(const std::string& policy, const std::string& key,
                             const std::string& value, const char* expected) {
@@ -63,20 +69,14 @@ Registry make_builtin_registry() {
   return reg;
 }
 
-Registry& registry() {
-  static Registry reg = make_builtin_registry();
+/// Built once (thread-safe static initialization) and never mutated, so
+/// concurrent readers need no lock.
+const Registry& registry() {
+  static const Registry reg = make_builtin_registry();
   return reg;
 }
 
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-// By value for the same reason as SchedulerSpec's find_policy: the registry
-// can be amended at runtime and make() runs on Monte-Carlo worker threads.
-NetworkSpec::Policy find_policy(const std::string& name) {
-  std::lock_guard<std::mutex> lock(registry_mutex());
+const Policy& find_policy(const std::string& name) {
   const auto it = registry().find(name);
   if (it == registry().end()) {
     std::string known;
@@ -157,7 +157,7 @@ std::string NetworkSpec::to_string() const {
 }
 
 NetworkModelPtr NetworkSpec::make() const {
-  const Policy policy = find_policy(policy_);
+  const Policy& policy = find_policy(policy_);
   for (const auto& [key, value] : params_) {
     if (std::find(policy.keys.begin(), policy.keys.end(), key) ==
         policy.keys.end()) {
@@ -207,18 +207,7 @@ NetworkSpec NetworkSpec::lossy(double drop, std::uint64_t seed) {
   return NetworkSpec("network", std::move(params));
 }
 
-void NetworkSpec::register_policy(const std::string& name, Policy policy) {
-  if (name.empty() || name.find(':') != std::string::npos ||
-      name.find(',') != std::string::npos) {
-    throw std::invalid_argument(
-        "NetworkSpec: policy names must be non-empty and free of ':'/','");
-  }
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  registry()[name] = std::move(policy);
-}
-
 std::vector<std::string> NetworkSpec::registered_policies() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
   std::vector<std::string> names;
   names.reserve(registry().size());
   for (const auto& [name, policy] : registry()) names.push_back(name);
@@ -226,7 +215,6 @@ std::vector<std::string> NetworkSpec::registered_policies() {
 }
 
 std::string NetworkSpec::describe_registry() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
   std::string out;
   for (const auto& [name, policy] : registry()) {
     out += "  " + name + " — " + policy.summary + "\n";

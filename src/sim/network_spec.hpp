@@ -1,14 +1,14 @@
 // NetworkSpec — message-layer adversaries as *values*.
 //
-// A NetworkSpec names a registered network policy plus its parameters, the
+// A NetworkSpec names a built-in network policy plus its parameters, the
 // transport-side twin of SchedulerSpec: where a SchedulerSpec decides *when*
 // agents wake, a NetworkSpec decides *what the network does to their
 // messages* — drop, duplicate, reorder, delay, bounded Byzantine corruption
 // of payloads — plus membership churn (agents crashing and rejoining
 // mid-run).  Configuration structs store it next to their SchedulerSpec
 // (gossip::SpreadConfig, core::RunConfig, ...), so every run entry point and
-// every `--network=` flag composes any registered network policy with any
-// scheduling policy.
+// every `--network=` flag composes any network policy with any scheduling
+// policy.
 //
 // Grammar (same shape as SchedulerSpec):
 //
@@ -46,13 +46,11 @@
 // keys and malformed or out-of-range *values* throw at make(), naming the
 // offending key — matching SchedulerSpec.
 //
-// The registry is open: register_policy() plugs in out-of-tree network
-// policies (a partition model, a targeted jammer, ...) reachable from every
-// `--network=` flag with no further wiring.
+// Like SchedulerSpec's, the policy table is built on first use and never
+// mutated, so every member is safe to call from concurrent threads.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -103,20 +101,10 @@ class NetworkSpec {
   /// Uniform loss: every message dropped w.p. `drop`.
   static NetworkSpec lossy(double drop, std::uint64_t seed = 0);
 
-  /// One registry entry: how to build the policy.
-  struct Policy {
-    std::function<NetworkModelPtr(const NetworkSpec&)> factory;
-    std::vector<std::string> keys;  ///< Accepted parameter names.
-    std::string summary;            ///< One-liner for --help style listings.
-  };
-
-  /// Registers (or replaces) a policy under `name`.
-  static void register_policy(const std::string& name, Policy policy);
-
-  /// Registered policy names, sorted.
+  /// Policy names, sorted.
   static std::vector<std::string> registered_policies();
 
-  /// `name — summary` lines for every registered policy (CLI help text).
+  /// `name — summary` lines for every policy (CLI help text).
   static std::string describe_registry();
 
  private:

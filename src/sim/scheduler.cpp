@@ -32,9 +32,6 @@ double SynchronousScheduler::step(EngineCore& core,
   return 1.0;
 }
 
-SequentialScheduler::SequentialScheduler(bool skip_wasted)
-    : skip_wasted_(skip_wasted) {}
-
 void SequentialScheduler::attach(EngineCore& core) {
   rng_ = rfc::support::Xoshiro256(
       rfc::support::derive_seed(core.seed(), kStream));
@@ -44,22 +41,13 @@ void SequentialScheduler::attach(EngineCore& core) {
 double SequentialScheduler::step(EngineCore& core,
                                  const EngineView& /*view*/) {
   if (!active_.built()) {
-    if (skip_wasted_) core.ensure_started();  // done() reads agent state.
     core.active_labels(active_.mutable_labels());
     active_.mark_built();
   }
-  if (!skip_wasted_) {
-    // The pinned contract: draws cover the initial active list forever, so
-    // a drawn finished agent consumes the step as a wasted activation.
-    if (active_.empty()) return 0.0;
-    const AgentId u = active_.at(rng_.below(active_.size()));
-    core.sequential_activation(u);
-    return 1.0;
-  }
-  // wasted=skip: the Poisson sampler's lazy swap-remove draw, so every step
-  // wakes a live agent and an empty pool ends the run.
-  const AgentId u = active_.draw_live(rng_, core);
-  if (u == kNoAgent) return 0.0;
+  // The pinned contract: draws cover the initial active list forever, so a
+  // drawn finished agent consumes the step as a wasted activation.
+  if (active_.empty()) return 0.0;
+  const AgentId u = active_.at(rng_.below(active_.size()));
   core.sequential_activation(u);
   return 1.0;
 }
@@ -173,35 +161,6 @@ void PhaseAdversarialScheduler::attach(EngineCore& core) {
   // next step.  (attach runs once per Engine bind, never mid-run.)
   order_built_ = false;
   cursor_ = 0;
-  done_log_cursor_ = 0;
-}
-
-void PhaseAdversarialScheduler::pool_swap_remove(std::size_t k) {
-  const AgentId removed = pool_[k];
-  pool_[k] = pool_.back();
-  pool_.pop_back();
-  if (!pool_pos_.empty()) {
-    pool_pos_[removed] = kNoPoolPos;
-    if (k < pool_.size()) {
-      pool_pos_[pool_[k]] = static_cast<std::uint32_t>(k);
-    }
-  }
-  // Removing in front of the round-robin head shifts the head's slot left;
-  // removing at the head leaves the moved-in label at the head, exactly the
-  // walk's in-place discipline.  A past-the-end cursor is normalized by the
-  // walk before every read.
-  if (k < cursor_) --cursor_;
-}
-
-void PhaseAdversarialScheduler::prune_pool(EngineCore& core) {
-  if (!cfg_.skip_wasted || !core.done_log_enabled() || pool_pos_.empty()) {
-    return;
-  }
-  const std::vector<AgentId>& log = core.done_log();
-  for (; done_log_cursor_ < log.size(); ++done_log_cursor_) {
-    const std::uint32_t k = pool_pos_[log[done_log_cursor_]];
-    if (k != kNoPoolPos) pool_swap_remove(k);
-  }
 }
 
 void PhaseAdversarialScheduler::build_order(EngineCore& core) {
@@ -209,17 +168,6 @@ void PhaseAdversarialScheduler::build_order(EngineCore& core) {
   walk_stamp_.assign(core.n(), 0);
   for (std::size_t i = pool_.size(); i > 1; --i) {
     std::swap(pool_[i - 1], pool_[rng_.below(i)]);
-  }
-  if (cfg_.skip_wasted) {
-    // Label -> pool index, maintained by pool_swap_remove so the done-log
-    // drain can evict by label in O(1).  Cursor 0: pre-build log entries
-    // (on_start completions) evict on the first prune instead of absorbing
-    // lazy walk slots.
-    pool_pos_.assign(core.n(), kNoPoolPos);
-    for (std::size_t k = 0; k < pool_.size(); ++k) {
-      pool_pos_[pool_[k]] = static_cast<std::uint32_t>(k);
-    }
-    done_log_cursor_ = 0;
   }
   victim_.assign(core.n(), false);
   if (!cfg_.victim_ids.empty()) {
@@ -244,7 +192,6 @@ double PhaseAdversarialScheduler::step(EngineCore& core,
                                        const EngineView& view) {
   core.ensure_started();  // Observations below read agent state.
   if (!order_built_) build_order(core);
-  prune_pool(core);  // wasted=skip: evict done-log entries eagerly.
   plan_victims(core, view);  // Reactive policies re-rank every step.
   // One round-robin walk from the cursor: done agents are swap-removed
   // (amortized O(1) per step), starved victims are passed over with one
@@ -265,10 +212,10 @@ double PhaseAdversarialScheduler::step(EngineCore& core,
     const AgentId u = pool_[cursor_];
     if (core.agent_done(u)) {
       // Done for good (the Agent contract has no way back); consumes no
-      // walk slot.  Kept even under wasted=skip: the done log is only an
-      // accelerator (it is absent when the SoA caches are off), so the walk
-      // must still tolerate done agents surfacing in the pool.
-      pool_swap_remove(cursor_);
+      // walk slot.  Swap-removing at the cursor leaves the moved-in label
+      // at the head, so the walk reads it next.
+      pool_[cursor_] = pool_.back();
+      pool_.pop_back();
       continue;
     }
     const bool within_budget =
@@ -430,8 +377,8 @@ SchedulerPtr make_synchronous_scheduler(ShardingConfig sharding) {
   return std::make_unique<SynchronousScheduler>(sharding);
 }
 
-SchedulerPtr make_sequential_scheduler(bool skip_wasted) {
-  return std::make_unique<SequentialScheduler>(skip_wasted);
+SchedulerPtr make_sequential_scheduler() {
+  return std::make_unique<SequentialScheduler>();
 }
 
 SchedulerPtr make_partial_async_scheduler(double wake_probability,

@@ -58,7 +58,8 @@
 // distinct SplitMix streams, so a run stays pinned down by (config, agents,
 // fault plan) regardless of policy.  Prefer selecting policies by value
 // through sim::SchedulerSpec (sim/scheduler_spec.hpp), which adds a string
-// round-trip and a registry; the factories below are the low-level API.
+// round-trip and the policy table; the factories below are the low-level
+// API.
 #pragma once
 
 #include <cstddef>
@@ -105,7 +106,8 @@ using SchedulerPtr = std::unique_ptr<Scheduler>;
 /// compacted by swap-remove as agents are discovered done — O(1) per
 /// removal, order not preserved.  PoissonClockScheduler draws from this set
 /// so completed agents stop absorbing wake draws (and stop contributing to
-/// the aggregate clock rate) from the first time they are drawn.
+/// the aggregate clock rate) from the first time they are drawn;
+/// SequentialScheduler keeps its initial label list here and never removes.
 class ActiveSet {
  public:
   /// Adopts the label set; marks the set built.
@@ -139,11 +141,11 @@ class ActiveSet {
     labels_.pop_back();
   }
 
-  /// The lazy swap-remove draw shared by `sequential:wasted=skip` and
-  /// `poisson`: one rng.below(size()) draw per attempt; a drawn label whose
-  /// agent reports done() is swap-removed and the draw repeats (amortized
-  /// O(1): each label is removed at most once).  Returns the drawn live
-  /// label, or kNoAgent once the set is empty.  The core must be started.
+  /// The Poisson sampler's lazy swap-remove draw: one rng.below(size())
+  /// draw per attempt; a drawn label whose agent reports done() is
+  /// swap-removed and the draw repeats (amortized O(1): each label is
+  /// removed at most once).  Returns the drawn live label, or kNoAgent once
+  /// the set is empty.  The core must be started.
   AgentId draw_live(rfc::support::Xoshiro256& rng, const EngineCore& core);
 
  private:
@@ -170,32 +172,23 @@ class SynchronousScheduler final : public Scheduler {
 };
 
 /// One uniformly random active agent wakes per step (the sequential GOSSIP
-/// model).  By default (`wasted=keep`, the pinned trace contract) wake-ups
-/// are drawn over the *initial* active list for the whole run, so waking a
-/// finished agent consumes the step as a wasted activation — exactly the
-/// coupon-collector semantics of the sequential analyses.  With
-/// `wasted=skip` the scheduler maintains the live set incrementally instead
-/// (ActiveSet swap-remove, as the Poisson sampler does): a drawn agent
-/// observed done() is removed and the draw repeats, so no step is wasted
-/// and an exhausted set ends the run.  Same RNG stream, different
-/// consumption — the two modes are separately pinned, never bit-comparable.
+/// model).  Wake-ups are drawn over the *initial* active list for the whole
+/// run, so waking a finished agent consumes the step as a wasted activation
+/// — exactly the coupon-collector semantics of the sequential analyses, and
+/// the pinned trace contract.
 class SequentialScheduler final : public Scheduler {
  public:
   /// Stream tag of the wake-up RNG; fixed by the legacy AsyncEngine and
   /// load-bearing for trace compatibility.
   static constexpr std::uint64_t kStream = 0xA57Cu;
 
-  explicit SequentialScheduler(bool skip_wasted = false);
-
   const char* name() const noexcept override { return "sequential"; }
-  bool skip_wasted() const noexcept { return skip_wasted_; }
   void attach(EngineCore& core) override;
   double step(EngineCore& core, const EngineView& view) override;
 
  private:
   rfc::support::Xoshiro256 rng_{0};
-  ActiveSet active_;  ///< Wake pool; done agents swap-removed under skip.
-  bool skip_wasted_;
+  ActiveSet active_;  ///< The initial active list; never pruned.
 };
 
 /// Each round wakes an independent Bernoulli(p) subset of the agents and
@@ -314,17 +307,6 @@ struct AdversarialConfig {
   /// Stream tag mixed into the master seed for the adversary's choices;
   /// vary it to sample different worst-case orderings at a fixed seed.
   std::uint64_t stream = 0xADF0u;
-  /// `wasted=skip`: prune finished agents from the wake pool *eagerly* by
-  /// draining the engine's done log each step, instead of the default lazy
-  /// removal when the round-robin cursor happens upon them (`wasted=keep`,
-  /// the pinned contract).  Pruning swap-removes at different pool
-  /// positions, so the walk order — and hence the trace — differs between
-  /// the modes; each is pinned separately.  The payoff is sparse-tail cost:
-  /// the pool holds only live agents, so the reactive re-ranking pass is
-  /// O(live) rather than O(pool including the dead).  With the done log
-  /// unavailable (non-cacheable agents) skip falls back to keep's lazy
-  /// behavior.
-  bool skip_wasted = false;
 };
 
 /// Seeded worst-case sequential wake orderings, with optional phase-aware
@@ -333,9 +315,10 @@ struct AdversarialConfig {
 /// (one metered denial each) while they match the starvation predicate —
 /// always, for the static adversary, or only while observing
 /// `target_phase`, for the adaptive one — and the walk wakes the first
-/// non-starved agent.  When every remaining agent is starved the scheduler
-/// must still schedule someone: it wakes the round-robin head and charges
-/// nothing (an adversary that delays everyone equally delays no one).
+/// non-starved agent; finished agents leave the pool when the walk reaches
+/// them.  When every remaining agent is starved the scheduler must still
+/// schedule someone: it wakes the round-robin head and charges nothing (an
+/// adversary that delays everyone equally delays no one).
 /// With an empty victim set this degenerates to a deterministic round-robin
 /// over a seeded permutation.
 ///
@@ -371,24 +354,11 @@ class PhaseAdversarialScheduler : public Scheduler {
 
  private:
   void build_order(EngineCore& core);
-  /// Swap-removes pool_[k], keeping pool_pos_ and the cursor consistent.
-  void pool_swap_remove(std::size_t k);
-  /// `wasted=skip`: drains the core's done log from the last cursor and
-  /// swap-removes the newly finished agents from the pool (O(1) each via
-  /// the label→position map) — the eager counterpart of the walk's lazy
-  /// removal.
-  void prune_pool(EngineCore& core);
-
-  static constexpr std::uint32_t kNoPoolPos = 0xFFFFFFFFu;
 
   /// Per-label id of the last walk that skipped it — dedups denial charges
   /// when a swap-removal rotates a passed victim back in front of the
   /// cursor within one walk.
   std::vector<std::uint64_t> walk_stamp_;
-  /// Label → index in pool_ (kNoPoolPos when absent); maintained only under
-  /// `wasted=skip`, where prune_pool needs O(1) removal by label.
-  std::vector<std::uint32_t> pool_pos_;
-  std::size_t done_log_cursor_ = 0;  ///< Drained prefix of core.done_log().
   std::uint64_t walk_id_ = 0;
   std::size_t cursor_ = 0;
   std::uint64_t spent_ = 0;
@@ -433,7 +403,7 @@ class ReactiveAdversarialScheduler final : public PhaseAdversarialScheduler {
   std::vector<Ranked> ranked_;  ///< Scratch: pool re-keyed per step.
   /// Labels whose victim_ bit the last plan set — clearing exactly these
   /// replaces the former O(n) std::fill per step, keeping the per-step cost
-  /// O(pool + starved), which under `wasted=skip` is O(live).
+  /// O(pool + starved).
   std::vector<AgentId> marked_;
 };
 
@@ -477,7 +447,7 @@ class PoissonClockScheduler final : public Scheduler {
 };
 
 SchedulerPtr make_synchronous_scheduler(ShardingConfig sharding = {});
-SchedulerPtr make_sequential_scheduler(bool skip_wasted = false);
+SchedulerPtr make_sequential_scheduler();
 SchedulerPtr make_partial_async_scheduler(double wake_probability,
                                           ShardingConfig sharding = {});
 SchedulerPtr make_batched_delivery_scheduler(BatchedDeliveryConfig cfg = {});

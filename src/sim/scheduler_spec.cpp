@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -14,25 +13,23 @@ namespace rfc::sim {
 
 namespace {
 
-using Registry = std::map<std::string, SchedulerSpec::Policy>;
+/// One table entry: how to build the policy and how its discrete time axis
+/// relates to synchronous rounds.
+struct Policy {
+  SchedulerPtr (*factory)(const SchedulerSpec&);
+  std::uint64_t (*steps_per_round)(std::uint32_t n, const SchedulerSpec&);
+  std::vector<std::string> keys;  ///< Accepted parameter names.
+  std::string summary;            ///< One-liner for --help style listings.
+  bool activation_based = false;  ///< One event = one wake-up, not a round.
+};
+
+using Registry = std::map<std::string, Policy>;
 
 std::uint64_t activation_steps(std::uint32_t n, const SchedulerSpec&) {
   return std::max<std::uint32_t>(n, 1);
 }
 
 std::uint64_t round_steps(std::uint32_t, const SchedulerSpec&) { return 1; }
-
-/// Shared wasted= knob of the activation-based policies: keep (default)
-/// preserves the pinned draw-over-the-initial-pool traces, skip prunes
-/// finished agents from the wakeable pool so no step is wasted on them.
-bool wasted_skip_from(const SchedulerSpec& spec) {
-  if (!spec.has_param("wasted")) return false;
-  const std::string& value = spec.params().at("wasted");
-  if (value == "keep") return false;
-  if (value == "skip") return true;
-  throw std::invalid_argument("SchedulerSpec: " + spec.policy() +
-                              ":wasted=\"" + value + "\" is not keep or skip");
-}
 
 /// Shared shards=/threads= parameters of the round-based policies.
 ShardingConfig sharding_from(const SchedulerSpec& spec) {
@@ -63,14 +60,11 @@ Registry make_builtin_registry() {
       "the paper's lock-step rounds (default; shards=S,threads=T to "
       "parallelize the round, bit-identical for any S/T)"};
   reg["sequential"] = {
-      [](const SchedulerSpec& spec) {
-        return make_sequential_scheduler(wasted_skip_from(spec));
-      },
+      [](const SchedulerSpec&) { return make_sequential_scheduler(); },
       activation_steps,
-      {"wasted"},
-      "one u.a.r. active agent wakes per step (wasted=keep draws over the "
-      "initial pool forever — the pinned coupon-collector contract; "
-      "wasted=skip prunes finished agents so every step wakes a live one)",
+      {},
+      "one u.a.r. active agent wakes per step, drawn over the initial pool "
+      "forever (a finished agent's draw is a wasted step)",
       /*activation_based=*/true};
   reg["partial-async"] = {
       [](const SchedulerSpec& spec) {
@@ -115,7 +109,6 @@ Registry make_builtin_registry() {
         cfg.stream = spec.param_uint("stream", cfg.stream);
         cfg.victim_ids = spec.param_agent_list("victims");
         cfg.budget = spec.param_uint("budget", 0);
-        cfg.skip_wasted = wasted_skip_from(spec);
         if (spec.has_param("phase")) {
           cfg.target_phase =
               parse_agent_phase(spec.params().at("phase"));
@@ -131,13 +124,11 @@ Registry make_builtin_registry() {
         return make_adversarial_scheduler(std::move(cfg));
       },
       activation_steps,
-      {"victim_fraction", "stream", "victims", "phase", "budget", "target",
-       "wasted"},
+      {"victim_fraction", "stream", "victims", "phase", "budget", "target"},
       "seeded starvation orderings (victim_fraction=0.25 or victims=a+b+c); "
       "phase=vote starves victims only in that pipeline phase, budget=N "
       "caps the spent wake-up denials, target=min-cert|laggard|quorum-edge "
-      "re-plans the victim set every step from EngineView observations, "
-      "wasted=skip prunes finished agents from the walk pool eagerly",
+      "re-plans the victim set every step from EngineView observations",
       /*activation_based=*/true};
   reg["poisson"] = {
       [](const SchedulerSpec& spec) {
@@ -151,21 +142,14 @@ Registry make_builtin_registry() {
   return reg;
 }
 
-Registry& registry() {
-  static Registry reg = make_builtin_registry();
+/// Built once (thread-safe static initialization) and never mutated, so
+/// concurrent readers need no lock.
+const Registry& registry() {
+  static const Registry reg = make_builtin_registry();
   return reg;
 }
 
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-// Returns by value: the registry can be amended at runtime, and make() is
-// called from Monte-Carlo worker threads, so callers must not hold
-// references into the map beyond the lock.
-SchedulerSpec::Policy find_policy(const std::string& name) {
-  std::lock_guard<std::mutex> lock(registry_mutex());
+const Policy& find_policy(const std::string& name) {
   const auto it = registry().find(name);
   if (it == registry().end()) {
     std::string known;
@@ -261,7 +245,7 @@ std::string SchedulerSpec::to_string() const {
 }
 
 SchedulerPtr SchedulerSpec::make() const {
-  const Policy policy = find_policy(policy_);
+  const Policy& policy = find_policy(policy_);
   for (const auto& [key, value] : params_) {
     if (std::find(policy.keys.begin(), policy.keys.end(), key) ==
         policy.keys.end()) {
@@ -387,9 +371,6 @@ SchedulerSpec SchedulerSpec::adversarial(const AdversarialConfig& cfg) {
   if (cfg.stream != AdversarialConfig{}.stream) {
     params["stream"] = std::to_string(cfg.stream);
   }
-  if (cfg.skip_wasted) {
-    params["wasted"] = "skip";
-  }
   return SchedulerSpec("adversarial", std::move(params));
 }
 
@@ -399,18 +380,7 @@ SchedulerSpec SchedulerSpec::poisson(double rate) {
   return SchedulerSpec("poisson", std::move(params));
 }
 
-void SchedulerSpec::register_policy(const std::string& name, Policy policy) {
-  if (name.empty() || name.find(':') != std::string::npos ||
-      name.find(',') != std::string::npos) {
-    throw std::invalid_argument(
-        "SchedulerSpec: policy names must be non-empty and free of ':'/','");
-  }
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  registry()[name] = std::move(policy);
-}
-
 std::vector<std::string> SchedulerSpec::registered_policies() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
   std::vector<std::string> names;
   names.reserve(registry().size());
   for (const auto& [name, policy] : registry()) names.push_back(name);
@@ -418,7 +388,6 @@ std::vector<std::string> SchedulerSpec::registered_policies() {
 }
 
 std::string SchedulerSpec::describe_registry() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
   std::string out;
   for (const auto& [name, policy] : registry()) {
     out += "  " + name + " — " + policy.summary + "\n";

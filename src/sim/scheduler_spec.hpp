@@ -1,10 +1,10 @@
 // SchedulerSpec — activation policies as *values*.
 //
-// A SchedulerSpec names a registered scheduling policy plus its parameters,
+// A SchedulerSpec names a built-in scheduling policy plus its parameters,
 // and is what configuration structs store (gossip::SpreadConfig,
 // core::RunConfig, baseline election configs, ...): copyable, comparable,
 // and round-trippable through a string grammar, so one `--scheduler=` flag
-// can select any registered policy for any protocol or experiment.
+// can select any policy for any protocol or experiment.
 //
 // Grammar:
 //
@@ -14,12 +14,9 @@
 //
 //   synchronous                                 the paper's lock-step rounds
 //   sequential                                  one u.a.r. wake per step
-//   sequential:wasted=skip                      ... with finished agents
-//                                               pruned from the pool (the
-//                                               default wasted=keep draws
-//                                               over the initial pool
-//                                               forever — the pinned
-//                                               coupon-collector contract)
+//                                               over the initial pool (a
+//                                               finished agent's draw is a
+//                                               wasted step)
 //   partial-async:p=0.25                        Bernoulli(p) wake subsets
 //   batched:block=8                             contiguous blocks in rotation
 //   batched:block=8,shards=4,threads=4          ... with sharded sub-rounds
@@ -32,11 +29,6 @@
 //                                               set every step — starve the
 //                                               weakest progress holder
 //                                               (also: laggard, quorum-edge)
-//   adversarial:wasted=skip                     eager pool pruning off the
-//                                               engine's done log (default
-//                                               wasted=keep removes done
-//                                               agents lazily at the walk
-//                                               cursor — the pinned traces)
 //   poisson                                     rate-1 Poisson clocks
 //   poisson:rate=2                              rate-λ Poisson clocks
 //                                               (Gillespie sampler; rate is
@@ -46,13 +38,12 @@
 // the live sim::Scheduler.  Unknown policies, unknown keys, and malformed
 // values all throw std::invalid_argument with the offending text.
 //
-// The registry is open: register_policy() plugs in out-of-tree policies
-// (they become reachable from every run entry point and every binary's
-// --scheduler flag with no further wiring).
+// The policies live in a fixed table, built on first use and never
+// mutated, so parse()/make()/steps_per_round() are safe to call from any
+// number of threads at once (analysis::run_trials workers do).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -120,24 +111,10 @@ class SchedulerSpec {
   static SchedulerSpec adversarial(const AdversarialConfig& cfg);
   static SchedulerSpec poisson(double rate = 1.0);
 
-  /// One registry entry: how to build the policy and how its discrete time
-  /// axis relates to synchronous rounds.
-  struct Policy {
-    std::function<SchedulerPtr(const SchedulerSpec&)> factory;
-    std::function<std::uint64_t(std::uint32_t n, const SchedulerSpec&)>
-        steps_per_round;
-    std::vector<std::string> keys;  ///< Accepted parameter names.
-    std::string summary;            ///< One-liner for --help style listings.
-    bool activation_based = false;  ///< One event = one wake-up, not a round.
-  };
-
-  /// Registers (or replaces) a policy under `name`.
-  static void register_policy(const std::string& name, Policy policy);
-
-  /// Registered policy names, sorted.
+  /// Policy names, sorted.
   static std::vector<std::string> registered_policies();
 
-  /// `name — summary` lines for every registered policy (CLI help text).
+  /// `name — summary` lines for every policy (CLI help text).
   static std::string describe_registry();
 
  private:

@@ -418,16 +418,11 @@ void ShardedRoundExecutor::deliver_pushes(EngineCore& core, std::uint32_t d) {
 
 void ShardedRoundExecutor::settle_done(EngineCore& core) {
   if (!core.obs_cache_enabled_) return;
-  // Shards are label ranges in order and each sorts its own flips, so the
-  // done log receives this round's transitions in label order for every
-  // shard count.  A label can flip more than once in a round only by
-  // breaching "done is final"; settle_done compares against the last
-  // settled state, so one visit per label is exact.
+  // A label can flip more than once in a round only by breaching "done is
+  // final"; settle_done compares against the last settled byte, so
+  // duplicate entries are harmless.
   bool shrank = false;
   for (ShardScratch& sc : scratch_) {
-    std::sort(sc.flipped.begin(), sc.flipped.end());
-    sc.flipped.erase(std::unique(sc.flipped.begin(), sc.flipped.end()),
-                     sc.flipped.end());
     for (const AgentId i : sc.flipped) core.settle_done(i);
     sc.flipped.clear();
     shrank = shrank || sc.live_kept_end != sc.live_end;

@@ -32,9 +32,8 @@
 //                               shard merge again yields global sender-
 //                               label order per receiver.
 //   Barrier (serial):           merge the shards' Metrics deltas, settle
-//                               the labels whose done() flipped (in label
-//                               order, so the done log is partition-count
-//                               independent), and close the gaps phase A's
+//                               the labels whose done() flipped into the
+//                               done counter, and close the gaps phase A's
 //                               in-place live-list compaction left between
 //                               shard segments.  The barrier touches only
 //                               flipped labels and the live list, so a round
@@ -200,7 +199,7 @@ class ShardedRoundExecutor {
   void deliver_replies(EngineCore& core, std::uint32_t s);
   void deliver_pushes(EngineCore& core, std::uint32_t d);
   /// The barrier's done bookkeeping: settles every shard's flipped labels
-  /// in label order and joins the compacted live-list segments.
+  /// and joins the compacted live-list segments.
   void settle_done(EngineCore& core);
 
   ShardingConfig cfg_;

@@ -1,56 +1,24 @@
 #include "sim/trace.hpp"
 
 #include <sstream>
-#include <stdexcept>
 
 namespace rfc::sim {
 
-void TraceRecorder::attach(Engine& engine, TraceOptions options) {
-  if (options.sample_every == 0) {
-    throw std::invalid_argument("TraceRecorder: sample_every must be positive");
-  }
-  options_ = options;
+void TraceRecorder::attach(Engine& engine) {
   last_ = Metrics{};
-  observed_ = 0;
   rounds_.clear();
   engine.set_round_observer([this](const Engine& e) {
     const Metrics& m = e.metrics();
-    const std::uint64_t round = e.round() - 1;
-    ++observed_;
-    // The delta baseline advances every round regardless of sampling, so a
-    // sampled entry reports that single round's traffic, not the traffic
-    // since the previous *kept* entry.
     RoundTrace t;
-    t.round = round;
+    t.round = e.round() - 1;
     t.pushes = m.pushes - last_.pushes;
     t.pull_requests = m.pull_requests - last_.pull_requests;
     t.pull_replies = m.pull_replies - last_.pull_replies;
     t.bits = m.total_bits - last_.total_bits;
     t.active_links = m.active_links - last_.active_links;
     last_ = m;
-    if (round % options_.sample_every != 0) return;
     rounds_.push_back(t);
-    // Ring behavior with amortized O(1) eviction: let the buffer grow to
-    // 2x the cap, then drop the oldest half in one move.  Readers see an
-    // exact max_rounds-suffix via trim().
-    if (options_.max_rounds != 0 && rounds_.size() >= 2 * options_.max_rounds) {
-      trim();
-    }
   });
-}
-
-void TraceRecorder::trim() const {
-  if (options_.max_rounds == 0 || rounds_.size() <= options_.max_rounds) {
-    return;
-  }
-  rounds_.erase(rounds_.begin(),
-                rounds_.end() - static_cast<std::ptrdiff_t>(
-                                    options_.max_rounds));
-}
-
-const std::vector<RoundTrace>& TraceRecorder::rounds() const {
-  trim();
-  return rounds_;
 }
 
 namespace {

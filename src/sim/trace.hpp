@@ -3,15 +3,9 @@
 // A TraceRecorder attaches to the engine's round observer and snapshots the
 // metric deltas of every round, giving tests and debugging tools a
 // round-by-round view of the communication pattern (e.g. "pushes occur only
-// during Voting and Coherence") without touching the agents.
-//
-// Default mode keeps every round — O(rounds) memory, fine for protocol runs
-// whose round count is polylogarithmic.  Million-agent spreads and long
-// continuous-time runs attach with TraceOptions instead: `sample_every`
-// thins the stream (keep rounds 0, k, 2k, ...), `max_rounds` bounds the
-// retained window (oldest sampled entries are evicted first), and
-// observed_rounds()/dropped() report what the recorder saw versus kept, so
-// a bounded trace never silently reads as a complete one.
+// during Voting and Coherence") without touching the agents.  It keeps
+// every round — O(rounds) memory, fine for protocol runs whose round count
+// is polylogarithmic.
 #pragma once
 
 #include <cstdint>
@@ -32,53 +26,26 @@ struct RoundTrace {
   std::uint64_t active_links = 0;
 };
 
-/// Streaming controls for TraceRecorder::attach.  The defaults reproduce
-/// the classic recorder: every round kept, unbounded.
-struct TraceOptions {
-  /// Keep one round in every `sample_every` (rounds with
-  /// round % sample_every == 0).  Must be positive.
-  std::uint64_t sample_every = 1;
-  /// Upper bound on retained entries; 0 = unbounded.  When exceeded, the
-  /// oldest retained entries are evicted (amortized O(1) per round), so the
-  /// recorder holds the most recent `max_rounds` sampled entries (up to
-  /// 2x that transiently, trimmed on read).
-  std::uint64_t max_rounds = 0;
-};
-
 class TraceRecorder {
  public:
   /// Installs this recorder as the engine's round observer.  The recorder
-  /// must outlive the engine's run.  `options` selects the streaming mode;
-  /// the default keeps every round.
-  void attach(Engine& engine, TraceOptions options = {});
+  /// must outlive the engine's run.
+  void attach(Engine& engine);
 
-  /// Retained round entries, oldest first (a suffix of the sampled stream
-  /// when max_rounds is set).
-  const std::vector<RoundTrace>& rounds() const;
+  /// Every observed round, oldest first.
+  const std::vector<RoundTrace>& rounds() const noexcept { return rounds_; }
 
-  /// Rounds the recorder observed (independent of sampling/eviction).
-  std::uint64_t observed_rounds() const noexcept { return observed_; }
-  /// Observed rounds not retained (skipped by sampling or evicted).
-  std::uint64_t dropped() const noexcept {
-    return observed_ - static_cast<std::uint64_t>(rounds().size());
-  }
-
-  /// Sum of a field over a half-open round interval [begin, end), over the
-  /// *retained* entries only (exact in the default all-rounds mode).
+  /// Sum of a field over a half-open round interval [begin, end).
   std::uint64_t total_pushes(std::uint64_t begin, std::uint64_t end) const;
   std::uint64_t total_pulls(std::uint64_t begin, std::uint64_t end) const;
   std::uint64_t total_bits(std::uint64_t begin, std::uint64_t end) const;
 
-  /// One line per retained round: "r12: push=0 pull=64 bits=12345".
+  /// One line per round: "r12: push=0 pull=64 bits=12345".
   std::string render() const;
 
  private:
-  void trim() const;  ///< Drops evictable prefix beyond max_rounds.
-
-  TraceOptions options_;
   Metrics last_;
-  std::uint64_t observed_ = 0;
-  mutable std::vector<RoundTrace> rounds_;
+  std::vector<RoundTrace> rounds_;
 };
 
 }  // namespace rfc::sim

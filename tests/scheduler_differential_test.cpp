@@ -24,8 +24,9 @@
 //     sharded queue merge and Monte-Carlo pooling both lean on — including
 //     exact denial sums under analysis::run_trials worker pooling.
 //
-// A policy registered out-of-tree is exercised through its default spec,
-// so the harness keeps covering registry growth with no further wiring.
+// A new policy is exercised through its default spec until it gets
+// representative specs here, so the harness covers it with no further
+// wiring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,10 +60,7 @@ std::vector<SchedulerSpec> specs_for(const std::string& policy) {
     return {SchedulerSpec::parse("synchronous")};
   }
   if (policy == "sequential") {
-    // Both sides of the wasted= knob: keep (the pinned coupon-collector
-    // draw) and skip (eager pruning of finished agents).
-    return {SchedulerSpec::parse("sequential"),
-            SchedulerSpec::parse("sequential:wasted=skip")};
+    return {SchedulerSpec::parse("sequential")};
   }
   if (policy == "partial-async") {
     return {SchedulerSpec::parse("partial-async:p=0.4")};
@@ -82,11 +80,9 @@ std::vector<SchedulerSpec> specs_for(const std::string& policy) {
         SchedulerSpec::parse(
             "adversarial:target=laggard,victim_fraction=0.1,budget=64"),
         SchedulerSpec::parse("adversarial:target=quorum-edge,budget=64"),
-        SchedulerSpec::parse(
-            "adversarial:victim_fraction=0.25,budget=64,wasted=skip"),
     };
   }
-  // Out-of-tree policy: exercise its default configuration.
+  // A policy without representative specs here: its default configuration.
   return {SchedulerSpec::parse(policy)};
 }
 
@@ -245,8 +241,7 @@ std::string label(const SchedulerSpec& spec, const Workload& w, bool faults) {
 
 TEST(SchedulerDifferential, EveryRegisteredPolicyYieldsRunnableSpecs) {
   const auto policies = SchedulerSpec::registered_policies();
-  // The six built-ins must be present; out-of-tree additions only extend
-  // the grid.
+  // The six built-ins must be present; a new policy only extends the grid.
   for (const char* name : {"synchronous", "sequential", "partial-async",
                            "batched", "adversarial", "poisson"}) {
     EXPECT_NE(std::find(policies.begin(), policies.end(), name),

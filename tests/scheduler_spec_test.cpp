@@ -1,4 +1,4 @@
-// SchedulerSpec: string grammar round-trips, registry behaviour, factory
+// SchedulerSpec: string grammar round-trips, the policy table, factory
 // validation, and the steps_per_round exchange rate the run entry points
 // use to scale budgets across policies.
 #include "sim/scheduler_spec.hpp"
@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <thread>
+#include <vector>
+
+#include "sim/network_spec.hpp"
 
 namespace rfc::sim {
 namespace {
@@ -42,8 +47,6 @@ TEST(SchedulerSpec, ParseToStringRoundTripsForEveryRegisteredPolicy) {
         "adversarial:stream=48879,victim_fraction=0.5",
         "adversarial:budget=1500,phase=vote,victims=0+1",
         "adversarial:phase=commit,victim_fraction=0.25",
-        "sequential:wasted=keep", "sequential:wasted=skip",
-        "adversarial:victim_fraction=0.25,wasted=skip",
         "batched:block=8", "batched:block=8,shards=4,threads=2",
         "poisson:rate=2.5"}) {
     const auto spec = SchedulerSpec::parse(text);
@@ -65,8 +68,6 @@ TEST(SchedulerSpec, NamedConstructorsRoundTripThroughParse) {
       SchedulerSpec::adversarial({.victim_ids = {1, 4},
                                   .target_phase = AgentPhase::kVote,
                                   .budget = 250}),
-      SchedulerSpec::adversarial({.victim_fraction = 0.25,
-                                  .skip_wasted = true}),
       SchedulerSpec::poisson(),
       SchedulerSpec::poisson(0.5),
   };
@@ -110,26 +111,6 @@ TEST(SchedulerSpec, ParsedParametersReachTheScheduler) {
       dynamic_cast<const PoissonClockScheduler*>(poisson.get());
   ASSERT_NE(clock, nullptr);
   EXPECT_DOUBLE_EQ(clock->rate(), 2.5);
-
-  // The wasted= knob: keep and the bare spec are the default, skip flips it.
-  for (const char* text : {"sequential", "sequential:wasted=keep"}) {
-    const auto seq = SchedulerSpec::parse(text).make();
-    const auto* sequential =
-        dynamic_cast<const SequentialScheduler*>(seq.get());
-    ASSERT_NE(sequential, nullptr) << text;
-    EXPECT_FALSE(sequential->skip_wasted()) << text;
-  }
-  const auto seq_skip = SchedulerSpec::parse("sequential:wasted=skip").make();
-  const auto* seq_skip_sched =
-      dynamic_cast<const SequentialScheduler*>(seq_skip.get());
-  ASSERT_NE(seq_skip_sched, nullptr);
-  EXPECT_TRUE(seq_skip_sched->skip_wasted());
-  const auto adv_skip =
-      SchedulerSpec::parse("adversarial:victims=3,wasted=skip").make();
-  const auto* adv_skip_sched =
-      dynamic_cast<const PhaseAdversarialScheduler*>(adv_skip.get());
-  ASSERT_NE(adv_skip_sched, nullptr);
-  EXPECT_TRUE(adv_skip_sched->config().skip_wasted);
 }
 
 TEST(SchedulerSpec, ParseRejectsMalformedText) {
@@ -185,8 +166,15 @@ TEST(SchedulerSpec, MakeRejectsBadParameters) {
   // Activation-based policies still have no sharded round.
   EXPECT_THROW(SchedulerSpec::parse("adversarial:shards=4").make(),
                std::invalid_argument);
-  // The wasted= knob accepts exactly keep|skip, on exactly the sampling
-  // policies that own a wakeable pool.
+  // No policy has a wasted= key: sequential always draws over the initial
+  // pool and adversarial always prunes lazily, so every value of the key
+  // fails as unknown, on every policy.
+  EXPECT_THROW(SchedulerSpec::parse("sequential:wasted=keep").make(),
+               std::invalid_argument);
+  EXPECT_THROW(SchedulerSpec::parse("sequential:wasted=skip").make(),
+               std::invalid_argument);
+  EXPECT_THROW(SchedulerSpec::parse("adversarial:wasted=skip").make(),
+               std::invalid_argument);
   EXPECT_THROW(SchedulerSpec::parse("sequential:wasted=banana").make(),
                std::invalid_argument);
   EXPECT_THROW(SchedulerSpec::parse("sequential:wasted=").make(),
@@ -234,26 +222,37 @@ TEST(SchedulerSpec, DescribeRegistryListsEveryPolicy) {
   }
 }
 
-TEST(SchedulerSpec, RegistryIsOpenForExtension) {
-  // An out-of-tree policy becomes parseable, buildable, and listed without
-  // touching any run entry point.
-  SchedulerSpec::register_policy(
-      "test-roundrobin",
-      {[](const SchedulerSpec&) { return make_adversarial_scheduler(
-           {.victim_fraction = 0.0}); },
-       [](std::uint32_t n, const SchedulerSpec&) -> std::uint64_t {
-         return n;
-       },
-       {},
-       "deterministic seeded round-robin (test-only)"});
-  const auto spec = SchedulerSpec::parse("test-roundrobin");
-  EXPECT_EQ(spec.steps_per_round(8), 8u);
-  EXPECT_STREQ(spec.make()->name(), "adversarial");
+TEST(SchedulerSpec, PolicyTableIsSafeToReadConcurrently) {
+  // analysis::run_trials workers parse, make() and scale budgets on their
+  // own threads; the policy tables (NetworkSpec's too) are read without a
+  // lock, so this is the case the TSan job checks.
   const auto names = SchedulerSpec::registered_policies();
-  EXPECT_NE(std::find(names.begin(), names.end(), "test-roundrobin"),
-            names.end());
-  EXPECT_THROW(SchedulerSpec::register_policy("bad:name", {}),
-               std::invalid_argument);
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kReps = 50;
+  std::vector<std::uint64_t> steps(kThreads, 0);
+  std::vector<std::uint64_t> made(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::uint64_t rep = 0; rep < kReps; ++rep) {
+        for (const auto& name : names) {
+          const auto spec = SchedulerSpec::parse(name);
+          made[t] += spec.make() != nullptr;
+          steps[t] += spec.steps_per_round(16);
+        }
+        made[t] += NetworkSpec::parse("network:drop=0.1").make() != nullptr;
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  std::uint64_t serial_steps = 0;
+  for (const auto& name : names) {
+    serial_steps += SchedulerSpec::parse(name).steps_per_round(16);
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(made[t], kReps * (names.size() + 1)) << t;
+    EXPECT_EQ(steps[t], kReps * serial_steps) << t;
+  }
 }
 
 }  // namespace

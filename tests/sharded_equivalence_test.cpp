@@ -480,9 +480,8 @@ TEST(ShardedEquivalence, MultiBlockProtocolPMatchesSerialDigest) {
 // --------------------------------------------------------------------------
 // Delivery order and the barrier's done bookkeeping, with an agent that
 // observes both: every multi-block sharded run must reach the serial end
-// state, and each sharded round must append exactly the round's new done
-// labels to the done log, in label order, with all_done() agreeing with the
-// serial engine and with a scan of the agents.
+// state, with all_done() after each round agreeing with the serial engine
+// and with a scan of the agents.
 // --------------------------------------------------------------------------
 
 constexpr PayloadTag kOrderTag = 0xF2;
@@ -538,7 +537,7 @@ class OrderHashAgent final : public Agent {
   std::uint32_t round_limit_ = ~0u;  ///< Set by on_start.
 };
 
-TEST(ShardedEquivalence, MultiBlockDeliveryOrderAndDoneLogMatchSerial) {
+TEST(ShardedEquivalence, MultiBlockDeliveryOrderAndAllDoneMatchSerial) {
   static constexpr std::uint32_t kN = 4099;
   const auto build = [] {
     auto core = std::make_unique<EngineCore>(kN, 31337, nullptr);
@@ -556,21 +555,10 @@ TEST(ShardedEquivalence, MultiBlockDeliveryOrderAndDoneLogMatchSerial) {
     ShardedRoundExecutor executor(ShardingConfig{c.shards, c.threads});
     while (!serial->all_done()) {
       ASSERT_LT(serial->time(), 64u) << case_name(c);
-      const std::size_t serial_from = serial->done_log().size();
-      const std::size_t sharded_from = sharded->done_log().size();
       serial_executor.run_round(*serial, nullptr);
       executor.run_round(*sharded, nullptr);
       const std::string where =
           case_name(c) + " round " + std::to_string(serial->time());
-      // Both log a round's transitions in label order; sorting the serial
-      // slice keeps the check independent of that choice.
-      std::vector<AgentId> expected(serial->done_log().begin() + serial_from,
-                                    serial->done_log().end());
-      std::sort(expected.begin(), expected.end());
-      const std::vector<AgentId> logged(
-          sharded->done_log().begin() + sharded_from,
-          sharded->done_log().end());
-      EXPECT_EQ(expected, logged) << where;
       bool scan = true;
       for (AgentId i = 0; i < kN; ++i) {
         scan = scan && (sharded->is_faulty(i) || sharded->agent(i).done());
@@ -578,9 +566,6 @@ TEST(ShardedEquivalence, MultiBlockDeliveryOrderAndDoneLogMatchSerial) {
       EXPECT_EQ(scan, sharded->all_done()) << where;
       EXPECT_EQ(serial->all_done(), sharded->all_done()) << where;
     }
-    // Every non-faulty agent finished during the run: each logged once.
-    EXPECT_EQ(sharded->done_log().size(), kN - sharded->num_faulty())
-        << case_name(c);
     EXPECT_GE(sharded->time(), 12u) << case_name(c);
     std::uint32_t diverged = 0;
     for (AgentId i = 0; i < kN; ++i) {

@@ -1,20 +1,10 @@
-// The wasted= activation knob on the sampling schedulers.
-//
-// wasted=keep (the default) is a pinned trace contract: sequential draws
-// over the *initial* active pool forever — a drawn finished agent consumes
-// the step as a wasted activation (the coupon-collector tail the analysis
-// notebooks integrate over) — and the adversarial walk removes done agents
-// only lazily when the cursor lands on them.  wasted=skip prunes finished
-// agents from the wakeable pool eagerly (sequential: swap-remove on draw,
-// like the Poisson sampler; adversarial: eviction driven by the engine's
-// done log), so every step wakes a live agent.
-//
-// The tests pin both sides: keep must be bit-identical to the
-// unparameterized spec (the default is a no-op), and skip's wake traces /
-// end-state digests are pinned so the pruned path is itself a frozen
-// contract.  When the engine's done log is unavailable (an agent without
-// cacheable observations), adversarial skip degrades to the lazy walk and
-// must reproduce keep's trace exactly; sequential skip never needs the log.
+// Wasted activations on the sampling schedulers, a pinned trace contract:
+// sequential draws over the *initial* active pool forever — a drawn
+// finished agent consumes the step as a wasted activation (the
+// coupon-collector tail the analysis notebooks integrate over) — and the
+// adversarial walk removes done agents only lazily when the cursor lands on
+// them.  The wake traces and Protocol P end-state digests below freeze
+// that behaviour, with the engine's SoA caches on and off.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,8 +24,7 @@ namespace {
 
 // --------------------------------------------------------------------------
 // A finite agent: done after a fixed number of activations.  The cacheable
-// flag switches the engine's SoA caches (and with them the done log) on or
-// off, selecting the eager-prune or lazy-fallback path under wasted=skip.
+// flag switches the engine's SoA caches on or off.
 // --------------------------------------------------------------------------
 class DoneAfterAgent final : public Agent {
  public:
@@ -82,57 +71,34 @@ TraceRun trace_run(const std::string& spec_text, bool cacheable,
 }
 
 // --------------------------------------------------------------------------
-// Sequential: pinned traces for both knob values.
+// Sequential: the pinned trace.
 // --------------------------------------------------------------------------
 
 // Captured from this tree; freeze the contract.  Every agent is woken
-// exactly twice (16 live activations); keep pays extra wasted steps on
-// already-done draws, skip completes in exactly 16.
+// exactly twice (16 live activations), plus wasted steps on already-done
+// draws.
 const std::vector<AgentId> kSequentialKeepTrace = {
     1, 4, 5, 5, 6, 1, 2, 3, 3, 7, 2, 6, 7, 4, 0, 0};
 constexpr std::uint64_t kSequentialKeepSteps = 29;
-const std::vector<AgentId> kSequentialSkipTrace = {
-    1, 4, 5, 5, 6, 0, 7, 2, 3, 7, 3, 6, 2, 1, 0, 4};
 
 TEST(WastedKnob, SequentialKeepIsTheDefault) {
   const TraceRun plain = trace_run("sequential", true);
-  const TraceRun keep = trace_run("sequential:wasted=keep", true);
-  EXPECT_EQ(plain.trace, keep.trace);
-  EXPECT_EQ(plain.steps, keep.steps);
-  EXPECT_EQ(keep.trace, kSequentialKeepTrace);
-  EXPECT_EQ(keep.steps, kSequentialKeepSteps);
-  EXPECT_GT(keep.steps, keep.trace.size());  // Wasted draws cost steps.
-}
-
-TEST(WastedKnob, SequentialSkipWastesNoSteps) {
-  const TraceRun skip = trace_run("sequential:wasted=skip", true);
-  EXPECT_EQ(skip.trace, kSequentialSkipTrace);
-  EXPECT_EQ(skip.steps, skip.trace.size());  // Every step wakes a live agent.
-  EXPECT_EQ(skip.trace.size(), 16u);         // 8 agents x 2 activations.
-  // The sampler reads done() directly, so pruning works identically with
-  // the SoA caches (and the done log) disabled.
-  const TraceRun uncached = trace_run("sequential:wasted=skip", false);
-  EXPECT_EQ(skip.trace, uncached.trace);
-  EXPECT_EQ(skip.steps, uncached.steps);
+  EXPECT_EQ(plain.trace, kSequentialKeepTrace);
+  EXPECT_EQ(plain.steps, kSequentialKeepSteps);
+  EXPECT_GT(plain.steps, plain.trace.size());  // Wasted draws cost steps.
 }
 
 // --------------------------------------------------------------------------
-// Adversarial: pinned traces, plus the lazy fallback without the done log.
+// Adversarial: the pinned trace, with and without the SoA caches.
 // --------------------------------------------------------------------------
 
 // The walk never wastes a *step* (lazy removal consumes no walk slot), so
-// keep also finishes in 16; the knob shows up as a different wake order —
-// eager eviction reorders the pool at prune time, lazy at encounter time.
+// it finishes in exactly 16.
 const std::vector<AgentId> kAdversarialKeepTrace = {
     0, 5, 1, 4, 6, 7, 0, 5, 1, 4, 6, 7, 3, 2, 3, 2};
 constexpr std::uint64_t kAdversarialKeepSteps = 16;
-const std::vector<AgentId> kAdversarialSkipTrace = {
-    0, 5, 1, 4, 6, 7, 0, 7, 6, 4, 1, 5, 3, 2, 3, 2};
-constexpr std::uint64_t kAdversarialSkipSteps = 16;
 
 constexpr char kAdvKeep[] = "adversarial:budget=8,victim_fraction=0.25";
-constexpr char kAdvSkip[] =
-    "adversarial:budget=8,victim_fraction=0.25,wasted=skip";
 
 TEST(WastedKnob, AdversarialKeepIsTheDefault) {
   const TraceRun plain = trace_run(kAdvKeep, true);
@@ -140,29 +106,19 @@ TEST(WastedKnob, AdversarialKeepIsTheDefault) {
   EXPECT_EQ(plain.steps, kAdversarialKeepSteps);
 }
 
-TEST(WastedKnob, AdversarialSkipPrunesOffTheDoneLog) {
-  const TraceRun skip = trace_run(kAdvSkip, true);
-  EXPECT_EQ(skip.trace, kAdversarialSkipTrace);
-  EXPECT_EQ(skip.steps, kAdversarialSkipSteps);
-  EXPECT_EQ(skip.trace.size(), 16u);  // 8 agents x 2 activations.
-  EXPECT_EQ(skip.steps, skip.trace.size());  // No wasted walk outcomes.
-}
-
-TEST(WastedKnob, AdversarialSkipFallsBackToLazyWithoutDoneLog) {
-  // Non-cacheable agents leave the engine without a done log; skip then
-  // degrades to exactly the lazy at-cursor removal — keep's trace.
-  const TraceRun keep = trace_run(kAdvKeep, false);
-  const TraceRun skip = trace_run(kAdvSkip, false);
-  EXPECT_EQ(keep.trace, skip.trace);
-  EXPECT_EQ(keep.steps, skip.steps);
-  EXPECT_EQ(keep.trace, kAdversarialKeepTrace);  // Same as the cached run.
+TEST(WastedKnob, AdversarialKeepTraceIsCacheIndependent) {
+  // Non-cacheable agents turn the SoA caches off; the walk reads done()
+  // through the virtual call and must reproduce the cached run's trace.
+  const TraceRun uncached = trace_run(kAdvKeep, false);
+  EXPECT_EQ(uncached.trace, kAdversarialKeepTrace);
+  EXPECT_EQ(uncached.steps, kAdversarialKeepSteps);
 }
 
 // --------------------------------------------------------------------------
-// Protocol P end-state digests: the knob pinned on a real protocol, where
-// agents finish at scattered times, and cross-checked against the sharded
-// synchronous round (S in {1, 4}) on the same population — the sparse
-// live-list path must stay shard-invariant.
+// Protocol P end-state digests: the wake rules pinned on a real protocol,
+// where agents finish at scattered times, and cross-checked against the
+// sharded synchronous round (S in {1, 4}) on the same population — the
+// sparse live-list path must stay shard-invariant.
 // --------------------------------------------------------------------------
 
 core::RunConfig knob_protocol_config(const std::string& spec_text) {
@@ -178,33 +134,16 @@ core::RunConfig knob_protocol_config(const std::string& spec_text) {
 
 constexpr std::uint64_t kSequentialKeepProtocolDigest =
     13349877110825083527ull;
-constexpr std::uint64_t kSequentialSkipProtocolDigest =
-    7906545989172036869ull;
-// On this workload the adversarial walk's wake *order* differs between the
-// knob values (the trace pins above) but every agent still wakes the same
-// number of times before finishing, so end state + metrics coincide — the
-// two digests are legitimately equal.
 constexpr std::uint64_t kAdversarialKeepProtocolDigest =
-    11668558595272729605ull;
-constexpr std::uint64_t kAdversarialSkipProtocolDigest =
     11668558595272729605ull;
 
 TEST(WastedKnob, PinnedProtocolDigests) {
   EXPECT_EQ(kSequentialKeepProtocolDigest,
             rfc::testing::protocol_end_state_digest(
                 knob_protocol_config("sequential")));
-  EXPECT_EQ(kSequentialKeepProtocolDigest,
-            rfc::testing::protocol_end_state_digest(
-                knob_protocol_config("sequential:wasted=keep")));
-  EXPECT_EQ(kSequentialSkipProtocolDigest,
-            rfc::testing::protocol_end_state_digest(
-                knob_protocol_config("sequential:wasted=skip")));
   EXPECT_EQ(kAdversarialKeepProtocolDigest,
             rfc::testing::protocol_end_state_digest(
                 knob_protocol_config(kAdvKeep)));
-  EXPECT_EQ(kAdversarialSkipProtocolDigest,
-            rfc::testing::protocol_end_state_digest(
-                knob_protocol_config(kAdvSkip)));
 }
 
 TEST(WastedKnob, SynchronousDigestShardInvariantOnKnobPopulation) {
