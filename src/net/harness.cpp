@@ -20,6 +20,41 @@ void append_mismatch(std::ostringstream& out, const char* field,
       << "; ";
 }
 
+/// Runs spec.num_nodes NodeDrivers, one thread each, node i on factory(i)
+/// with the peer table `peers`; rethrows the first node failure.
+std::vector<NodeReport> run_nodes(const ClusterSpec& spec,
+                                  const std::vector<PeerEndpoint>& peers,
+                                  const ClientFactory& factory) {
+  const Workload workload = make_cluster_workload(spec);
+  const std::uint32_t num_nodes = spec.num_nodes;
+  std::vector<NodeReport> reports(num_nodes);
+  std::vector<std::exception_ptr> errors(num_nodes);
+  std::vector<std::thread> threads;
+  threads.reserve(num_nodes);
+  for (std::uint32_t id = 0; id < num_nodes; ++id) {
+    threads.emplace_back([&, id] {
+      try {
+        const CommClientPtr client = factory(id);
+        NodeOptions options;
+        options.node_id = id;
+        options.num_nodes = num_nodes;
+        options.sync_timeout_ms = spec.sync_timeout_ms;
+        options.resend_interval_ms = spec.resend_interval_ms;
+        options.linger_ms = spec.linger_ms;
+        NodeDriver driver(workload, options, *client);
+        reports[id] = driver.run(peers);
+      } catch (...) {
+        errors[id] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  return reports;
+}
+
 }  // namespace
 
 Workload make_cluster_workload(const ClusterSpec& spec) {
@@ -114,83 +149,25 @@ ClusterResult reference_result(const ClusterSpec& spec) {
 
 std::vector<NodeReport> run_local_cluster(const ClusterSpec& spec,
                                           const ClientFactory& factory) {
-  const Workload workload = make_cluster_workload(spec);
-  const std::uint32_t num_nodes = spec.num_nodes;
   // Endpoints stay defaulted: the factory path is used with loopback-style
   // backends that ignore the peer table (the factory owns any hub/ports).
-  std::vector<PeerEndpoint> peers(num_nodes);
-
-  std::vector<NodeReport> reports(num_nodes);
-  std::vector<std::exception_ptr> errors(num_nodes);
-  std::vector<std::thread> threads;
-  threads.reserve(num_nodes);
-  for (std::uint32_t id = 0; id < num_nodes; ++id) {
-    threads.emplace_back([&, id] {
-      try {
-        const CommClientPtr client = factory(id);
-        NodeOptions options;
-        options.node_id = id;
-        options.num_nodes = num_nodes;
-        options.sync_timeout_ms = spec.sync_timeout_ms;
-        options.resend_interval_ms = spec.resend_interval_ms;
-        options.linger_ms = spec.linger_ms;
-        NodeDriver driver(workload, options, *client);
-        reports[id] = driver.run(peers);
-      } catch (...) {
-        errors[id] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return reports;
+  return run_nodes(spec, std::vector<PeerEndpoint>(spec.num_nodes), factory);
 }
 
 std::vector<NodeReport> run_local_cluster(const ClusterSpec& spec,
                                           TransportKind kind,
                                           std::uint16_t port_base) {
-  const std::uint32_t num_nodes = spec.num_nodes;
   if (kind != TransportKind::kLoopback && port_base == 0) {
     throw std::invalid_argument(
         "run_local_cluster: socket transports need a port_base");
   }
-
-  LoopbackHub hub(num_nodes);
-  const Workload workload = make_cluster_workload(spec);
-  std::vector<PeerEndpoint> peers(num_nodes);
-  for (std::uint32_t i = 0; i < num_nodes; ++i) {
-    peers[i].host = "127.0.0.1";
+  LoopbackHub hub(spec.num_nodes);
+  std::vector<PeerEndpoint> peers(spec.num_nodes);
+  for (std::uint32_t i = 0; i < spec.num_nodes; ++i) {
     peers[i].port = static_cast<std::uint16_t>(port_base + i);
   }
-
-  std::vector<NodeReport> reports(num_nodes);
-  std::vector<std::exception_ptr> errors(num_nodes);
-  std::vector<std::thread> threads;
-  threads.reserve(num_nodes);
-  for (std::uint32_t id = 0; id < num_nodes; ++id) {
-    threads.emplace_back([&, id] {
-      try {
-        const CommClientPtr client = make_comm_client(kind, &hub);
-        NodeOptions options;
-        options.node_id = id;
-        options.num_nodes = num_nodes;
-        options.sync_timeout_ms = spec.sync_timeout_ms;
-        options.resend_interval_ms = spec.resend_interval_ms;
-        options.linger_ms = spec.linger_ms;
-        NodeDriver driver(workload, options, *client);
-        reports[id] = driver.run(peers);
-      } catch (...) {
-        errors[id] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return reports;
+  return run_nodes(spec, peers,
+                   [&](NodeId) { return make_comm_client(kind, &hub); });
 }
 
 std::string cross_check(const ClusterResult& cluster,
@@ -203,59 +180,36 @@ std::string cross_check(const ClusterResult& cluster,
   if (cluster.rounds != reference.rounds) {
     append_mismatch(out, "rounds", cluster.rounds, reference.rounds);
   }
+  // Every Metrics field.  The network-adversary counters are all zero on
+  // cluster runs today (the NodeDriver is adversary-free; sim-level faults
+  // stay in the engine), so a nonzero reference there means the workloads
+  // diverged.
   const sim::Metrics& cm = cluster.metrics;
   const sim::Metrics& rm = reference.metrics;
-  if (cm.rounds != rm.rounds) {
-    append_mismatch(out, "metrics.rounds", cm.rounds, rm.rounds);
-  }
   if (cm.virtual_time != rm.virtual_time) {
     out << "metrics.virtual_time: cluster=" << cm.virtual_time
         << " reference=" << rm.virtual_time << "; ";
   }
-  if (cm.pushes != rm.pushes) {
-    append_mismatch(out, "metrics.pushes", cm.pushes, rm.pushes);
-  }
-  if (cm.pull_requests != rm.pull_requests) {
-    append_mismatch(out, "metrics.pull_requests", cm.pull_requests,
-                    rm.pull_requests);
-  }
-  if (cm.pull_replies != rm.pull_replies) {
-    append_mismatch(out, "metrics.pull_replies", cm.pull_replies,
-                    rm.pull_replies);
-  }
-  if (cm.total_bits != rm.total_bits) {
-    append_mismatch(out, "metrics.total_bits", cm.total_bits, rm.total_bits);
-  }
-  if (cm.max_message_bits != rm.max_message_bits) {
-    append_mismatch(out, "metrics.max_message_bits", cm.max_message_bits,
-                    rm.max_message_bits);
-  }
-  if (cm.active_links != rm.active_links) {
-    append_mismatch(out, "metrics.active_links", cm.active_links,
-                    rm.active_links);
-  }
-  if (cm.denials != rm.denials) {
-    append_mismatch(out, "metrics.denials", cm.denials, rm.denials);
-  }
-  // The network-adversary counters are all zero on cluster runs today (the
-  // NodeDriver is adversary-free; sim-level faults stay in the engine), so
-  // a nonzero reference here means the workloads diverged.
-  if (cm.net_drops != rm.net_drops) {
-    append_mismatch(out, "metrics.net_drops", cm.net_drops, rm.net_drops);
-  }
-  if (cm.net_dups != rm.net_dups) {
-    append_mismatch(out, "metrics.net_dups", cm.net_dups, rm.net_dups);
-  }
-  if (cm.net_corruptions != rm.net_corruptions) {
-    append_mismatch(out, "metrics.net_corruptions", cm.net_corruptions,
-                    rm.net_corruptions);
-  }
-  if (cm.net_delays != rm.net_delays) {
-    append_mismatch(out, "metrics.net_delays", cm.net_delays, rm.net_delays);
-  }
-  if (cm.churn_crashes != rm.churn_crashes) {
-    append_mismatch(out, "metrics.churn_crashes", cm.churn_crashes,
-                    rm.churn_crashes);
+  using Counter = std::uint64_t sim::Metrics::*;
+  static constexpr std::pair<const char*, Counter> kCounters[] = {
+      {"metrics.rounds", &sim::Metrics::rounds},
+      {"metrics.pushes", &sim::Metrics::pushes},
+      {"metrics.pull_requests", &sim::Metrics::pull_requests},
+      {"metrics.pull_replies", &sim::Metrics::pull_replies},
+      {"metrics.total_bits", &sim::Metrics::total_bits},
+      {"metrics.max_message_bits", &sim::Metrics::max_message_bits},
+      {"metrics.active_links", &sim::Metrics::active_links},
+      {"metrics.denials", &sim::Metrics::denials},
+      {"metrics.net_drops", &sim::Metrics::net_drops},
+      {"metrics.net_dups", &sim::Metrics::net_dups},
+      {"metrics.net_corruptions", &sim::Metrics::net_corruptions},
+      {"metrics.net_delays", &sim::Metrics::net_delays},
+      {"metrics.churn_crashes", &sim::Metrics::churn_crashes},
+  };
+  for (const auto& [name, counter] : kCounters) {
+    if (cm.*counter != rm.*counter) {
+      append_mismatch(out, name, cm.*counter, rm.*counter);
+    }
   }
   if (cluster.block_digests.size() != reference.block_digests.size()) {
     append_mismatch(out, "block count", cluster.block_digests.size(),

@@ -22,6 +22,12 @@ FrameCodec codec_for(const Workload& workload) {
                     workload.has_params ? &workload.params : nullptr};
 }
 
+[[noreturn]] void bad_frame(NodeId from, core::WireError error) {
+  throw std::runtime_error(std::string("NodeDriver: bad frame from peer ") +
+                           std::to_string(from) + ": " +
+                           core::to_string(error));
+}
+
 [[noreturn]] void protocol_violation(const char* what, NodeId from,
                                      const Frame& frame) {
   throw std::runtime_error(
@@ -99,6 +105,10 @@ NodeDriver::NodeDriver(const Workload& workload, const NodeOptions& options,
   reply_for_.resize(end_ - first_);
   reply_ready_.assign(end_ - first_, false);
   peer_down_.assign(options_.num_nodes, false);
+  marks_.resize(options_.num_nodes);
+  unmarked_.assign(options_.num_nodes, 0);
+  for (SentSlot& slot : sent_) slot.to.resize(options_.num_nodes);
+  stamp_.assign(n, kNone);
 }
 
 sim::Context NodeDriver::make_context(sim::AgentId label) noexcept {
@@ -130,39 +140,38 @@ std::uint64_t NodeDriver::local_digest() const {
   return fnv.value();
 }
 
+void NodeDriver::begin_round() {
+  for (PeerMarks& m : marks_) m.actions = m.replies = PeerMarks::Tally{};
+  pull_requests_.clear();
+  pull_replies_.clear();
+  pushes_.clear();
+  sections_.clear();
+  SentSlot& slot = sent_[round_ & 1];
+  slot.round = round_;
+  for (auto& frames : slot.to) frames.clear();
+}
+
 void NodeDriver::send_frame(NodeId to, const Frame& frame) {
   std::vector<std::uint8_t> bytes = interner_.encode(frame);
   client_->send(to, bytes.data(), bytes.size());
   ++counters_.frames_sent;
-  // Everything except the resend requests themselves is kept for replay;
-  // the buffer holds at most two rounds of traffic (see prune_sent).
   if (frame.kind == FrameKind::kResendRequest) {
     ++counters_.resend_requests_sent;
-  } else {
-    sent_frames_[frame.round][to].push_back(std::move(bytes));
+    return;  // Not kept: a lost request is simply repeated.
   }
+  if (frame.kind == FrameKind::kPullRequest || carries_payload(frame.kind)) {
+    ++unmarked_[to];  // A data frame, counted by the next mark.
+  }
+  sent_[frame.round & 1].to[to].push_back(std::move(bytes));
 }
 
 void NodeDriver::answer_resend(NodeId to, std::uint64_t round) {
   ++counters_.resend_requests_answered;
-  const auto rit = sent_frames_.find(round);
-  if (rit == sent_frames_.end()) return;
-  const auto pit = rit->second.find(to);
-  if (pit == rit->second.end()) return;
-  for (const std::vector<std::uint8_t>& bytes : pit->second) {
+  const SentSlot& slot = sent_[round & 1];
+  if (slot.round != round) return;
+  for (const std::vector<std::uint8_t>& bytes : slot.to[to]) {
     client_->send(to, bytes.data(), bytes.size());
     ++counters_.frames_sent;
-  }
-}
-
-void NodeDriver::prune_sent(std::uint64_t keep_from) {
-  sent_frames_.erase(sent_frames_.begin(),
-                     sent_frames_.lower_bound(keep_from));
-}
-
-void NodeDriver::broadcast(Frame frame) {
-  for (NodeId p = 0; p < options_.num_nodes; ++p) {
-    if (p != options_.node_id) send_frame(p, frame);
   }
 }
 
@@ -177,13 +186,9 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
                              std::to_string(from));
   }
   ++counters_.frames_received;
-  auto decoded = interner_.decode(data, size);
-  if (!decoded.ok()) {
-    throw std::runtime_error(std::string("NodeDriver: bad frame from peer ") +
-                             std::to_string(from) + ": " +
-                             core::to_string(decoded.error));
-  }
-  Frame frame = std::move(*decoded.value);
+  auto header = interner_.decode_header(data, size);
+  if (!header.ok()) bad_frame(from, header.error);
+  Frame& frame = *header.value;
   // Resend requests are answered regardless of round skew: the requester
   // may lag (waiting for frames we already sent) or lead (waiting at the
   // next status barrier for a broadcast we lost).
@@ -193,65 +198,80 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
   }
   // A frame for an already-finished round is a legitimate duplicate: a
   // retransmission can land after the barrier it was needed for released.
-  // Drop it silently (before the inbox lookup — finished rounds are erased
-  // and must not be resurrected).
   if (frame.round < round_) return;
-  // Peers lead by at most one round: no peer starts round_ + 1's actions
-  // before this node's round_ + 1 status, so the furthest a correct peer
-  // gets is its own round_ + 1 status broadcast.  Anything beyond is a
-  // corrupt or hostile round field, and filing it would grow inbox_
-  // without bound.
+  // One round in flight (see the header): only a round-status can be for
+  // round_ + 1, and nothing for a later round.
   if (frame.round > round_ + 1) {
     protocol_violation("frame more than one round ahead", from, frame);
   }
+  if (frame.round > round_ && frame.kind != FrameKind::kRoundStatus) {
+    protocol_violation("data or mark frame for the next round", from, frame);
+  }
 
-  RoundInbox& inbox = inbox_[frame.round];
+  PeerMarks& marks = marks_[from];
   switch (frame.kind) {
     case FrameKind::kRoundStatus:
-      inbox.status[from] = frame.complete;
-      break;
+      marks.status_round = frame.round;
+      marks.complete = frame.complete;
+      return;
     case FrameKind::kActionsDone:
-      inbox.actions_announced[from] = frame.count;
-      break;
+      marks.actions.announced = frame.count;
+      return;
     case FrameKind::kRepliesDone:
-      inbox.replies_announced[from] = frame.count;
-      break;
-    case FrameKind::kPullRequest:
-      if (owner_[frame.agent] != from ||
-          owner_[frame.target] != options_.node_id ||
-          workload_->fault_plan[frame.target]) {
-        protocol_violation("misrouted pull request", from, frame);
-      }
-      if (!inbox.seen_data.insert(frame.agent).second) break;  // Duplicate.
-      ++inbox.data_received[from];
-      inbox.pull_requests.push_back(std::move(frame));
-      break;
-    case FrameKind::kPush:
-      if (owner_[frame.agent] != from ||
-          owner_[frame.target] != options_.node_id ||
-          workload_->fault_plan[frame.target]) {
-        protocol_violation("misrouted push", from, frame);
-      }
-      if (!inbox.seen_data.insert(frame.agent).second) break;  // Duplicate.
-      ++inbox.data_received[from];
-      inbox.pushes.push_back(std::move(frame));
-      break;
-    case FrameKind::kPullReply:
-      if (owner_[frame.agent] != options_.node_id ||
-          owner_[frame.target] != from) {
-        protocol_violation("misrouted pull reply", from, frame);
-      }
-      if (!inbox.seen_replies.insert(frame.agent).second) break;  // Dup.
-      ++inbox.replies_received[from];
-      inbox.pull_replies.push_back(std::move(frame));
-      break;
-    case FrameKind::kResendRequest:
-      break;  // Handled above; unreachable.
+      marks.replies.announced = frame.count;
+      return;
+    default:
+      break;  // A data frame.
+  }
+  // `agent` pulled or pushed, and `target` is the pullee or the push's
+  // destination; a reply travels back from the pullee's owner.
+  const bool reply = frame.kind == FrameKind::kPullReply;
+  const NodeId self = options_.node_id;
+  if (owner_[frame.agent] != (reply ? self : from) ||
+      owner_[frame.target] != (reply ? from : self) ||
+      (!reply && workload_->fault_plan[frame.target])) {
+    protocol_violation("misrouted frame", from, frame);
+  }
+  if (std::exchange(stamp_[frame.agent], round_) == round_) return;  // Dup.
+  ++(reply ? marks.replies : marks.actions).received;
+  if (frame.kind == FrameKind::kPullRequest) {
+    pull_requests_.push_back(std::move(frame));
+    return;
+  }
+  (reply ? pull_replies_ : pushes_)
+      .push_back({from, std::move(frame), sections_.size(),
+                  size - FrameCodec::kHeaderBytes});
+  sections_.insert(sections_.end(), data + FrameCodec::kHeaderBytes,
+                   data + size);
+}
+
+void NodeDriver::decode_filed(std::vector<Filed>& filed) {
+  std::sort(filed.begin(), filed.end(), by_agent);
+  for (Filed& f : filed) {
+    auto payload = interner_.decode_section(sections_.data() + f.section,
+                                            f.size);
+    if (!payload.ok()) bad_frame(f.from, payload.error);
+    f.frame.payload = std::move(*payload.value);
   }
 }
 
-template <typename Satisfied>
-void NodeDriver::wait_for(const char* what, Satisfied satisfied) {
+bool NodeDriver::marked(NodeId p, FrameKind kind) const {
+  const PeerMarks& m = marks_[p];
+  if (kind == FrameKind::kRoundStatus) return m.status_round == round_;
+  const PeerMarks::Tally& t =
+      kind == FrameKind::kActionsDone ? m.actions : m.replies;
+  return t.announced != kNone && t.received >= t.announced;
+}
+
+void NodeDriver::sync(FrameKind kind, bool complete) {
+  const NodeId self = options_.node_id;
+  Frame mark{.kind = kind, .round = round_, .complete = complete};
+  for (NodeId p = 0; p < options_.num_nodes; ++p) {
+    if (p == self) continue;
+    mark.count = std::exchange(unmarked_[p], 0);
+    send_frame(p, mark);
+  }
+
   using Clock = std::chrono::steady_clock;
   const auto interval = std::chrono::milliseconds(
       options_.resend_interval_ms > 0 ? options_.resend_interval_ms : 150);
@@ -261,7 +281,6 @@ void NodeDriver::wait_for(const char* what, Satisfied satisfied) {
   // transports every barrier clears well before that, so the recovery path
   // stays cold unless something was actually lost.
   auto next_resend = Clock::now() + interval;
-  const NodeId self = options_.node_id;
   // Hand everything queued since the last sync point to the transport in
   // one go (a buffering client writes it as one write per peer), and take
   // in whatever already arrived.
@@ -270,50 +289,41 @@ void NodeDriver::wait_for(const char* what, Satisfied satisfied) {
     bool ready = true;
     bool resend_due = Clock::now() >= next_resend;
     for (NodeId p = 0; p < options_.num_nodes; ++p) {
-      if (p == self || satisfied(p)) continue;
+      if (p == self || marked(p, kind)) continue;
       ready = false;
       // Fatal only while p's contribution is outstanding: a peer that
       // finished the run closes its connections, but everything it owed
       // this barrier was delivered before its EOF (ordered transport).
       if (peer_down_[p]) {
-        throw std::runtime_error(std::string("NodeDriver: peer ") +
-                                 std::to_string(p) +
-                                 " disconnected while waiting for " + what +
-                                 " (round " + std::to_string(round_) + ")");
+        throw std::runtime_error(
+            "NodeDriver: peer " + std::to_string(p) +
+            " disconnected while waiting for " + to_string(kind) +
+            " (round " + std::to_string(round_) + ")");
       }
       if (resend_due) {
         // Bounded retransmission: ask p to replay this round's frames.  The
         // request itself may be lost too — it repeats every interval until
         // the barrier clears or the sync timeout trips.
-        Frame f;
-        f.kind = FrameKind::kResendRequest;
-        f.round = round_;
-        send_frame(p, f);
+        send_frame(p, {.kind = FrameKind::kResendRequest, .round = round_});
       }
     }
     if (ready) return;
     if (resend_due) next_resend = Clock::now() + interval;
     if (Clock::now() >= deadline) {
-      throw std::runtime_error(std::string("NodeDriver: timed out waiting "
-                                           "for ") +
-                               what + " (round " + std::to_string(round_) +
-                               ")");
+      throw std::runtime_error("NodeDriver: timed out waiting for " +
+                               std::string(to_string(kind)) + " (round " +
+                               std::to_string(round_) + ")");
     }
     client_->poll(50);
   }
 }
 
 bool NodeDriver::exchange_status(bool local_complete) {
-  Frame status;
-  status.kind = FrameKind::kRoundStatus;
-  status.round = round_;
-  status.complete = local_complete;
-  broadcast(status);
-  wait_for("round-status", [&](NodeId p) {
-    return inbox_[round_].status.count(p) != 0;
-  });
+  sync(FrameKind::kRoundStatus, local_complete);
   bool complete = local_complete;
-  for (const auto& [peer, flag] : inbox_[round_].status) complete &= flag;
+  for (NodeId p = 0; p < options_.num_nodes; ++p) {
+    if (p != options_.node_id) complete &= marks_[p].complete;
+  }
   return complete;
 }
 
@@ -333,7 +343,6 @@ void NodeDriver::execute_round() {
   // Phase A: collect each local awake agent's single active operation, in
   // label order; charge the requester/sender side and ship cross-block
   // requests and pushes.
-  std::vector<std::uint32_t> sent(options_.num_nodes, 0);
   for (std::uint32_t l = first_; l < end_; ++l) {
     const std::uint32_t idx = l - first_;
     sim::Action& action = actions_[idx];
@@ -357,13 +366,9 @@ void NodeDriver::execute_round() {
         reply_for_[idx] = sim::Payload{};
         reply_ready_[idx] = true;
       } else if (owner_[action.target] != self) {
-        Frame f;
-        f.kind = FrameKind::kPullRequest;
-        f.round = round_;
-        f.agent = l;
-        f.target = action.target;
-        send_frame(owner_[action.target], f);
-        ++sent[owner_[action.target]];
+        send_frame(owner_[action.target],
+                   {.kind = FrameKind::kPullRequest, .round = round_,
+                    .agent = l, .target = action.target});
       }
       // A local non-faulty pullee is served from actions_ in phase B.
     } else {
@@ -372,102 +377,56 @@ void NodeDriver::execute_round() {
       // Pushes to faulty targets are charged but never travel (the engine
       // drops them at delivery); local targets are delivered in phase D.
       if (!faulty[action.target] && owner_[action.target] != self) {
-        Frame f;
-        f.kind = FrameKind::kPush;
-        f.round = round_;
-        f.agent = l;
-        f.target = action.target;
-        f.payload = action.payload;
-        send_frame(owner_[action.target], f);
-        ++sent[owner_[action.target]];
+        send_frame(owner_[action.target],
+                   {.kind = FrameKind::kPush, .round = round_, .agent = l,
+                    .target = action.target, .payload = action.payload});
       }
     }
   }
 
-  // Sync point: actions-done, carrying per-destination data-frame counts so
-  // the barrier is exact even if the transport reorders.
-  for (NodeId p = 0; p < options_.num_nodes; ++p) {
-    if (p == self) continue;
-    Frame f;
-    f.kind = FrameKind::kActionsDone;
-    f.round = round_;
-    f.count = sent[p];
-    send_frame(p, f);
-  }
-  wait_for("actions-done", [&](NodeId p) {
-    RoundInbox& ib = inbox_[round_];
-    const auto it = ib.actions_announced.find(p);
-    return it != ib.actions_announced.end() &&
-           ib.data_received[p] >= it->second;
-  });
-
-  RoundInbox& inbox = inbox_[round_];
+  sync(FrameKind::kActionsDone);
 
   // Phase B: serve every pull on a local pullee from round-start state, in
   // global requester-label order (the engine's order restricted to this
   // block's pullees).  The pullee side charges replies; empty replies still
   // travel so the requester can always deliver phase C.
-  struct PendingPull {
-    sim::AgentId requester;
-    sim::AgentId pullee;
-  };
-  std::vector<PendingPull> serves;
   for (std::uint32_t l = first_; l < end_; ++l) {
     const sim::Action& a = actions_[l - first_];
     if (a.kind == sim::ActionKind::kPull && !faulty[a.target] &&
         owner_[a.target] == self) {
-      serves.push_back({l, a.target});
+      pull_requests_.push_back({.kind = FrameKind::kPullRequest,
+                                .agent = l, .target = a.target});
     }
   }
-  for (const Frame& f : inbox.pull_requests) {
-    serves.push_back({f.agent, f.target});
-  }
-  std::sort(serves.begin(), serves.end(),
-            [](const PendingPull& a, const PendingPull& b) {
-              return a.requester < b.requester;
-            });
-
-  std::vector<std::uint32_t> replies_sent(options_.num_nodes, 0);
-  for (const PendingPull& s : serves) {
-    sim::Payload reply =
-        local_agent(s.pullee).serve_pull(make_context(s.pullee), s.requester);
+  std::sort(pull_requests_.begin(), pull_requests_.end(),
+            [](const Frame& a, const Frame& b) { return a.agent < b.agent; });
+  for (const Frame& pull : pull_requests_) {
+    sim::Payload reply = local_agent(pull.target)
+                             .serve_pull(make_context(pull.target), pull.agent);
     if (!reply.empty()) {
       ++metrics_.pull_replies;
       metrics_.note_message(reply.bit_size());
     }
-    if (owner_[s.requester] == self) {
-      reply_for_[s.requester - first_] = std::move(reply);
-      reply_ready_[s.requester - first_] = true;
+    if (owner_[pull.agent] == self) {
+      reply_for_[pull.agent - first_] = std::move(reply);
+      reply_ready_[pull.agent - first_] = true;
     } else {
-      Frame f;
-      f.kind = FrameKind::kPullReply;
-      f.round = round_;
-      f.agent = s.requester;
-      f.target = s.pullee;
-      f.payload = std::move(reply);
-      send_frame(owner_[s.requester], f);
-      ++replies_sent[owner_[s.requester]];
+      send_frame(owner_[pull.agent],
+                 {.kind = FrameKind::kPullReply, .round = round_,
+                  .agent = pull.agent, .target = pull.target,
+                  .payload = std::move(reply)});
     }
   }
 
-  // Sync point: replies-done.
-  for (NodeId p = 0; p < options_.num_nodes; ++p) {
-    if (p == self) continue;
-    Frame f;
-    f.kind = FrameKind::kRepliesDone;
-    f.round = round_;
-    f.count = replies_sent[p];
-    send_frame(p, f);
-  }
-  wait_for("replies-done", [&](NodeId p) {
-    RoundInbox& rb = inbox_[round_];
-    const auto it = rb.replies_announced.find(p);
-    return it != rb.replies_announced.end() &&
-           rb.replies_received[p] >= it->second;
-  });
+  sync(FrameKind::kRepliesDone);
+  // Nothing more arrives this round: decode the payloads phases C and D
+  // deliver.
+  decode_filed(pull_replies_);
+  decode_filed(pushes_);
 
   // Phase C: deliver pull replies to local requesters in label order.
-  for (Frame& f : inbox.pull_replies) {
+  for (Filed& filed : pull_replies_) {
+    Frame& f = filed.frame;
     const std::uint32_t idx = f.agent - first_;
     if (actions_[idx].kind != sim::ActionKind::kPull ||
         actions_[idx].target != f.target || reply_ready_[idx]) {
@@ -490,33 +449,23 @@ void NodeDriver::execute_round() {
     reply_ready_[idx] = false;
   }
 
-  // Phase D: deliver pushes in sender-label order.
-  struct PendingPush {
-    sim::AgentId sender;
-    sim::AgentId target;
-    const sim::Payload* payload;
-  };
-  std::vector<PendingPush> pushes;
+  // Phase D: deliver pushes in sender-label order, the local ones merged
+  // into the remote ones.
+  const std::size_t remote = pushes_.size();
   for (std::uint32_t l = first_; l < end_; ++l) {
     const sim::Action& a = actions_[l - first_];
     if (a.kind == sim::ActionKind::kPush && !faulty[a.target] &&
         owner_[a.target] == self) {
-      pushes.push_back({l, a.target, &a.payload});
+      pushes_.push_back({self, {.kind = FrameKind::kPush, .agent = l,
+                                .target = a.target, .payload = a.payload}});
     }
   }
-  for (const Frame& f : inbox.pushes) {
-    pushes.push_back({f.agent, f.target, &f.payload});
+  std::inplace_merge(pushes_.begin(), pushes_.begin() + remote, pushes_.end(),
+                     by_agent);
+  for (const Filed& f : pushes_) {
+    local_agent(f.frame.target)
+        .on_push(make_context(f.frame.target), f.frame.agent, f.frame.payload);
   }
-  std::sort(pushes.begin(), pushes.end(),
-            [](const PendingPush& a, const PendingPush& b) {
-              return a.sender < b.sender;
-            });
-  for (const PendingPush& p : pushes) {
-    local_agent(p.target).on_push(make_context(p.target), p.sender,
-                                  *p.payload);
-  }
-
-  inbox_.erase(round_);
 }
 
 NodeReport NodeDriver::run(const std::vector<PeerEndpoint>& peers) {
@@ -535,17 +484,14 @@ NodeReport NodeDriver::run(const std::vector<PeerEndpoint>& peers) {
     // The engine's check-before-step loop: completion is evaluated (here:
     // agreed on, via the status barrier) before a round may execute, and
     // the round budget caps executed rounds.
-    for (;;) {
+    for (;; ++round_) {
+      begin_round();
       global_complete = exchange_status(block_complete());
       if (global_complete) break;
       if (workload_->max_rounds != 0 && round_ >= workload_->max_rounds) {
         break;
       }
       execute_round();
-      ++round_;
-      // Peers lag at most one stage cycle, so nothing older than the
-      // previous round can still be resend-requested.
-      prune_sent(round_ == 0 ? 0 : round_ - 1);
     }
     // Lossy transports: the final status broadcast may have been dropped,
     // and once this node stops it can no longer answer the slower peers'

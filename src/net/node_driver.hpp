@@ -5,14 +5,15 @@
 // contiguous_block_begin(n, K, b+1))) and replicates EngineCore's phased
 // synchronous round locally, moving every cross-block interaction over a
 // CommClient as wire frames.  The adaptation into asynchronous rounds with
-// explicit sync points follows ACP's ac_protocol: a round advances through
-// three barriers, each a mark frame that also *counts* the data frames
-// preceding it so the barrier is exact even over a reordering transport:
+// explicit sync points follows ACP's ac_protocol.  A round passes three
+// barriers, all one sync point: broadcast a mark that counts, per peer, the
+// data frames sent to it since the last mark, then wait for every peer's
+// mark and every data frame it counted (exact over a reordering transport):
 //
-//   1. round-status  — exchanged at round *start*, carrying each block's
-//      completion flag (computed from post-previous-round state, matching
-//      the engine's check-before-step loop).  All blocks complete, or the
-//      round budget spent → the run ends here.
+//   1. round-status  — at round *start*, carrying each block's completion
+//      flag (from post-previous-round state, as in the engine's
+//      check-before-step loop).  All blocks complete, or the round budget
+//      spent → the run ends here.
 //   2. actions-done  — after phase A: every local agent's action collected
 //      (in label order, under the partial-async mask when configured) and
 //      every cross-block pull request / push sent.
@@ -23,22 +24,32 @@
 // Phases C (deliver pull replies, requester order) and D (deliver pushes,
 // sender order) then run locally — all their inputs arrived by barrier 3.
 //
-// Loss recovery: on a lossy transport (UDP) any of those frames can simply
-// vanish, and before the resend protocol a single lost barrier frame hung
-// the whole cluster until the sync timeout.  Now every sent frame is kept
-// (encoded) in a two-round send buffer; a driver whose sync point stays
-// unsatisfied past resend_interval_ms sends kResendRequest marks to the
-// outstanding peers, which replay their buffered frames.  Re-deliveries
-// are made idempotent by per-round dedup (an agent acts at most once per
-// round, so its label keys its data frame) and frames for finished rounds
-// are dropped silently — so retransmission changes nothing about the
-// execution, which stays bit-identical to the engine's.
+// One round in flight: a peer sends a data or mark frame (pull request,
+// reply, push, actions-done, replies-done) for round r+1 only after it has
+// this node's round-r+1 status, which this node sends only after finishing
+// round r.  So every data or mark frame that is not stale is for the
+// current round; only a round-status can be for the next one, and nothing
+// for a later one.  on_message rejects anything else as a protocol
+// violation, so the round state is fixed-size: marks per peer (the status
+// stamped with its round), one frame list per kind, and a per-label round
+// stamp.  An agent acts at most once per round, so its label keys its data
+// frame and the stamp drops a second copy.
 //
-// Wire boundary: every frame in and out passes through a PayloadInterner
+// Loss recovery: on a lossy transport (UDP) any frame can vanish.  Every
+// sent frame is kept encoded in a two-slot send buffer (slot round & 1,
+// tagged with its round).  A sync point still unsatisfied after
+// resend_interval_ms sends kResendRequest marks to the outstanding peers,
+// which replay that round's frames if their slot still holds it.  Copies
+// are dropped by the stamps, and frames for finished rounds silently, so
+// retransmission changes nothing about the execution.
+//
+// Wire boundary: every frame passes through a PayloadInterner
 // (net/payload_interner.hpp), which encodes each boxed payload once and
 // decodes each distinct intention or certificate once, so local receivers
-// of one payload share one box.  The report's TransportCounters count the
-// frames, that codec work, and the resend traffic.
+// of one payload share one box.  An arriving frame's round, route and dedup
+// checks run on its header alone; a filed frame's payload section is
+// decoded after the last barrier, in label order, so the TransportCounters
+// do not depend on the order in which peers' frames arrive.
 //
 // Determinism: agent RNG streams are derive_seed(seed, label), the fault
 // plan and the partial-async mask stream (one Bernoulli per label per
@@ -51,9 +62,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "net/comm_client.hpp"
@@ -105,6 +114,7 @@ struct TransportCounters {
     payloads += other.payloads;
     return *this;
   }
+  bool operator==(const TransportCounters&) const = default;
 };
 
 struct NodeReport {
@@ -138,24 +148,36 @@ class NodeDriver final : public CommClientCallback {
   void on_peer_state(NodeId peer, bool connected) override;
 
  private:
-  /// Per-round frame buffers: peers may run up to one stage-cycle ahead, so
-  /// everything is bucketed by round and consumed when the local round
-  /// catches up.
-  struct RoundInbox {
-    std::map<NodeId, bool> status;              ///< round-status flags.
-    std::map<NodeId, std::uint32_t> actions_announced;
-    std::map<NodeId, std::uint32_t> replies_announced;
-    std::map<NodeId, std::uint32_t> data_received;     ///< requests + pushes.
-    std::map<NodeId, std::uint32_t> replies_received;
-    std::vector<Frame> pull_requests;
-    std::vector<Frame> pull_replies;
-    std::vector<Frame> pushes;
-    /// Duplicate suppression for retransmitted data frames.  Every agent
-    /// performs at most one active operation per round, so its label keys
-    /// its request-or-push (and the single reply it is owed) uniquely; mark
-    /// frames are idempotent map writes and need no set.
-    std::set<sim::AgentId> seen_data;     ///< requests + pushes, by sender.
-    std::set<sim::AgentId> seen_replies;  ///< replies, by requester.
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+  /// One peer's marks: its round-status (for round_ or round_ + 1) and, for
+  /// round_, what its actions-done and replies-done announced against the
+  /// data frames filed so far.
+  struct PeerMarks {
+    struct Tally {
+      std::uint64_t announced = kNone;  ///< Until the mark arrives.
+      std::uint32_t received = 0;
+    };
+    std::uint64_t status_round = kNone;  ///< Round `complete` is for.
+    bool complete = false;
+    Tally actions;  ///< Pull requests + pushes, then actions-done.
+    Tally replies;  ///< Pull replies, then replies-done.
+  };
+
+  /// A filed pull reply or push.  Its payload section waits in sections_
+  /// until decode_filed, which runs in label order.
+  struct Filed {
+    NodeId from = 0;
+    Frame frame;              ///< Payload set by decode_filed.
+    std::size_t section = 0;  ///< Offset in sections_.
+    std::size_t size = 0;
+  };
+
+  /// The send buffer's slot for one round: every frame sent to each peer,
+  /// encoded, for replay on a resend request.
+  struct SentSlot {
+    std::uint64_t round = kNone;
+    std::vector<std::vector<std::vector<std::uint8_t>>> to;  ///< By peer.
   };
 
   sim::Context make_context(sim::AgentId label) noexcept;
@@ -165,23 +187,26 @@ class NodeDriver final : public CommClientCallback {
   bool block_complete() const;
   std::uint64_t local_digest() const;
 
-  void broadcast(Frame frame);
+  /// Resets the marks' tallies, the frame lists, and the send-buffer slot
+  /// round_ reuses (it held round_ - 2, which no peer can still ask for).
+  void begin_round();
   void send_frame(NodeId to, const Frame& frame);
   /// Replays everything already sent to `to` for `round` from the send
   /// buffer (a no-op for pruned or not-yet-reached rounds).
   void answer_resend(NodeId to, std::uint64_t round);
-  /// Drops send-buffer rounds below `keep_from` (peers lag at most one
-  /// stage cycle, so current-1 is the oldest round anyone can still ask
-  /// for — the buffer stays bounded at two rounds of traffic).
-  void prune_sent(std::uint64_t keep_from);
-  /// Polls until `satisfied(p)` holds for every peer p; throws after
-  /// options_.sync_timeout_ms.  A disconnected peer is fatal only while
-  /// this barrier still needs something from it: a node that finishes the
-  /// run closes its connections while slower peers are still collecting
-  /// *other* peers' final frames, and (TCP/loopback being ordered) its own
-  /// contribution is guaranteed to have been delivered before its EOF.
-  template <typename Satisfied>
-  void wait_for(const char* what, Satisfied satisfied);
+  /// True once peer p's mark of `kind` for round_ arrived, and with it
+  /// every data frame the mark counted.
+  bool marked(NodeId p, FrameKind kind) const;
+  /// The sync point: sends each peer a `kind` mark for round_ (carrying
+  /// `complete` and the data frames sent to that peer since the last mark)
+  /// and polls until every peer is marked().  Throws after
+  /// sync_timeout_ms, or once a peer it still waits for has disconnected.
+  void sync(FrameKind kind, bool complete = false);
+  /// Sorts `filed` by agent label and decodes each payload section.
+  void decode_filed(std::vector<Filed>& filed);
+  static bool by_agent(const Filed& a, const Filed& b) {
+    return a.frame.agent < b.frame.agent;
+  }
 
   /// Broadcasts this node's completion flag, waits for every peer's, and
   /// returns their conjunction: true when every agent in the cluster is
@@ -208,12 +233,22 @@ class NodeDriver final : public CommClientCallback {
   std::uint64_t round_ = 0;
   sim::Metrics metrics_;
   TransportCounters counters_;  ///< All but `payloads` (see interner_).
-  std::map<std::uint64_t, RoundInbox> inbox_;
   std::vector<bool> peer_down_;           ///< tcp disconnects, fail-fast.
-  /// Encoded frames already sent, by round then destination — the resend
-  /// buffer answering kResendRequest.  Pruned to the last two rounds.
-  std::map<std::uint64_t, std::map<NodeId, std::vector<std::vector<std::uint8_t>>>>
-      sent_frames_;
+  std::vector<PeerMarks> marks_;          ///< By peer.
+  std::vector<std::uint32_t> unmarked_;   ///< Data frames sent to each peer
+                                          ///< since the last mark.
+  SentSlot sent_[2];                      ///< By round & 1.
+
+  // This round's filed frames (phase B adds the local pulls to
+  // pull_requests_), and the round each label last had a frame filed in.
+  // An agent acts at most once per round, so a label stamped with round_
+  // marks a duplicate: a request or push by its remote sender, or a reply
+  // by its local requester, so the two never share a label.
+  std::vector<Frame> pull_requests_;
+  std::vector<Filed> pull_replies_;
+  std::vector<Filed> pushes_;
+  std::vector<std::uint8_t> sections_;  ///< Filed frames' payload bytes.
+  std::vector<std::uint64_t> stamp_;    ///< By label, over [0, n).
 
   // Per-round scratch, reused.
   std::vector<sim::Action> actions_;      ///< Local agents' actions.

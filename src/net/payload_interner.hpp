@@ -16,10 +16,10 @@
 //   * decode: for the intention and certificate tags, the section's bytes
 //     (hash plus byte compare) key the payload decoded from them — never
 //     the sender's label, so an equivocator's two intentions stay two
-//     boxes.  A hit shares the already decoded box; the header (magic,
-//     kind, label ranges) is still parsed and checked on every frame.
-//     Only successful decodes are cached, so a malformed section is
-//     rejected on every arrival.
+//     boxes.  A hit shares the already decoded box.  Only successful
+//     decodes are cached, so a malformed section is rejected on every
+//     arrival.  A caller may check a frame's header first and decode its
+//     section only if it keeps the frame (NodeDriver does).
 //
 // Sharing is safe because a decode is a pure function of the section bytes
 // and the run's ProtocolParams, and the box is immutable.  It also makes
@@ -31,6 +31,8 @@
 // wholesale when full.  A correct run has at most n distinct intentions,
 // and each phase at most n distinct certificates, so the bound is met by
 // honest traffic and caps what a hostile peer's distinct payloads can pin.
+// Hits depend only on the order of the calls, so a caller that makes them
+// in a fixed order (NodeDriver: label order) gets reproducible counters.
 //
 // No byte on the wire changes: encode(f) == codec.encode(f) and decode(b)
 // equals codec.decode(b) field for field, errors included.
@@ -64,6 +66,7 @@ struct InternerCounters {
     decode_hits += other.decode_hits;
     return *this;
   }
+  bool operator==(const InternerCounters&) const = default;
 };
 
 class PayloadInterner {
@@ -77,6 +80,16 @@ class PayloadInterner {
   /// What codec.decode(data, size) returns, except that an intention or
   /// certificate payload may share its box with earlier decodes.
   core::WireResult<Frame> decode(const std::uint8_t* data, std::size_t size);
+  /// codec.decode_header: the frame without its payload section, which
+  /// starts at data + FrameCodec::kHeaderBytes.
+  core::WireResult<Frame> decode_header(const std::uint8_t* data,
+                                        std::size_t size) const {
+    return codec_.decode_header(data, size);
+  }
+  /// codec.decode_section, except that an intention or certificate may
+  /// share its box with earlier decodes.
+  core::WireResult<sim::Payload> decode_section(const std::uint8_t* data,
+                                                std::size_t size);
 
   const InternerCounters& counters() const noexcept { return counters_; }
   std::size_t capacity() const noexcept { return capacity_; }
@@ -94,9 +107,6 @@ class PayloadInterner {
       return std::hash<std::string_view>{}(bytes);
     }
   };
-
-  core::WireResult<sim::Payload> decode_section(const std::uint8_t* data,
-                                                std::size_t size);
 
   FrameCodec codec_;
   std::size_t capacity_;

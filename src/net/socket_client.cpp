@@ -380,7 +380,7 @@ class TcpMeshCommClient final : public CommClient {
   }
 
   void dial(NodeId peer, const sockaddr_in& addr, Clock::time_point deadline) {
-    auto backoff = std::chrono::milliseconds(1);
+    auto backoff = std::chrono::microseconds(50);
     for (;;) {
       const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
       if (fd < 0) fail_errno("tcp: socket");
@@ -402,7 +402,7 @@ class TcpMeshCommClient final : public CommClient {
       // The peer is still coming up; retry soon (peers in one process are
       // usually a fraction of a millisecond apart), backing off to 50 ms.
       std::this_thread::sleep_for(backoff);
-      backoff = std::min(2 * backoff, std::chrono::milliseconds(50));
+      backoff = std::min(2 * backoff, std::chrono::microseconds(50000));
     }
   }
 

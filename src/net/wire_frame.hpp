@@ -68,7 +68,7 @@ struct Frame {
   sim::AgentId target = sim::kNoAgent;
   bool complete = false;
   std::uint32_t count = 0;
-  sim::Payload payload;
+  sim::Payload payload{};
 };
 
 /// Encodes `payload` after its 16-bit tag.  Throws std::invalid_argument on

@@ -4,6 +4,7 @@
 // NodeDriver, not a flaky socket — which is what makes these the tier-1
 // guards of the transport layer.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -136,6 +137,30 @@ TEST(LoopbackCluster, RunsAreBitReproducible) {
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.block_digests, b.block_digests);
   EXPECT_EQ(cross_check(a, b), "");
+
+  // Protocol P sends boxed payloads through every node's interner, whose
+  // hit counts must not depend on the order in which peers' frames
+  // arrive.  A resend request would only mean a slow host, so none may
+  // fire before the sync timeout.
+  ClusterSpec protocol = protocol_spec(4, 0);
+  protocol.resend_interval_ms = protocol.sync_timeout_ms;
+  const Workload pwl = make_cluster_workload(protocol);
+  const std::vector<NodeReport> pa =
+      run_local_cluster(protocol, TransportKind::kLoopback);
+  const std::vector<NodeReport> pb =
+      run_local_cluster(protocol, TransportKind::kLoopback);
+  EXPECT_EQ(cross_check(merge_reports(pwl, pa), merge_reports(pwl, pb)), "");
+  TransportCounters sum_a;
+  TransportCounters sum_b;
+  for (const NodeReport& r : pa) sum_a += r.transport;
+  for (const NodeReport& r : pb) sum_b += r.transport;
+  EXPECT_GT(sum_a.payloads.decode_hits, 0u);
+  EXPECT_TRUE(sum_a == sum_b)
+      << "decodes " << sum_a.payloads.decodes << " vs "
+      << sum_b.payloads.decodes << ", decode hits "
+      << sum_a.payloads.decode_hits << " vs " << sum_b.payloads.decode_hits
+      << ", encodes " << sum_a.payloads.encodes << " vs "
+      << sum_b.payloads.encodes;
 }
 
 TEST(LoopbackCluster, ProtocolNodesShareDecodedBoxes) {
@@ -248,23 +273,24 @@ TEST(LossyCluster, SeededRandomLossStaysBitIdentical) {
 }
 
 // --------------------------------------------------------------------------
-// Inbox bound: a correct peer leads by at most one round, so a frame whose
-// round field is further ahead is corrupt or hostile.  Filing it would grow
-// the driver's per-round inbox without bound; it must fail loudly instead.
+// Round bound: a correct peer leads by at most one round, and for the next
+// round sends only its round-status, so any other frame ahead of the
+// current round is corrupt or hostile and must fail loudly.
 // --------------------------------------------------------------------------
 
 namespace {
 
-/// Sends, after the first outgoing frame of kind `trigger`, one more frame:
-/// `forge` applied to a decoded copy of it.
+/// Sends, after the first outgoing frame of kind `trigger`, `copies` more
+/// frames: each `forge` applied to a decoded copy of it.
 class ForgingClient final : public CommClient {
  public:
   ForgingClient(CommClientPtr inner, FrameCodec codec, FrameKind trigger,
-                std::function<void(Frame&)> forge)
+                std::function<void(Frame&)> forge, int copies)
       : inner_(std::move(inner)),
         codec_(codec),
         trigger_(trigger),
-        forge_(std::move(forge)) {}
+        forge_(std::move(forge)),
+        copies_(copies) {}
 
   const char* name() const noexcept override { return inner_->name(); }
   void start(NodeId self, const std::vector<PeerEndpoint>& peers,
@@ -284,9 +310,12 @@ class ForgingClient final : public CommClient {
     forged_ = true;
     auto decoded = codec_.decode(data, size);
     ASSERT_TRUE(decoded.ok());
-    forge_(*decoded.value);
-    const std::vector<std::uint8_t> bytes = codec_.encode(*decoded.value);
-    inner_->send(to, bytes.data(), bytes.size());
+    for (int i = 0; i < copies_; ++i) {
+      Frame frame = *decoded.value;
+      forge_(frame);
+      const std::vector<std::uint8_t> bytes = codec_.encode(frame);
+      inner_->send(to, bytes.data(), bytes.size());
+    }
   }
 
  private:
@@ -294,14 +323,15 @@ class ForgingClient final : public CommClient {
   FrameCodec codec_;
   FrameKind trigger_;
   std::function<void(Frame&)> forge_;
+  int copies_;
   bool forged_ = false;
 };
 
-/// Runs a 2-node rumor cluster in which node 1 forges one extra frame after
-/// its first frame of kind `trigger`.
+/// Runs a 2-node rumor cluster in which node 1 forges `copies` extra frames
+/// after its first frame of kind `trigger`.
 std::vector<NodeReport> run_forging_cluster(
     const ClusterSpec& spec, FrameKind trigger,
-    std::function<void(Frame&)> forge) {
+    std::function<void(Frame&)> forge, int copies = 1) {
   LoopbackHub hub(spec.num_nodes);
   FrameCodec codec;
   codec.n = spec.rumor.n;
@@ -309,7 +339,7 @@ std::vector<NodeReport> run_forging_cluster(
     CommClientPtr inner = make_comm_client(TransportKind::kLoopback, &hub);
     if (id != 1) return inner;
     return CommClientPtr(std::make_unique<ForgingClient>(
-        std::move(inner), codec, trigger, forge));
+        std::move(inner), codec, trigger, forge, copies));
   });
 }
 
@@ -345,6 +375,119 @@ TEST(NodeDriverInbox, ResendRequestsForAnyRoundAreStillAnswered) {
   EXPECT_EQ(cross_check(merge_reports(make_cluster_workload(spec), reports),
                         reference_result(spec)),
             "");
+}
+
+TEST(NodeDriverInbox, RejectsDataFrameForTheNextRound) {
+  // Only a round-status can be for round_ + 1: a peer pushes for the next
+  // round only after this node's status for it, which follows this round.
+  ClusterSpec spec = rumor_spec(2, 0);
+  spec.sync_timeout_ms = 1000;
+  try {
+    run_forging_cluster(spec, FrameKind::kPush, [](Frame& f) { ++f.round; });
+    FAIL() << "a push for the next round was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("data or mark frame for the next round"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(NodeDriverInbox, DuplicateFloodCostsNoSectionDecodes) {
+  // A peer repeats one push 64 times with distinct payloads.  Every copy is
+  // a duplicate by its sender label, dropped after the header checks and
+  // before its payload section is decoded, and the run is unchanged.
+  const ClusterSpec spec = rumor_spec(2, 0);
+  const auto decodes = [](const std::vector<NodeReport>& reports) {
+    std::uint64_t sum = 0;
+    for (const NodeReport& r : reports) sum += r.transport.payloads.decodes;
+    return sum;
+  };
+  const std::uint64_t clean =
+      decodes(run_local_cluster(spec, TransportKind::kLoopback));
+  const std::vector<NodeReport> flooded = run_forging_cluster(
+      spec, FrameKind::kPush,
+      [i = std::uint64_t{0}](Frame& f) mutable {
+        f.payload = sim::Payload::inline_words(f.payload.tag(), 64, ++i, 0, 0);
+      },
+      64);
+  EXPECT_EQ(decodes(flooded), clean);
+  EXPECT_EQ(cross_check(merge_reports(make_cluster_workload(spec), flooded),
+                        reference_result(spec)),
+            "");
+}
+
+// --------------------------------------------------------------------------
+// Driver fuzz: flipped bits in live frames.  The wire carries no checksum,
+// so a flip may go unnoticed and change the outcome; what the driver owes
+// is to end every run, in a structured error or a completed run, and never
+// hang, crash or allocate without bound.
+// --------------------------------------------------------------------------
+
+namespace {
+
+/// Flips one uniformly drawn bit of each outgoing frame with probability
+/// `p`, from a private seeded stream.  The driver above it keeps the
+/// unflipped bytes, so a resend replays the original frame.
+class BitFlippingClient final : public CommClient {
+ public:
+  BitFlippingClient(CommClientPtr inner, double p, std::uint64_t seed)
+      : inner_(std::move(inner)), p_(p), rng_(seed) {}
+
+  const char* name() const noexcept override { return inner_->name(); }
+  void start(NodeId self, const std::vector<PeerEndpoint>& peers,
+             CommClientCallback& callback) override {
+    inner_->start(self, peers, callback);
+  }
+  void stop() override { inner_->stop(); }
+  std::size_t poll(int timeout_ms) override {
+    return inner_->poll(timeout_ms);
+  }
+
+  void send(NodeId to, const std::uint8_t* data, std::size_t size) override {
+    if (size == 0 || !rng_.bernoulli(p_)) {
+      inner_->send(to, data, size);
+      return;
+    }
+    std::vector<std::uint8_t> bytes(data, data + size);
+    const std::uint64_t bit = rng_.below(8 * size);
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    inner_->send(to, bytes.data(), bytes.size());
+  }
+
+ private:
+  CommClientPtr inner_;
+  double p_;
+  rfc::support::Xoshiro256 rng_;
+};
+
+}  // namespace
+
+TEST(NodeDriverFuzz, FlippedBitsEndInAnErrorOrACompletedRun) {
+  ClusterSpec spec = protocol_spec(3, 0);
+  spec.sync_timeout_ms = 2000;
+  spec.resend_interval_ms = 25;
+  const Workload wl = make_cluster_workload(spec);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    LoopbackHub hub(spec.num_nodes);
+    const auto begin = std::chrono::steady_clock::now();
+    try {
+      const auto reports = run_local_cluster(spec, [&](NodeId id) {
+        return CommClientPtr(std::make_unique<BitFlippingClient>(
+            make_comm_client(TransportKind::kLoopback, &hub), 0.0005,
+            rfc::support::derive_seed(seed, id)));
+      });
+      merge_reports(wl, reports);  // The nodes agree on one run.
+    } catch (const std::runtime_error&) {
+      // A structured error: a rejected frame, or a sync-point timeout on a
+      // node whose peer stopped or lost its way.
+    }
+    // A stalled sync point throws after 2 s, on every waiting node at
+    // once; the bound leaves room for sanitizer builds.
+    EXPECT_LT(std::chrono::steady_clock::now() - begin,
+              std::chrono::seconds(30))
+        << "seed " << seed;
+  }
 }
 
 TEST(ClusterWorkload, RejectsNonInertNetworkSpecs) {
