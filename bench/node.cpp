@@ -7,10 +7,9 @@
 // against the in-memory engine.  Usually spawned by exp_socket, but usable
 // by hand, e.g. a 2-node TCP rumor run on one machine:
 //
-//   ./node --workload=rumor --transport=tcp --nodes=2 --node-id=0 \
-//          --port-base=23000 --n=64 --seed=7 &
-//   ./node --workload=rumor --transport=tcp --nodes=2 --node-id=1 \
-//          --port-base=23000 --n=64 --seed=7
+//   run="--workload=rumor --transport=tcp --nodes=2 --port-base=23000"
+//   ./node $run --n=64 --seed=7 --node-id=0 &
+//   ./node $run --n=64 --seed=7 --node-id=1
 //
 // Every workload flag must be identical across the node processes of one
 // run (they derive the fault plan, RNG streams, and schedule from them).

@@ -174,13 +174,11 @@ void AsyncProtocolAgent::on_pull_reply(const sim::Context&,
   if (phase == AsyncSchedule::LocalPhase::kCommitment) {
     // First declaration wins; a missing or malformed intention marks the
     // peer faulty (footnote 4).
-    const auto [it, inserted] =
-        collected_.emplace(target, CommitmentRecord{true, nullptr});
+    const auto [it, inserted] = collected_.emplace(target, CommitmentRecord{});
     if (inserted && payload != nullptr &&
         well_formed_intention(params_, payload->intention)) {
       // The reply is arena-transient, so its intention is copied once into
-      // a shared box of our own.
-      it->second.marked_faulty = false;
+      // a shared box of our own (unsummarized: Verification scans it).
       it->second.intention =
           std::make_shared<const VoteIntention>(payload->intention);
     }

@@ -34,11 +34,14 @@ sim::Payload clone_certificate(const sim::Payload& p) {
                                                Certificate{*cert});
 }
 
-/// H boxed with its well_formed_intention verdict under `params`.
+/// H boxed with its well_formed_intention verdict under `params` and its
+/// target summary.
 IntentionBox audited_box(VoteIntention intention,
                          const ProtocolParams& params) {
   const bool well_formed = well_formed_intention(params, intention);
-  return {std::move(intention), params.m, params.n, params.q, well_formed};
+  const std::uint64_t targets = target_summary(intention);
+  return {std::move(intention), params.m,  params.n,
+          params.q,             well_formed, targets};
 }
 
 /// The parameters an intention box's verdict was stamped for.

@@ -33,9 +33,10 @@ inline constexpr sim::PayloadTag kAsyncReplyPayloadTag = 0x29;  // AsyncReply
 // --- Factories ------------------------------------------------------------
 
 /// Commitment-phase reply: a full copy of the sender's vote intention H,
-/// boxed with its well_formed_intention verdict under `params` (see
-/// IntentionBox).  Every intention payload is built here or by the
-/// network-adversary ops in payloads.cpp, so every box carries a verdict.
+/// boxed with its well_formed_intention verdict under `params` and its
+/// target summary (see IntentionBox).  Every intention payload is built
+/// here or by the network-adversary ops in payloads.cpp, so every box
+/// carries a verdict and a summary.
 sim::Payload make_intention_payload(VoteIntention intention,
                                     const ProtocolParams& params);
 

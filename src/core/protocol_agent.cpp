@@ -1,6 +1,7 @@
 #include "core/protocol_agent.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "core/payloads.hpp"
 
@@ -66,7 +67,9 @@ VoteEntry ProtocolAgent::vote_for_round(const sim::Context&,
 }
 
 Certificate ProtocolAgent::build_own_certificate(const sim::Context& ctx) {
-  return make_certificate(params_, ctx.self, color_, received_votes_);
+  votes_in_own_certificate_ = true;
+  return make_certificate(params_, ctx.self, color_,
+                          std::move(received_votes_));
 }
 
 void ProtocolAgent::consider_certificate(const Certificate& certificate) {
@@ -133,13 +136,15 @@ std::uint64_t ProtocolAgent::local_memory_bits() const noexcept {
       params_.value_bits() + params_.label_bits();
   std::uint64_t bits =
       intention().size() * entry_bits;  // H_u.
-  for (const auto& [peer, record] : collected_) {  // L_u.
-    bits += params_.label_bits() + 1;  // Peer label + faulty flag.
-    if (record.intention) bits += record.intention->size() * entry_bits;
+  // L_u: a peer label and a faulty flag per record, plus the intention of
+  // each unmarked one, which is well-formed and so has exactly q entries.
+  bits += collected_.size() * (params_.label_bits() + 1);
+  for (const auto& [peer, record] : collected_) {
+    if (!record.marked_faulty()) bits += params_.q * entry_bits;
   }
   const std::uint64_t vote_bits =
       params_.label_bits() + params_.round_bits() + params_.value_bits();
-  bits += received_votes_.size() * vote_bits;  // W_u.
+  bits += received_votes().size() * vote_bits;  // W_u.
   if (has_own_certificate()) bits += own_certificate().bit_size(params_);
   if (has_min_certificate_) bits += min_certificate().bit_size(params_);
   return bits;
@@ -189,6 +194,8 @@ sim::Payload ProtocolAgent::serve_pull(const sim::Context& ctx,
   if (done()) return {};  // Failed/terminated agents are quiescent.
   switch (params_.phase_of_round(ctx.round)) {
     case Phase::kCommitment:
+      // ~Poisson(q) pullers: one reservation instead of doubling to 2q.
+      if (commitment_pullers_.empty()) commitment_pullers_.reserve(params_.q);
       commitment_pullers_.push_back(requester);
       return commitment_reply(ctx, requester);
     case Phase::kFindMin:
@@ -206,8 +213,7 @@ void ProtocolAgent::record_commitment_reply(sim::AgentId target,
   if (collected_.empty()) collected_.reserve(params_.q);
   // First declaration wins: if we already hold a record for `target`
   // (pulled it twice), the original stands.
-  const auto [it, inserted] =
-      collected_.emplace(target, CommitmentRecord{true, nullptr});
+  const auto [it, inserted] = collected_.emplace(target, CommitmentRecord{});
   if (!inserted) return;
   // "Replies in an unexpected way" (footnote 4): no intention, wrong length
   // or out-of-domain entries leave the peer marked faulty.  The box's
@@ -220,13 +226,13 @@ void ProtocolAgent::record_commitment_reply(sim::AgentId target,
                                : well_formed_intention(params_, box->intention);
   if (!well_formed) return;
   CommitmentRecord& record = it->second;
-  record.marked_faulty = false;
   // Keep the heap box the reply arrived in; an arena box dies at the round
   // barrier, so it is copied once into a box of our own.
   record.intention =
       reply.is_arena_boxed()
           ? std::make_shared<const VoteIntention>(box->intention)
           : shared_intention_in(reply);
+  record.targets = box->targets;
 }
 
 void ProtocolAgent::on_pull_reply(const sim::Context& ctx, sim::AgentId target,
@@ -254,6 +260,8 @@ void ProtocolAgent::on_push(const sim::Context& ctx, sim::AgentId sender,
   switch (params_.phase_of_round(ctx.round)) {
     case Phase::kVoting:
       if (is_vote(payload)) {
+        // ~Poisson(q) votes: one reservation instead of doubling to 2q.
+        if (received_votes_.empty()) received_votes_.reserve(params_.q);
         received_votes_.push_back(ReceivedVote{
             sender, params_.round_in_phase(ctx.round),
             vote_value_in(payload)});

@@ -43,8 +43,11 @@ class ProtocolAgent : public sim::Agent {
   // ---- Diagnostics read by the runner after execution ------------------
   /// H_u, read through the box this agent serves (empty before on_start).
   const VoteIntention& intention() const noexcept;
+  /// W_u.  The honest CE_u takes W_u over instead of copying it, so once
+  /// it is built this reads the certificate's votes.
   const ReceivedVotes& received_votes() const noexcept {
-    return received_votes_;
+    return votes_in_own_certificate_ ? own_certificate().votes
+                                     : received_votes_;
   }
   const CollectedIntentions& collected_intentions() const noexcept {
     return collected_;
@@ -132,7 +135,9 @@ class ProtocolAgent : public sim::Agent {
   virtual VoteEntry vote_for_round(const sim::Context& ctx, std::uint32_t i);
 
   /// The certificate entered into Find-Min (default: honest
-  /// (k_u, W_u, c_u, u)).
+  /// (k_u, W_u, c_u, u)).  The default moves W_u into the certificate, so
+  /// an override that alters the votes must build from a copy of
+  /// received_votes_ instead of editing the default's result.
   virtual Certificate build_own_certificate(const sim::Context& ctx);
 
   /// Find-Min adoption rule (default: keep the smaller of ours/theirs).
@@ -183,7 +188,8 @@ class ProtocolAgent : public sim::Agent {
   /// L_u.  Records hold shared handles to the immutable intention boxes
   /// the replies arrived in; arena-boxed replies are copied on retention.
   CollectedIntentions collected_;
-  ReceivedVotes received_votes_;     ///< W_u.
+  /// W_u, until the default build_own_certificate moves it into CE_u.
+  ReceivedVotes received_votes_;
   /// Set when this agent builds CE_u at find_min_begin.  An agent a
   /// scheduler did not activate in that round may still adopt a
   /// certificate, which finalize audits, but it serves no CE_min.
@@ -210,6 +216,8 @@ class ProtocolAgent : public sim::Agent {
   static const Certificate& certificate_or_default(
       const sim::Payload& payload) noexcept;
 
+  /// Set by the default build_own_certificate: W_u lives in CE_u's box.
+  bool votes_in_own_certificate_ = false;
   /// H_u, boxed once in on_start: the Commitment reply and the vote plan.
   sim::Payload intention_payload_;
   /// CE_u, boxed once when Find-Min begins.

@@ -30,8 +30,32 @@ bool well_formed_intention(const ProtocolParams& params,
 
 namespace {
 
-std::uint64_t vote_key(sim::AgentId voter, std::uint32_t round) noexcept {
-  return (static_cast<std::uint64_t>(voter) << 32) | round;
+bool in_domain(const ProtocolParams& params, const ReceivedVote& v) noexcept {
+  return v.value < params.m && v.round_index < params.q && v.voter < params.n;
+}
+
+/// (round, voter) packed into one word: a bijection on in-domain votes
+/// under which W in delivery order (round by round, each round's senders
+/// by label) is ascending.
+std::uint64_t vote_key(const ReceivedVote& v) noexcept {
+  return (static_cast<std::uint64_t>(v.round_index) << 32) | v.voter;
+}
+
+/// Whether two in-domain votes in [first, last) share (voter, round).
+bool has_duplicate(ReceivedVotes::const_iterator first,
+                   ReceivedVotes::const_iterator last) {
+  // An honest W is strictly ascending, which proves it duplicate-free
+  // without a copy; anything else is sorted in a per-thread scratch.
+  bool ascending = true;
+  for (auto it = first; it != last && it + 1 != last; ++it) {
+    ascending &= vote_key(*it) < vote_key(*(it + 1));
+  }
+  if (ascending) return false;
+  thread_local std::vector<std::uint64_t> keys;
+  keys.clear();
+  for (auto it = first; it != last; ++it) keys.push_back(vote_key(*it));
+  std::sort(keys.begin(), keys.end());
+  return std::adjacent_find(keys.begin(), keys.end()) != keys.end();
 }
 
 }  // namespace
@@ -39,27 +63,21 @@ std::uint64_t vote_key(sim::AgentId voter, std::uint32_t round) noexcept {
 VerificationResult verify_certificate(const ProtocolParams& params,
                                       const Certificate& certificate,
                                       const CollectedIntentions& collected) {
+  const ReceivedVotes& votes = certificate.votes;
+  const sim::AgentId owner = certificate.owner;
+
   // (a) Well-formedness and uniqueness of (voter, round) pairs, in vote
   // order: the first malformed or repeated vote decides the failure.  A
   // repeat before the first malformed vote is a duplicate whose second copy
-  // comes first, so sorting the keys of that prefix finds exactly the
+  // comes first, so checking that prefix for repeats finds exactly the
   // failure an in-order scan with a seen-set would report.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(certificate.votes.size());
-  bool malformed = false;
-  for (const ReceivedVote& v : certificate.votes) {
-    if (v.value >= params.m || v.round_index >= params.q ||
-        v.voter >= params.n) {
-      malformed = true;
-      break;
-    }
-    keys.push_back(vote_key(v.voter, v.round_index));
-  }
-  std::sort(keys.begin(), keys.end());
-  if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
+  const auto malformed = std::find_if(
+      votes.begin(), votes.end(),
+      [&](const ReceivedVote& v) { return !in_domain(params, v); });
+  if (has_duplicate(votes.begin(), malformed)) {
     return {VerificationFailure::kDuplicateVote};
   }
-  if (malformed) return {VerificationFailure::kMalformedVote};
+  if (malformed != votes.end()) return {VerificationFailure::kMalformedVote};
 
   // (b) The claimed key must equal the vote sum.
   if (certificate.k != certificate.vote_sum(params)) {
@@ -67,33 +85,35 @@ VerificationResult verify_certificate(const ProtocolParams& params,
   }
 
   // (c) Consistency against first-declared intentions.
-  for (const ReceivedVote& v : certificate.votes) {
+  std::size_t audited_votes = 0;
+  for (const ReceivedVote& v : votes) {
     const auto it = collected.find(v.voter);
     if (it == collected.end()) continue;  // We never audited this voter.
     const CommitmentRecord& record = it->second;
-    if (record.marked_faulty) {
+    if (record.marked_faulty()) {
       return {VerificationFailure::kVoteFromFaulty};
     }
     const VoteEntry& declared = record.intention->at(v.round_index);
-    if (declared.target != certificate.owner ||
-        declared.value != v.value) {
+    if (declared.target != owner || declared.value != v.value) {
       return {VerificationFailure::kIntentionMismatch};
     }
+    ++audited_votes;
   }
 
   // (d) Completeness: every audited peer's declared vote for the winner
-  // must be present.  This closes the vote-dropping loophole.
+  // must be present.  This closes the vote-dropping loophole.  By (a) and
+  // (c) the audited votes are distinct declared votes for the owner, so
+  // all declared ones are present iff there are as many of each.
   if (params.strict_verification) {
+    std::size_t declared_votes = 0;
     for (const auto& [voter, record] : collected) {
-      if (record.marked_faulty) continue;
-      const VoteIntention& intention = *record.intention;
-      for (std::uint32_t j = 0; j < intention.size(); ++j) {
-        if (intention[j].target != certificate.owner) continue;
-        if (!std::binary_search(keys.begin(), keys.end(),
-                                vote_key(voter, j))) {
-          return {VerificationFailure::kMissingVote};
-        }
+      if (record.marked_faulty() || !record.may_target(owner)) continue;
+      for (const VoteEntry& e : *record.intention) {
+        declared_votes += e.target == owner ? 1 : 0;
       }
+    }
+    if (declared_votes != audited_votes) {
+      return {VerificationFailure::kMissingVote};
     }
   }
 

@@ -64,7 +64,8 @@ class CommClientCallback {
                           std::size_t size) = 0;
 
   /// Connection-state edge for `peer` (tcp emits these as mesh links come
-  /// up and down; loopback/udp report every peer up at start).
+  /// up and down; loopback/udp report every peer up at start, and loopback
+  /// reports a peer down after the last message it sent before stopping).
   virtual void on_peer_state(NodeId /*peer*/, bool /*connected*/) {}
 };
 

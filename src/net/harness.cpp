@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -21,14 +22,18 @@ void append_mismatch(std::ostringstream& out, const char* field,
 }
 
 /// Runs spec.num_nodes NodeDrivers, one thread each, node i on factory(i)
-/// with the peer table `peers`; rethrows the first node failure.
+/// with the peer table `peers`; rethrows the root cause of a failure (see
+/// run_local_cluster).
 std::vector<NodeReport> run_nodes(const ClusterSpec& spec,
                                   const std::vector<PeerEndpoint>& peers,
                                   const ClientFactory& factory) {
   const Workload workload = make_cluster_workload(spec);
   const std::uint32_t num_nodes = spec.num_nodes;
   std::vector<NodeReport> reports(num_nodes);
-  std::vector<std::exception_ptr> errors(num_nodes);
+  // Node failures in the order they occurred, each flagged if it is a
+  // SyncPointError.
+  std::mutex errors_mutex;
+  std::vector<std::pair<std::exception_ptr, bool>> errors;
   std::vector<std::thread> threads;
   threads.reserve(num_nodes);
   for (std::uint32_t id = 0; id < num_nodes; ++id) {
@@ -43,16 +48,21 @@ std::vector<NodeReport> run_nodes(const ClusterSpec& spec,
         options.linger_ms = spec.linger_ms;
         NodeDriver driver(workload, options, *client);
         reports[id] = driver.run(peers);
+      } catch (const SyncPointError&) {
+        const std::lock_guard<std::mutex> lock(errors_mutex);
+        errors.emplace_back(std::current_exception(), true);
       } catch (...) {
-        errors[id] = std::current_exception();
+        const std::lock_guard<std::mutex> lock(errors_mutex);
+        errors.emplace_back(std::current_exception(), false);
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return reports;
+  if (errors.empty()) return reports;
+  const auto cause = std::find_if(errors.begin(), errors.end(),
+                                  [](const auto& e) { return !e.second; });
+  std::rethrow_exception(cause != errors.end() ? cause->first
+                                               : errors.front().first);
 }
 
 }  // namespace

@@ -66,8 +66,9 @@ ClusterResult merge_reports(const Workload& workload,
 ClusterResult reference_result(const ClusterSpec& spec);
 
 /// Runs spec as num_nodes in-process nodes, one thread each, over `kind`
-/// (loopback needs no ports; udp/tcp bind 127.0.0.1:port_base+i).  The
-/// first node failure is rethrown.
+/// (loopback needs no ports; udp/tcp bind 127.0.0.1:port_base+i).  A node
+/// failure is rethrown: the first one to occur that is not a
+/// SyncPointError (the usual echo of a failed peer), else the first one.
 std::vector<NodeReport> run_local_cluster(const ClusterSpec& spec,
                                           TransportKind kind,
                                           std::uint16_t port_base = 0);

@@ -29,18 +29,39 @@ void LoopbackHub::post(NodeId from, NodeId to, const std::uint8_t* data,
   box.ready.notify_one();
 }
 
+void LoopbackHub::post_stop(NodeId from) {
+  for (NodeId to = 0; to < num_nodes(); ++to) {
+    if (to == from) continue;
+    Mailbox& box = *boxes_[to];
+    {
+      std::lock_guard<std::mutex> lock(box.mutex);
+      box.stopped.push_back(from);
+    }
+    box.ready.notify_one();
+  }
+}
+
 std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> LoopbackHub::drain(
-    NodeId self, int timeout_ms) {
+    NodeId self, int timeout_ms, std::vector<NodeId>* stopped) {
   Mailbox& box = *boxes_.at(self);
   std::unique_lock<std::mutex> lock(box.mutex);
-  if (box.queue.empty() && timeout_ms > 0) {
-    box.ready.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                       [&box] { return !box.queue.empty(); });
+  const auto pending = [&box, stopped] {
+    return !box.queue.empty() ||
+           (stopped != nullptr && !box.stopped.empty());
+  };
+  if (!pending() && timeout_ms > 0) {
+    box.ready.wait_for(lock, std::chrono::milliseconds(timeout_ms), pending);
   }
   std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> out(
       std::make_move_iterator(box.queue.begin()),
       std::make_move_iterator(box.queue.end()));
   box.queue.clear();
+  if (stopped != nullptr) {
+    // Taken under the same lock as the queue: a stopped peer posted
+    // nothing after its stop, so all its messages are in `out` or earlier.
+    stopped->insert(stopped->end(), box.stopped.begin(), box.stopped.end());
+    box.stopped.clear();
+  }
   return out;
 }
 
@@ -65,7 +86,13 @@ class LoopbackCommClient final : public CommClient {
     }
   }
 
-  void stop() override { callback_ = nullptr; }
+  /// Reports the stop to every peer (on_peer_state(self, false)), as a tcp
+  /// peer sees the connection close, so none waits out its sync timeout.
+  void stop() override {
+    if (callback_ == nullptr) return;
+    callback_ = nullptr;
+    hub_->post_stop(self_);
+  }
 
   void send(NodeId to, const std::uint8_t* data, std::size_t size) override {
     if (callback_ == nullptr) throw std::runtime_error("loopback: not started");
@@ -74,10 +101,12 @@ class LoopbackCommClient final : public CommClient {
 
   std::size_t poll(int timeout_ms) override {
     if (callback_ == nullptr) throw std::runtime_error("loopback: not started");
-    const auto batch = hub_->drain(self_, timeout_ms);
+    std::vector<NodeId> stopped;
+    const auto batch = hub_->drain(self_, timeout_ms, &stopped);
     for (const auto& [from, bytes] : batch) {
       callback_->on_message(from, bytes.data(), bytes.size());
     }
+    for (const NodeId peer : stopped) callback_->on_peer_state(peer, false);
     return batch.size();
   }
 

@@ -41,16 +41,23 @@ class LoopbackHub {
   void post(NodeId from, NodeId to, const std::uint8_t* data,
             std::size_t size);
 
+  /// Tells every other node that `from` stopped: each later drain() that
+  /// asks for stops reports it, after every message `from` posted before.
+  void post_stop(NodeId from);
+
   /// Moves out every queued message for `self`, blocking up to
-  /// `timeout_ms` for the first (0 = non-blocking).
+  /// `timeout_ms` for the first (0 = non-blocking).  With `stopped`, also
+  /// moves the peers that stopped into it (and a stop ends the wait too);
+  /// their messages are all in this batch or an earlier one.
   std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> drain(
-      NodeId self, int timeout_ms);
+      NodeId self, int timeout_ms, std::vector<NodeId>* stopped = nullptr);
 
  private:
   struct Mailbox {
     std::mutex mutex;
     std::condition_variable ready;
     std::deque<std::pair<NodeId, std::vector<std::uint8_t>>> queue;
+    std::vector<NodeId> stopped;
   };
 
   std::vector<std::unique_ptr<Mailbox>> boxes_;

@@ -295,7 +295,7 @@ void NodeDriver::sync(FrameKind kind, bool complete) {
       // finished the run closes its connections, but everything it owed
       // this barrier was delivered before its EOF (ordered transport).
       if (peer_down_[p]) {
-        throw std::runtime_error(
+        throw SyncPointError(
             "NodeDriver: peer " + std::to_string(p) +
             " disconnected while waiting for " + to_string(kind) +
             " (round " + std::to_string(round_) + ")");
@@ -310,7 +310,7 @@ void NodeDriver::sync(FrameKind kind, bool complete) {
     if (ready) return;
     if (resend_due) next_resend = Clock::now() + interval;
     if (Clock::now() >= deadline) {
-      throw std::runtime_error("NodeDriver: timed out waiting for " +
+      throw SyncPointError("NodeDriver: timed out waiting for " +
                                std::string(to_string(kind)) + " (round " +
                                std::to_string(round_) + ")");
     }

@@ -63,6 +63,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "net/comm_client.hpp"
@@ -73,6 +74,15 @@
 #include "support/rng.hpp"
 
 namespace rfc::net {
+
+/// A sync point that could not complete: it timed out, or a peer whose
+/// frames it still awaited disconnected.  In a cluster this is usually the
+/// echo of another node's failure, so run_local_cluster reports any other
+/// error first.
+class SyncPointError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 struct NodeOptions {
   NodeId node_id = 0;

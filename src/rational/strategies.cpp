@@ -124,8 +124,13 @@ core::Certificate ForgedCoalitionCertAgent::build_own_certificate(
 
 core::Certificate VoteDropAgent::build_own_certificate(
     const sim::Context& ctx) {
-  core::Certificate cert = core::ProtocolAgent::build_own_certificate(ctx);
-  if (!is_beneficiary(ctx)) return cert;
+  if (!is_beneficiary(ctx)) {
+    return core::ProtocolAgent::build_own_certificate(ctx);
+  }
+  // Built from a copy: the default would move W_u into the certificate,
+  // and the votes dropped below must stay in received_votes().
+  core::Certificate cert =
+      core::make_certificate(params_, ctx.self, color_, received_votes_);
 
   // Search all ways of dropping up to two received votes and keep the
   // variant with the smallest key.  O(|W|^2) with |W| = Θ(log n).

@@ -327,17 +327,17 @@ class ForgingClient final : public CommClient {
   bool forged_ = false;
 };
 
-/// Runs a 2-node rumor cluster in which node 1 forges `copies` extra frames
-/// after its first frame of kind `trigger`.
+/// Runs a rumor cluster in which node `forger` forges `copies` extra
+/// frames after its first frame of kind `trigger`.
 std::vector<NodeReport> run_forging_cluster(
     const ClusterSpec& spec, FrameKind trigger,
-    std::function<void(Frame&)> forge, int copies = 1) {
+    std::function<void(Frame&)> forge, int copies = 1, NodeId forger = 1) {
   LoopbackHub hub(spec.num_nodes);
   FrameCodec codec;
   codec.n = spec.rumor.n;
   return run_local_cluster(spec, [&](NodeId id) {
     CommClientPtr inner = make_comm_client(TransportKind::kLoopback, &hub);
-    if (id != 1) return inner;
+    if (id != forger) return inner;
     return CommClientPtr(std::make_unique<ForgingClient>(
         std::move(inner), codec, trigger, forge, copies));
   });
@@ -361,6 +361,28 @@ TEST(NodeDriverInbox, RejectsFrameMoreThanOneRoundAhead) {
         << what;
     EXPECT_NE(what.find("round 2"), std::string::npos) << what;
   }
+}
+
+TEST(NodeDriverInbox, ClusterErrorNamesTheViolationAndEndsFast) {
+  // Node 0 forges a round-status two rounds ahead to node 1, which rejects
+  // it and stops.  The loopback transport reports the stop, so nodes 0 and
+  // 2 fail at once on the lost peer instead of waiting out the sync
+  // timeout, and the error rethrown is node 1's violation, not node 0's
+  // echo of it.
+  ClusterSpec spec = rumor_spec(3, 0);
+  spec.sync_timeout_ms = 20000;
+  const auto begin = std::chrono::steady_clock::now();
+  try {
+    run_forging_cluster(
+        spec, FrameKind::kRoundStatus, [](Frame& f) { f.round += 2; }, 1, 0);
+    FAIL() << "a frame two rounds ahead was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("more than one round ahead"), std::string::npos)
+        << what;
+    EXPECT_EQ(dynamic_cast<const SyncPointError*>(&e), nullptr) << what;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, std::chrono::seconds(5));
 }
 
 TEST(NodeDriverInbox, ResendRequestsForAnyRoundAreStillAnswered) {

@@ -62,7 +62,7 @@ TEST(ProtocolAgent, CommitmentCollectsOnePullPerRound) {
     EXPECT_LE(agent->collected_intentions().size(), w.params.q);
     for (const auto& [peer, record] : agent->collected_intentions()) {
       EXPECT_LT(peer, w.params.n);
-      EXPECT_FALSE(record.marked_faulty);  // Everyone honest & active.
+      EXPECT_FALSE(record.marked_faulty());  // Everyone honest & active.
       ASSERT_NE(record.intention, nullptr);
       EXPECT_EQ(record.intention->size(), w.params.q);
     }
@@ -79,10 +79,10 @@ TEST(ProtocolAgent, FaultyPeersAreMarkedFaulty) {
     for (const auto& [peer, record] :
          w.agents[i]->collected_intentions()) {
       if (peer >= 16) {
-        EXPECT_TRUE(record.marked_faulty);
+        EXPECT_TRUE(record.marked_faulty());
         saw_faulty_mark = true;
       } else {
-        EXPECT_FALSE(record.marked_faulty);
+        EXPECT_FALSE(record.marked_faulty());
       }
     }
   }
@@ -244,9 +244,39 @@ TEST(ProtocolAgent, VerdictStampedForOtherParamsIsRecomputed) {
 
   const CollectedIntentions& collected = auditor.collected_intentions();
   ASSERT_EQ(collected.size(), 3u);
-  EXPECT_TRUE(collected.find(5)->second.marked_faulty);
-  EXPECT_TRUE(collected.find(6)->second.marked_faulty);
-  EXPECT_FALSE(collected.find(7)->second.marked_faulty);
+  EXPECT_TRUE(collected.find(5)->second.marked_faulty());
+  EXPECT_TRUE(collected.find(6)->second.marked_faulty());
+  EXPECT_FALSE(collected.find(7)->second.marked_faulty());
+}
+
+TEST(ProtocolAgent, PeerPulledTwiceKeepsItsFirstDeclaration) {
+  // First declaration wins (the h* of Theorem 7's proof): a second,
+  // different reply from a peer neither replaces its record nor adds one,
+  // and a peer first marked faulty stays marked.  Records keep arrival
+  // order.
+  const ProtocolParams p = ProtocolParams::make(32, 2.0);
+  ProtocolAgent auditor(p, 0);
+  sim::Context ctx;
+  ctx.self = 0;
+  ctx.n = 32;
+  ctx.round = 0;  // Commitment.
+  const VoteIntention declared(p.q, {1, 3});
+  const sim::Payload first = make_intention_payload(declared, p);
+  auditor.on_pull_reply(ctx, 9, first);
+  auditor.on_pull_reply(ctx, 4, sim::Payload{});
+  auditor.on_pull_reply(ctx, 9,
+                        make_intention_payload(VoteIntention(p.q, {2, 7}), p));
+  auditor.on_pull_reply(ctx, 4, make_intention_payload(declared, p));
+
+  const CollectedIntentions& collected = auditor.collected_intentions();
+  ASSERT_EQ(collected.size(), 2u);
+  EXPECT_EQ(collected.begin()->first, 9u);
+  const auto it = collected.find(9);
+  ASSERT_NE(it, collected.end());
+  EXPECT_EQ(it->second.intention.get(), intention_in(first));
+  EXPECT_EQ(*it->second.intention, declared);
+  EXPECT_EQ(it->second.targets, target_summary(declared));
+  EXPECT_TRUE(collected.find(4)->second.marked_faulty());
 }
 
 TEST(ProtocolAgent, CoherenceComparesDistinctBoxesDeeply) {

@@ -243,7 +243,7 @@ TEST(Strategies, EquivocatorLiesOutliveTheirRoundArenas) {
       const auto receipt = auditor->receipts().find(peer);
       ASSERT_NE(receipt, auditor->receipts().end());
       EXPECT_TRUE(receipt->second.arena_boxed);
-      ASSERT_FALSE(record.marked_faulty);
+      ASSERT_FALSE(record.marked_faulty());
       ASSERT_NE(record.intention, nullptr);
       EXPECT_EQ(*record.intention, receipt->second.intention);
       ++lies_checked;

@@ -1,7 +1,13 @@
 // Property-based fuzzing of the Verification audit: randomly generated
 // consistent worlds are always accepted; a random single-field corruption
-// is always rejected (when the corrupted voter is audited).
+// is always rejected (when the corrupted voter is audited); and on random
+// worlds of every kind the audit returns the verdict of a plain reference.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <vector>
 
 #include "core/verification.hpp"
 #include "support/rng.hpp"
@@ -115,6 +121,180 @@ TEST(VerificationFuzz, UnauditedCorruptionIsInvisible) {
     w.cert.k = w.cert.vote_sum(params);
     const auto r = verify_certificate(params, w.cert, w.collected);
     EXPECT_TRUE(r.accepted());
+  }
+}
+
+// --------------------------------------------------------------------------
+// Verdict oracle: the audit as first written, with a seen-set-equivalent
+// sorted key vector, per-vote lookups and a binary search per declared vote
+// for the owner.  verify_certificate must return its verdict on every world.
+// --------------------------------------------------------------------------
+
+VerificationFailure reference_verdict(const ProtocolParams& params,
+                                      const Certificate& certificate,
+                                      const CollectedIntentions& collected) {
+  const auto vote_key = [](sim::AgentId voter, std::uint32_t round) {
+    return (static_cast<std::uint64_t>(voter) << 32) | round;
+  };
+  std::vector<std::uint64_t> keys;
+  bool malformed = false;
+  for (const ReceivedVote& v : certificate.votes) {
+    if (v.value >= params.m || v.round_index >= params.q ||
+        v.voter >= params.n) {
+      malformed = true;
+      break;
+    }
+    keys.push_back(vote_key(v.voter, v.round_index));
+  }
+  std::sort(keys.begin(), keys.end());
+  if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
+    return VerificationFailure::kDuplicateVote;
+  }
+  if (malformed) return VerificationFailure::kMalformedVote;
+  if (certificate.k != certificate.vote_sum(params)) {
+    return VerificationFailure::kBadKeySum;
+  }
+  for (const ReceivedVote& v : certificate.votes) {
+    const auto it = collected.find(v.voter);
+    if (it == collected.end()) continue;
+    const CommitmentRecord& record = it->second;
+    if (record.marked_faulty()) return VerificationFailure::kVoteFromFaulty;
+    const VoteEntry& declared = record.intention->at(v.round_index);
+    if (declared.target != certificate.owner || declared.value != v.value) {
+      return VerificationFailure::kIntentionMismatch;
+    }
+  }
+  if (params.strict_verification) {
+    for (const auto& [voter, record] : collected) {
+      if (record.marked_faulty()) continue;
+      const VoteIntention& intention = *record.intention;
+      for (std::uint32_t j = 0; j < intention.size(); ++j) {
+        if (intention[j].target != certificate.owner) continue;
+        if (!std::binary_search(keys.begin(), keys.end(),
+                                vote_key(voter, j))) {
+          return VerificationFailure::kMissingVote;
+        }
+      }
+    }
+  }
+  return VerificationFailure::kNone;
+}
+
+/// A random world meant to reach every verdict: audited voters (some marked
+/// faulty, some intentions one entry too long) filed in random order with an
+/// exact, padded or absent target summary; a W of their votes for the
+/// owner plus unaudited ones, then damaged by random duplicates, malformed
+/// votes, drops, value flips and reorders; k right or wrong.  A quarter of
+/// the declared targets share their low six bits with the owner.
+FuzzWorld make_oracle_world(const ProtocolParams& params,
+                            rfc::support::Xoshiro256& rng) {
+  FuzzWorld w;
+  const auto label = [&] {
+    return static_cast<sim::AgentId>(rng.below(params.n));
+  };
+  w.cert.owner = label();
+  w.cert.color = 1;
+  const auto audited = static_cast<std::uint32_t>(rng.below(10));
+  for (std::uint32_t a = 0; a < audited; ++a) {
+    const sim::AgentId voter = label();
+    CommitmentRecord record;
+    if (rng.below(8) != 0) {
+      VoteIntention intention(params.q + (rng.below(10) == 0 ? 1 : 0));
+      for (std::uint32_t j = 0; j < intention.size(); ++j) {
+        intention[j].value = rng.below(params.m);
+        // Owner, a label sharing its summary bit, or anyone.
+        switch (rng.below(4)) {
+          case 0: intention[j].target = w.cert.owner; break;
+          case 1:
+            intention[j].target = static_cast<sim::AgentId>(
+                (w.cert.owner & 63) + 64 * rng.below(3));
+            break;
+          default: intention[j].target = label(); break;
+        }
+        if (j < params.q && intention[j].target == w.cert.owner) {
+          w.cert.votes.push_back({voter, j, intention[j].value});
+        }
+      }
+      switch (rng.below(3)) {
+        case 0: record.targets = target_summary(intention); break;
+        case 1:
+          record.targets = target_summary(intention) | rng.next();
+          break;
+        default: break;  // Unsummarized: kAnyTarget.
+      }
+      record.intention =
+          std::make_shared<const VoteIntention>(std::move(intention));
+    } else if (rng.below(2) == 0) {  // Marked faulty, yet in W.
+      w.cert.votes.push_back(
+          {voter, static_cast<std::uint32_t>(rng.below(params.q)),
+           rng.below(params.m)});
+    }
+    w.collected.emplace(voter, std::move(record));
+  }
+  for (std::uint64_t u = rng.below(6); u > 0; --u) {
+    w.cert.votes.push_back({label(),
+                            static_cast<std::uint32_t>(rng.below(params.q)),
+                            rng.below(params.m)});
+  }
+  auto& votes = w.cert.votes;
+  const auto pick = [&] {
+    return votes.begin() + static_cast<std::ptrdiff_t>(rng.below(votes.size()));
+  };
+  // Honest order is (round, voter); sometimes keep it, often not.
+  std::sort(votes.begin(), votes.end(), [](const auto& a, const auto& b) {
+    return a.round_index != b.round_index ? a.round_index < b.round_index
+                                          : a.voter < b.voter;
+  });
+  for (std::uint64_t d = rng.below(3); d > 0 && !votes.empty(); --d) {
+    switch (rng.below(6)) {
+      case 0: {  // Duplicate (voter, round), value kept or changed.
+        ReceivedVote copy = *pick();
+        if (rng.below(2) == 0) copy.value = rng.below(params.m);
+        votes.insert(pick(), copy);
+        break;
+      }
+      case 1: {  // Malformed in one field.
+        ReceivedVote bad = *pick();
+        switch (rng.below(3)) {
+          case 0: bad.value = params.m + rng.below(3); break;
+          case 1: bad.round_index = params.q + 1; break;
+          default: bad.voter = params.n + 5; break;
+        }
+        votes.insert(pick(), bad);
+        break;
+      }
+      case 2: votes.erase(pick()); break;
+      case 3: pick()->value = rng.below(params.m); break;
+      default: std::swap(*pick(), *pick()); break;
+    }
+  }
+  if (rng.below(4) == 0) {
+    for (std::size_t i = votes.size(); i > 1; --i) {
+      std::swap(votes[i - 1], votes[rng.below(i)]);
+    }
+  }
+  w.cert.k = w.cert.vote_sum(params);
+  if (rng.below(10) == 0) w.cert.k = (w.cert.k + 1) % params.m;
+  return w;
+}
+
+TEST(VerificationFuzz, VerdictMatchesTheReferenceAudit) {
+  auto params = ProtocolParams::make(200, 2.0);
+  rfc::support::Xoshiro256 rng(404);
+  std::array<int, kVerificationFailureCount> seen{};
+  for (int rep = 0; rep < 4000; ++rep) {
+    params.strict_verification = rep % 4 != 0;
+    const FuzzWorld w = make_oracle_world(params, rng);
+    const VerificationFailure expected =
+        reference_verdict(params, w.cert, w.collected);
+    EXPECT_EQ(verify_certificate(params, w.cert, w.collected).failure,
+              expected)
+        << "rep " << rep << ": reference says " << to_string(expected);
+    ++seen[static_cast<std::size_t>(expected)];
+  }
+  // Every verdict occurs, so the agreement above is not vacuous.
+  for (std::size_t f = 0; f < seen.size(); ++f) {
+    EXPECT_GT(seen[f], 20) << to_string(static_cast<VerificationFailure>(f));
   }
 }
 

@@ -132,7 +132,6 @@ TEST_F(VerificationTest, RejectsVoteFromPeerMarkedFaulty) {
   build_consistent_world(0, 2);
   // Re-mark voter 1 as faulty: its votes all count as zero (footnote 4),
   // so any vote from it in W is a lie.
-  collected_[1].marked_faulty = true;
   collected_[1].intention.reset();
   const auto r = verify_certificate(params_, cert_, collected_);
   EXPECT_EQ(r.failure, VerificationFailure::kVoteFromFaulty);
