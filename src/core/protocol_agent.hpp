@@ -137,7 +137,9 @@ class ProtocolAgent : public sim::Agent {
   /// The certificate entered into Find-Min (default: honest
   /// (k_u, W_u, c_u, u)).  The default moves W_u into the certificate, so
   /// an override that alters the votes must build from a copy of
-  /// received_votes_ instead of editing the default's result.
+  /// received_votes_ instead of editing the default's result, and any
+  /// subclass code that may run once Find-Min begins must read W_u
+  /// through received_votes(), never received_votes_.
   virtual Certificate build_own_certificate(const sim::Context& ctx);
 
   /// Find-Min adoption rule (default: keep the smaller of ours/theirs).
@@ -188,7 +190,8 @@ class ProtocolAgent : public sim::Agent {
   /// L_u.  Records hold shared handles to the immutable intention boxes
   /// the replies arrived in; arena-boxed replies are copied on retention.
   CollectedIntentions collected_;
-  /// W_u, until the default build_own_certificate moves it into CE_u.
+  /// W_u, until the default build_own_certificate moves it into CE_u;
+  /// from then on read it through received_votes().
   ReceivedVotes received_votes_;
   /// Set when this agent builds CE_u at find_min_begin.  An agent a
   /// scheduler did not activate in that round may still adopt a

@@ -21,6 +21,7 @@ void LoopbackHub::post(NodeId from, NodeId to, const std::uint8_t* data,
   if (to >= boxes_.size()) {
     throw std::invalid_argument("LoopbackHub: unknown destination node");
   }
+  if (size == 0) throw std::invalid_argument("LoopbackHub: empty message");
   Mailbox& box = *boxes_[to];
   {
     std::lock_guard<std::mutex> lock(box.mutex);
@@ -35,33 +36,24 @@ void LoopbackHub::post_stop(NodeId from) {
     Mailbox& box = *boxes_[to];
     {
       std::lock_guard<std::mutex> lock(box.mutex);
-      box.stopped.push_back(from);
+      box.queue.emplace_back(from, std::vector<std::uint8_t>());
     }
     box.ready.notify_one();
   }
 }
 
 std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> LoopbackHub::drain(
-    NodeId self, int timeout_ms, std::vector<NodeId>* stopped) {
+    NodeId self, int timeout_ms) {
   Mailbox& box = *boxes_.at(self);
   std::unique_lock<std::mutex> lock(box.mutex);
-  const auto pending = [&box, stopped] {
-    return !box.queue.empty() ||
-           (stopped != nullptr && !box.stopped.empty());
-  };
-  if (!pending() && timeout_ms > 0) {
-    box.ready.wait_for(lock, std::chrono::milliseconds(timeout_ms), pending);
+  if (box.queue.empty() && timeout_ms > 0) {
+    box.ready.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                       [&box] { return !box.queue.empty(); });
   }
   std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> out(
       std::make_move_iterator(box.queue.begin()),
       std::make_move_iterator(box.queue.end()));
   box.queue.clear();
-  if (stopped != nullptr) {
-    // Taken under the same lock as the queue: a stopped peer posted
-    // nothing after its stop, so all its messages are in `out` or earlier.
-    stopped->insert(stopped->end(), box.stopped.begin(), box.stopped.end());
-    box.stopped.clear();
-  }
   return out;
 }
 
@@ -101,12 +93,15 @@ class LoopbackCommClient final : public CommClient {
 
   std::size_t poll(int timeout_ms) override {
     if (callback_ == nullptr) throw std::runtime_error("loopback: not started");
-    std::vector<NodeId> stopped;
-    const auto batch = hub_->drain(self_, timeout_ms, &stopped);
+    const auto batch = hub_->drain(self_, timeout_ms);
     for (const auto& [from, bytes] : batch) {
-      callback_->on_message(from, bytes.data(), bytes.size());
+      // FIFO per sender: a stop notice follows every message its peer sent.
+      if (bytes.empty()) {
+        callback_->on_peer_state(from, false);
+      } else {
+        callback_->on_message(from, bytes.data(), bytes.size());
+      }
     }
-    for (const NodeId peer : stopped) callback_->on_peer_state(peer, false);
     return batch.size();
   }
 

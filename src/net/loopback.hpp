@@ -37,27 +37,25 @@ class LoopbackHub {
   }
 
   /// Appends one message to `to`'s mailbox (wakes a blocked poll()).
-  /// Throws std::invalid_argument on an out-of-range destination.
+  /// Throws std::invalid_argument on an out-of-range destination or an
+  /// empty message (an empty entry is a stop notice, see post_stop).
   void post(NodeId from, NodeId to, const std::uint8_t* data,
             std::size_t size);
 
-  /// Tells every other node that `from` stopped: each later drain() that
-  /// asks for stops reports it, after every message `from` posted before.
+  /// Appends a stop notice from `from` — an entry with no bytes — to every
+  /// other node's mailbox, behind every message `from` posted before it.
   void post_stop(NodeId from);
 
-  /// Moves out every queued message for `self`, blocking up to
-  /// `timeout_ms` for the first (0 = non-blocking).  With `stopped`, also
-  /// moves the peers that stopped into it (and a stop ends the wait too);
-  /// their messages are all in this batch or an earlier one.
+  /// Moves out every queued entry for `self`, blocking up to `timeout_ms`
+  /// for the first (0 = non-blocking).
   std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> drain(
-      NodeId self, int timeout_ms, std::vector<NodeId>* stopped = nullptr);
+      NodeId self, int timeout_ms);
 
  private:
   struct Mailbox {
     std::mutex mutex;
     std::condition_variable ready;
     std::deque<std::pair<NodeId, std::vector<std::uint8_t>>> queue;
-    std::vector<NodeId> stopped;
   };
 
   std::vector<std::unique_ptr<Mailbox>> boxes_;

@@ -262,8 +262,10 @@ void AdaptiveVoteAgent::on_push(const sim::Context& ctx, sim::AgentId sender,
                                 const sim::Payload& payload) {
   core::ProtocolAgent::on_push(ctx, sender, payload);
   if (ctx.self == coalition_->beneficiary()) {
+    // received_votes(), not the member: pushes go on arriving after
+    // Find-Min begins, when W_u has moved into CE_u.
     coalition_->publish_beneficiary_vote_sum(
-        core::vote_sum(params_, received_votes_));
+        core::vote_sum(params_, received_votes()));
   }
 }
 

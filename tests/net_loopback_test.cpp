@@ -75,6 +75,27 @@ TEST(LoopbackHub, DeliversFifoPerSenderAndValidatesDestinations) {
   EXPECT_THROW(hub.post(0, 3, &a, 1), std::invalid_argument);
 }
 
+TEST(LoopbackHub, StopNoticeFollowsTheStoppedNodesMessages) {
+  // A stop is an entry with no bytes in the same FIFO queue, so it reaches
+  // every other node behind all the messages its sender posted before it.
+  LoopbackHub hub(3);
+  const std::uint8_t a = 1;
+  hub.post(0, 2, &a, 1);
+  hub.post_stop(0);
+  const auto at2 = hub.drain(2, 0);
+  ASSERT_EQ(at2.size(), 2u);
+  EXPECT_EQ(at2[0].first, 0u);
+  EXPECT_EQ(at2[0].second.size(), 1u);
+  EXPECT_EQ(at2[1].first, 0u);
+  EXPECT_TRUE(at2[1].second.empty());
+  const auto at1 = hub.drain(1, 0);
+  ASSERT_EQ(at1.size(), 1u);
+  EXPECT_TRUE(at1[0].second.empty());
+  EXPECT_TRUE(hub.drain(0, 0).empty());
+  // A real message is never empty, so it cannot pass for a stop.
+  EXPECT_THROW(hub.post(1, 2, &a, 0), std::invalid_argument);
+}
+
 TEST(ClusterWorkload, RejectsActivationBasedSchedulers) {
   // The node protocol reproduces the engine's *round-based* phases; an
   // activation-based policy has no distributed counterpart and must be

@@ -174,6 +174,26 @@ TEST(AdaptiveVoteWhitebox, FixerCancelsPublishedSum) {
   EXPECT_EQ(core::vote_value_in(a.payload), (h.params.m - 1000) % h.params.m);
 }
 
+TEST(AdaptiveVoteWhitebox, BeneficiaryPublishesItsVoteSumAfterFindMin) {
+  Harness h;
+  const auto coalition =
+      std::make_shared<Coalition>(std::vector<sim::AgentId>{1, 2, 3}, 3);
+  AdaptiveVoteAgent adaptive(h.params, 1, coalition);
+  core::ProtocolAgent& beneficiary = adaptive;  // on_push is public here.
+  beneficiary.on_start(h.ctx(3));
+  beneficiary.on_push(h.ctx(3, h.params.q), 10,
+                      core::make_vote_payload(999, h.params));
+  EXPECT_EQ(coalition->beneficiary_vote_sum(), 999u);
+  // Find-Min begins: CE_u is built from W_u.  A later push (any phase)
+  // republishes the sum, which must still be W_u's.
+  beneficiary.on_round(h.ctx(3, 2ull * h.params.q));
+  ASSERT_TRUE(beneficiary.has_own_certificate());
+  beneficiary.on_push(h.ctx(3, 3ull * h.params.q), 11,
+                      core::make_digest_payload(7));
+  EXPECT_EQ(coalition->beneficiary_vote_sum(), 999u);
+  EXPECT_EQ(beneficiary.received_votes().size(), 1u);
+}
+
 TEST(SkipVerificationWhitebox, AcceptsAnyCertificateColor) {
   Harness h;
   SkipVerificationAgent agent(h.params, 1, h.coalition);

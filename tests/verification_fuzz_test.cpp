@@ -155,7 +155,11 @@ VerificationFailure reference_verdict(const ProtocolParams& params,
     return VerificationFailure::kBadKeySum;
   }
   for (const ReceivedVote& v : certificate.votes) {
-    const auto it = collected.find(v.voter);
+    // A plain scan of the (peer, record) pairs, not collected.find: the
+    // reference must not share the lookup it checks.
+    const auto it = std::find_if(
+        collected.begin(), collected.end(),
+        [&v](const auto& entry) { return entry.first == v.voter; });
     if (it == collected.end()) continue;
     const CommitmentRecord& record = it->second;
     if (record.marked_faulty()) return VerificationFailure::kVoteFromFaulty;
