@@ -35,6 +35,12 @@ Phase ProtocolParams::phase_of_round(std::uint64_t round) const noexcept {
 
 std::uint32_t ProtocolParams::round_in_phase(
     std::uint64_t round) const noexcept {
+  // Inside the schedule the phase index is at most 3, so a compare and a
+  // multiply replace the 64-bit division; rounds past it keep the modulus.
+  if (round < communication_rounds()) {
+    const auto phase = static_cast<std::uint64_t>(phase_of_round(round));
+    return static_cast<std::uint32_t>(round - phase * q);
+  }
   return static_cast<std::uint32_t>(round % q);
 }
 

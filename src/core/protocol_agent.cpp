@@ -1,5 +1,6 @@
 #include "core/protocol_agent.hpp"
 
+#include <cassert>
 #include <memory>
 #include <utility>
 
@@ -25,6 +26,8 @@ ProtocolAgent::ProtocolAgent(const ProtocolParams& params, Color color)
     : params_(params), color_(color) {}
 
 void ProtocolAgent::on_start(const sim::Context& ctx) {
+  // Written once: the replies served from this box are pinned views of it.
+  assert(intention_payload_.empty());
   intention_payload_ = make_intention_payload(choose_intention(ctx), params_);
 }
 
@@ -58,7 +61,7 @@ sim::Action ProtocolAgent::commitment_action(const sim::Context& ctx) {
 
 sim::Payload ProtocolAgent::commitment_reply(const sim::Context&,
                                              sim::AgentId) {
-  return intention_payload_;
+  return intention_payload_.pinned();
 }
 
 VoteEntry ProtocolAgent::vote_for_round(const sim::Context&,
@@ -83,9 +86,10 @@ void ProtocolAgent::consider_certificate(const Certificate& certificate) {
 
 sim::Payload ProtocolAgent::arriving_box_of(
     const Certificate& certificate) const {
-  // Only a heap box can be kept past this round, and only one that holds
-  // exactly `certificate` at its honest wire size can stand in for the
-  // payload make_certificate_payload would build.
+  // Only a heap box (or a pinned view of one) can be kept past this round,
+  // and only one that holds exactly `certificate` at its honest wire size
+  // can stand in for the payload make_certificate_payload would build.  A
+  // view stays a view: its box is another agent's write-once CE_u.
   if (arriving_cert_ == nullptr || arriving_cert_->is_arena_boxed() ||
       certificate_in(*arriving_cert_) != &certificate ||
       arriving_cert_->bit_size() != certificate.bit_size(params_)) {
@@ -162,8 +166,9 @@ double ProtocolAgent::progress() const noexcept {
 sim::Action ProtocolAgent::on_round(const sim::Context& ctx) {
   if (done()) return sim::Action::idle();
   observed_round_ = ctx.round;
-  observed_phase_ = to_agent_phase(params_.phase_of_round(ctx.round));
-  switch (params_.phase_of_round(ctx.round)) {
+  const Phase phase = params_.phase_of_round(ctx.round);
+  observed_phase_ = to_agent_phase(phase);
+  switch (phase) {
     case Phase::kCommitment:
       return commitment_action(ctx);
     case Phase::kVoting: {
@@ -174,9 +179,12 @@ sim::Action ProtocolAgent::on_round(const sim::Context& ctx) {
     }
     case Phase::kFindMin:
       if (ctx.round == params_.find_min_begin()) {
+        // Written once: CE_min starts as a pinned view of this box, and
+        // other agents adopt and serve that view.
+        assert(own_cert_payload_.empty());
         own_cert_payload_ =
             make_certificate_payload(build_own_certificate(ctx), params_);
-        min_cert_payload_ = own_cert_payload_;
+        min_cert_payload_ = own_cert_payload_.pinned();
         has_min_certificate_ = true;
       }
       return sim::Action::pull(ctx.random_peer());

@@ -53,9 +53,10 @@ class ProtocolAgent : public sim::Agent {
     return collected_;
   }
   /// The boxes holding this agent's only copies of H_u, CE_u and CE_min
-  /// (each empty until built or adopted).  The intention box is the
-  /// Commitment reply, and L_u records and adopted CE_min payloads share
-  /// these objects instead of copying them.
+  /// (each empty until built or adopted).  H_u and CE_u own their heap
+  /// boxes; Commitment replies and CE_min are pinned views of them, L_u
+  /// records take counted handles, and nothing copies the objects.  CE_min
+  /// may instead be a view of, or handle to, an adopted arrival.
   const sim::Payload& intention_payload() const noexcept {
     return intention_payload_;
   }
@@ -98,7 +99,8 @@ class ProtocolAgent : public sim::Agent {
                      const sim::Payload& reply) override;
   void on_push(const sim::Context& ctx, sim::AgentId sender,
                const sim::Payload& payload) override;
-  bool done() const override { return decided_ || failed_; }
+  /// Final, so the agent's own checks are direct calls.
+  bool done() const final { return decided_ || failed_; }
 
   // All observations move only inside this agent's own callbacks, so the
   // engine may mirror them into its SoA caches (sim/agent.hpp).
@@ -126,8 +128,9 @@ class ProtocolAgent : public sim::Agent {
   /// Commitment-phase active operation (default: pull a u.a.r. peer).
   virtual sim::Action commitment_action(const sim::Context& ctx);
 
-  /// Reply served to a Commitment pull (default: our full intention; a
-  /// deviator may equivocate or stay silent by returning an empty payload).
+  /// Reply served to a Commitment pull (default: our full intention, as a
+  /// pinned view of H_u's box; a deviator may equivocate or stay silent by
+  /// returning an empty payload).
   virtual sim::Payload commitment_reply(const sim::Context& ctx,
                                         sim::AgentId requester);
 
@@ -145,7 +148,8 @@ class ProtocolAgent : public sim::Agent {
   /// Find-Min adoption rule (default: keep the smaller of ours/theirs).
   virtual void consider_certificate(const Certificate& certificate);
 
-  /// Reply served to a Find-Min pull (default: current minimal certificate).
+  /// Reply served to a Find-Min pull (default: current minimal certificate,
+  /// as min_cert_payload() holds it).
   virtual sim::Payload find_min_reply(const sim::Context& ctx,
                                       sim::AgentId requester);
 
@@ -170,11 +174,12 @@ class ProtocolAgent : public sim::Agent {
     decided_ = true;
   }
 
-  /// The CE_min box once Find-Min has begun for this agent, empty before.
-  /// Serving Θ(log n) pulls per Find-Min round from one boxed allocation
-  /// keeps the simulator's constant factors down.  When the default
-  /// consider_certificate adopts a certificate that arrived heap-boxed, this
-  /// is that very box, so a converged network serves one shared object.
+  /// The CE_min payload once Find-Min has begun for this agent, empty
+  /// before.  Serving Θ(log n) pulls per Find-Min round from one boxed
+  /// allocation keeps the simulator's constant factors down.  It starts as
+  /// a pinned view of CE_u; when the default consider_certificate adopts a
+  /// pinned or heap-boxed arrival, it is that view or box, so a converged
+  /// network serves one object, and serving a view counts no references.
   sim::Payload min_cert_payload() const {
     return has_min_certificate_ ? min_cert_payload_ : sim::Payload{};
   }
@@ -188,7 +193,8 @@ class ProtocolAgent : public sim::Agent {
   ProtocolParams params_;
   Color color_;                      ///< c_u, the initially supported color.
   /// L_u.  Records hold shared handles to the immutable intention boxes
-  /// the replies arrived in; arena-boxed replies are copied on retention.
+  /// the replies arrived in (taken through a pinned view when the reply is
+  /// one); arena-boxed replies are copied on retention.
   CollectedIntentions collected_;
   /// W_u, until the default build_own_certificate moves it into CE_u;
   /// from then on read it through received_votes().
@@ -211,8 +217,9 @@ class ProtocolAgent : public sim::Agent {
   void record_commitment_reply(sim::AgentId target,
                                const sim::Payload& reply);
 
-  /// The Find-Min reply being considered, if it is a heap box holding
-  /// exactly `certificate`; empty otherwise (arena boxes are never kept).
+  /// The Find-Min reply being considered, if it is a heap box or a pinned
+  /// view holding exactly `certificate`; empty otherwise (arena boxes are
+  /// never kept).
   sim::Payload arriving_box_of(const Certificate& certificate) const;
 
   /// The certificate boxed in `payload`, or a default one if it is empty.
@@ -222,11 +229,14 @@ class ProtocolAgent : public sim::Agent {
   /// Set by the default build_own_certificate: W_u lives in CE_u's box.
   bool votes_in_own_certificate_ = false;
   /// H_u, boxed once in on_start: the Commitment reply and the vote plan.
+  /// Never reassigned afterwards, since replies are pinned views of it.
   sim::Payload intention_payload_;
-  /// CE_u, boxed once when Find-Min begins.
+  /// CE_u, boxed once when Find-Min begins and never reassigned afterwards,
+  /// since CE_min payloads across the network are pinned views of it.
   sim::Payload own_cert_payload_;
-  /// CE_min: the own box, a shared arriving heap box, or a private copy of
-  /// an arrival that could not be shared.
+  /// CE_min: a pinned view of the own box or of an arrival's, a shared
+  /// arriving heap box, or a private copy of an arrival that could not be
+  /// shared.
   sim::Payload min_cert_payload_;
   /// The Find-Min reply under consideration (set only for the duration of
   /// the consider_certificate call in on_pull_reply).

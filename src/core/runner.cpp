@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 namespace rfc::core {
 
@@ -46,7 +46,9 @@ GoodExecutionEvents collect_events(const sim::Engine& engine,
   ev.every_agent_audited = true;
   ev.every_agent_cleanly_voted = true;
 
-  std::unordered_set<std::uint64_t> keys;
+  // k of every honest CE_u, checked for duplicates once the scan is done.
+  std::vector<std::uint64_t> keys;
+  keys.reserve(n);
   const Certificate* reference_min = nullptr;
 
   // M: agents commitment-pulled by some coalition member (Def. 5(3)).
@@ -97,11 +99,7 @@ GoodExecutionEvents collect_events(const sim::Engine& engine,
     ev.min_votes = std::min(ev.min_votes, votes);
     ev.max_votes = std::max(ev.max_votes, votes);
 
-    if (agent.has_own_certificate()) {
-      if (!keys.insert(agent.own_certificate().k).second) {
-        ev.k_values_distinct = false;
-      }
-    }
+    if (agent.has_own_certificate()) keys.push_back(agent.own_certificate().k);
     if (agent.has_min_certificate()) {
       if (reference_min == nullptr) {
         reference_min = &agent.min_certificate();
@@ -111,6 +109,9 @@ GoodExecutionEvents collect_events(const sim::Engine& engine,
     }
   }
   if (!any_honest) ev.min_votes = 0;
+  std::sort(keys.begin(), keys.end());
+  ev.k_values_distinct =
+      std::adjacent_find(keys.begin(), keys.end()) == keys.end();
   return ev;
 }
 

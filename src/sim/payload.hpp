@@ -20,7 +20,18 @@
 //     delivery hook copies arena objects it keeps; agents that cache a
 //     payload across rounds (ProtocolAgent's intention/certificate boxes)
 //     keep the shared_ptr form, and consumers retain a heap box by handle
-//     (`shared_as`) rather than by copy.
+//     (`shared_as`) rather than by copy;
+//   * pinned          — a non-owning view of a heap-boxed payload (`pinned()`)
+//     whose owner writes it once and keeps it, unchanged, for as long as the
+//     engine it serves lives.  Copying, moving or destroying a view touches
+//     no reference count, which is what makes a box served to every puller
+//     of every round free to hand out.  `boxed_as` reads through the view
+//     and `shared_as` turns it into a counted handle, so a consumer that
+//     keeps the object past the engine's lifetime still takes ownership.
+//     Lifetime rule: the owning Payload must be neither reassigned nor
+//     destroyed while any view of it can still be read.  ProtocolAgent's
+//     H_u and CE_u boxes are write-once members of an agent the engine
+//     owns, and every payload in flight dies with the engine.
 //
 // This replaces the old virtual `Payload` class: the simulation hot path
 // (Action buffers, pull-reply scratch, per-message delivery) now moves
@@ -120,6 +131,9 @@ class Payload {
   /// rounds (the network layer's delayed-push path deep-copies these).
   bool is_arena_boxed() const noexcept { return kind_ == Kind::kArenaBoxed; }
 
+  /// True for a non-owning view made by pinned().
+  bool is_pinned() const noexcept { return kind_ == Kind::kPinned; }
+
   // --- Inline payloads ----------------------------------------------------
 
   /// An allocation-free payload of up to kInlineWords 64-bit words.  Signed
@@ -184,27 +198,58 @@ class Payload {
   template <typename T>
   const T* boxed_as(PayloadTag expected_tag) const noexcept {
     if (tag_ != expected_tag) return nullptr;
-    if (kind_ == Kind::kBoxed) {
-      return static_cast<const T*>(data_.object.get());
+    switch (kind_) {
+      case Kind::kBoxed:
+        return static_cast<const T*>(data_.object.get());
+      case Kind::kArenaBoxed:
+        return static_cast<const T*>(data_.arena_object);
+      case Kind::kPinned:
+        return static_cast<const T*>(data_.view.object);
+      default:
+        return nullptr;
     }
-    if (kind_ == Kind::kArenaBoxed) {
-      return static_cast<const T*>(data_.arena_object);
-    }
-    return nullptr;
   }
 
   /// A shared handle to the boxed object, or null unless this payload is
-  /// heap-boxed (kBoxed) AND carries `expected_tag`.  Lets a consumer retain
-  /// the immutable object across rounds without copying it; an arena-boxed
-  /// object has no owner to share and yields null (copy it out instead).
+  /// heap-boxed (directly or through a pinned view) AND carries
+  /// `expected_tag`.  Lets a consumer retain the immutable object across
+  /// rounds without copying it; an arena-boxed object has no owner to share
+  /// and yields null (copy it out instead).
   template <typename T>
   std::shared_ptr<const T> shared_as(PayloadTag expected_tag) const noexcept {
-    if (tag_ != expected_tag || kind_ != Kind::kBoxed) return nullptr;
-    return std::static_pointer_cast<const T>(data_.object);
+    const Payload& box = kind_ == Kind::kPinned ? *data_.view.owner : *this;
+    if (tag_ != expected_tag || box.kind_ != Kind::kBoxed) return nullptr;
+    return std::static_pointer_cast<const T>(box.data_.object);
   }
 
+  // --- Pinned views -------------------------------------------------------
+
+  /// A non-owning view of this heap box, or a plain copy of any other
+  /// payload (inline, arena-boxed, empty or already pinned), so a view
+  /// always points at an owning box, never at another view.  The caller
+  /// promises the lifetime rule in the header comment: *this is neither
+  /// reassigned nor destroyed while the view can be read.
+  Payload pinned() const& noexcept {
+    if (kind_ != Kind::kBoxed) return *this;
+    Payload p;
+    p.data_.view = {data_.object.get(), this};
+    p.set_meta(Kind::kPinned, tag_, bits_);
+    return p;
+  }
+  /// A view of a temporary would dangle at the end of the statement.
+  Payload pinned() const&& = delete;
+
  private:
-  enum class Kind : std::uint8_t { kEmpty, kInline, kBoxed, kArenaBoxed };
+  enum class Kind : std::uint8_t {
+    kEmpty, kInline, kBoxed, kArenaBoxed, kPinned
+  };
+
+  /// A pinned view: the boxed object, read directly, and the owning
+  /// payload, read only by shared_as.
+  struct View {
+    const void* object;
+    const Payload* owner;
+  };
 
   /// The value storage.  Only `object` has a non-trivial lifetime; it is
   /// placement-constructed by the boxed paths and destroyed by destroy().
@@ -212,6 +257,7 @@ class Payload {
     std::array<std::uint64_t, kInlineWords> words;  // 24 B, the widest.
     std::shared_ptr<const void> object;             // kBoxed only.
     const void* arena_object;  ///< Arena-owned; dies at the barrier reset.
+    View view;                 ///< kPinned only; owns nothing.
     Data() noexcept : arena_object(nullptr) {}
     ~Data() {}  // The discriminator lives outside; Payload destroys.
   };
@@ -239,6 +285,9 @@ class Payload {
       case Kind::kArenaBoxed:
         data_.arena_object = other.data_.arena_object;
         break;
+      case Kind::kPinned:
+        data_.view = other.data_.view;
+        break;
       case Kind::kEmpty:
         break;
     }
@@ -262,6 +311,9 @@ class Payload {
         break;
       case Kind::kArenaBoxed:
         data_.arena_object = other.data_.arena_object;
+        break;
+      case Kind::kPinned:
+        data_.view = other.data_.view;
         break;
       case Kind::kEmpty:
         break;

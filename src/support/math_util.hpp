@@ -1,21 +1,23 @@
 // Small integer / floating-point helpers shared across the library.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 namespace rfc::support {
 
-/// floor(log2(x)) for x >= 1.
+// The widths below run on every message the engine accounts (a pull
+// request's label, a vote value in [n^3], a certificate's fields), so they
+// are one count-leading-zeros instruction, not a loop over the bits.
+
+/// floor(log2(x)) for x >= 1; 0 for x = 0.
 constexpr std::uint32_t floor_log2(std::uint64_t x) noexcept {
-  std::uint32_t r = 0;
-  while (x >>= 1) ++r;
-  return r;
+  return x == 0 ? 0 : static_cast<std::uint32_t>(std::bit_width(x)) - 1;
 }
 
 /// ceil(log2(x)) for x >= 1; the number of bits needed to address x values.
 constexpr std::uint32_t ceil_log2(std::uint64_t x) noexcept {
-  if (x <= 1) return 0;
-  return floor_log2(x - 1) + 1;
+  return x <= 1 ? 0 : static_cast<std::uint32_t>(std::bit_width(x - 1));
 }
 
 /// Number of bits needed to encode a value drawn from {0, ..., x-1}.

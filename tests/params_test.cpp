@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace rfc::core {
 namespace {
@@ -46,6 +47,20 @@ TEST(ProtocolParams, RoundInPhaseWraps) {
   EXPECT_EQ(p.round_in_phase(p.q), 0u);
   EXPECT_EQ(p.round_in_phase(p.q + 3), 3u);
   EXPECT_EQ(p.round_in_phase(3ull * p.q + (p.q - 1)), p.q - 1);
+}
+
+TEST(ProtocolParams, RoundInPhaseIsTheModulusThroughoutAndPastTheSchedule) {
+  // (2, 0.1) gives q = 1, the degenerate schedule.
+  const std::pair<std::uint32_t, double> cases[] = {
+      {1, 4.0}, {2, 0.1}, {3, 1.0}, {256, 2.0}, {2048, 4.0}, {1u << 20, 1.0}};
+  for (const auto& [n, gamma] : cases) {
+    const auto p = ProtocolParams::make(n, gamma);
+    SCOPED_TRACE(p.q);
+    for (std::uint64_t r = 0; r <= 4ull * p.q + 16; ++r) {
+      ASSERT_EQ(p.round_in_phase(r), r % p.q) << "round " << r;
+    }
+  }
+  EXPECT_EQ(ProtocolParams::make(2, 0.1).q, 1u);
 }
 
 TEST(ProtocolParams, TotalRounds) {

@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/payloads.hpp"
+#include "core/runner.hpp"
 #include "sim/engine.hpp"
+#include "sim/scheduler_spec.hpp"
 
 namespace rfc::core {
 namespace {
@@ -217,6 +221,86 @@ TEST(ProtocolAgent, FaultFreeRunEndsWithOneMinCertificateObject) {
     ASSERT_TRUE(agent->decided());
     ASSERT_FALSE(agent->failed());
     EXPECT_EQ(&agent->min_certificate(), min);
+  }
+}
+
+TEST(ProtocolAgent, ServedBoxesAreCountedOnlyByOwnersAndAuditRecords) {
+  // H_u and CE_u are served, pushed and adopted as pinned views, so after
+  // a fault-free run nothing but its owner holds a CE_u box, and an H_u box
+  // is held by its owner and by the L_u records that name it.
+  World w(256, 4.0);
+  w.run_all();
+  std::map<const VoteIntention*, long> records;
+  for (const auto* agent : w.agents) {
+    ASSERT_TRUE(agent->decided());
+    ASSERT_FALSE(agent->failed());
+    EXPECT_TRUE(agent->min_certificate_payload().is_pinned());
+    for (const auto& [peer, record] : agent->collected_intentions()) {
+      ++records[record.intention.get()];
+    }
+  }
+  for (const auto* agent : w.agents) {
+    const auto certificate =
+        agent->own_certificate_payload().shared_as<Certificate>(
+            kCertificatePayloadTag);
+    ASSERT_NE(certificate, nullptr);
+    EXPECT_EQ(certificate.use_count() - 1, 1);
+    const auto intention =
+        agent->intention_payload().shared_as<IntentionBox>(
+            kIntentionPayloadTag);
+    ASSERT_NE(intention, nullptr);
+    EXPECT_EQ(intention.use_count() - 1, 1 + records[&intention->intention]);
+  }
+}
+
+/// The honest agent, counting its build_own_certificate calls.
+class BuildCountingAgent final : public ProtocolAgent {
+ public:
+  BuildCountingAgent(const ProtocolParams& params, Color color,
+                     std::vector<int>* builds)
+      : ProtocolAgent(params, color), builds_(builds) {}
+
+ protected:
+  Certificate build_own_certificate(const sim::Context& ctx) override {
+    ++(*builds_)[ctx.self];
+    return ProtocolAgent::build_own_certificate(ctx);
+  }
+
+ private:
+  std::vector<int>* builds_;
+};
+
+TEST(ProtocolAgent, OwnCertificateIsBuiltAtMostOnceUnderEveryScheduler) {
+  // CE_u's box must never be reassigned, since CE_min payloads across the
+  // network are pinned views of it: no activation policy may build it
+  // twice for one agent.
+  constexpr std::uint32_t kN = 64;
+  for (const char* spec :
+       {"synchronous", "sequential",
+        "adversarial:victim_fraction=0.25,budget=64", "poisson:rate=2",
+        "partial-async:p=0.4"}) {
+    SCOPED_TRACE(spec);
+    RunConfig cfg;
+    cfg.n = kN;
+    cfg.gamma = 4.0;
+    cfg.seed = 3;
+    cfg.scheduler = sim::SchedulerSpec::parse(spec);
+    const ProtocolParams params = ProtocolParams::make(kN, cfg.gamma);
+    sim::Engine engine({kN, cfg.seed, nullptr, cfg.scheduler.make()});
+    std::vector<int> builds(kN, 0);
+    for (std::uint32_t i = 0; i < kN; ++i) {
+      engine.set_agent(i, std::make_unique<BuildCountingAgent>(
+                              params, static_cast<Color>(i % 3), &builds));
+    }
+    run_protocol_on(engine, cfg);
+    int total = 0;
+    for (const int b : builds) {
+      EXPECT_LE(b, 1);
+      total += b;
+    }
+    if (std::string(spec) == "synchronous") {
+      EXPECT_EQ(total, int{kN});
+    }
   }
 }
 
