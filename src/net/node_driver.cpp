@@ -6,26 +6,29 @@
 #include <string>
 #include <utility>
 
-#include "sim/scheduler.hpp"
-#include "sim/sharding.hpp"
-#include "support/math_util.hpp"
-
 namespace rfc::net {
 
 namespace {
-
-FrameCodec codec_for(const Workload& workload) {
-  if (workload.n == 0) {
-    throw std::invalid_argument("NodeDriver: workload has n == 0");
-  }
-  return FrameCodec{workload.n,
-                    workload.has_params ? &workload.params : nullptr};
-}
 
 [[noreturn]] void bad_frame(NodeId from, core::WireError error) {
   throw std::runtime_error(std::string("NodeDriver: bad frame from peer ") +
                            std::to_string(from) + ": " +
                            core::to_string(error));
+}
+
+/// The block of node options.node_id, after checking the node options.
+sim::LabelRange block_for(const Workload& workload,
+                          const NodeOptions& options) {
+  if (options.num_nodes == 0 || options.node_id >= options.num_nodes) {
+    throw std::invalid_argument("NodeDriver: node_id/num_nodes out of range");
+  }
+  if (options.num_nodes > workload.n) {
+    throw std::invalid_argument("NodeDriver: more nodes than agents");
+  }
+  return {sim::contiguous_block_begin(workload.n, options.num_nodes,
+                                      options.node_id),
+          sim::contiguous_block_begin(workload.n, options.num_nodes,
+                                      options.node_id + 1)};
 }
 
 [[noreturn]] void protocol_violation(const char* what, NodeId from,
@@ -44,106 +47,78 @@ NodeDriver::NodeDriver(const Workload& workload, const NodeOptions& options,
     : workload_(&workload),
       options_(options),
       client_(&client),
-      interner_(codec_for(workload)) {
-  const std::uint32_t n = workload_->n;
-  if (options_.num_nodes == 0 || options_.node_id >= options_.num_nodes) {
-    throw std::invalid_argument("NodeDriver: node_id/num_nodes out of range");
-  }
-  if (options_.num_nodes > n) {
-    throw std::invalid_argument("NodeDriver: more nodes than agents");
-  }
-  if (workload_->fault_plan.size() != n) {
-    throw std::invalid_argument("NodeDriver: fault plan size mismatch");
-  }
+      interner_(FrameCodec{workload.n,
+                           workload.has_params ? &workload.params : nullptr}),
+      block_(block_for(workload, options)),
+      core_(workload.n, workload.seed, nullptr, block_),
+      exec_(sim::ShardingConfig{options.num_nodes, 1}) {
   if (!workload_->make_agent || !workload_->agent_complete ||
       !workload_->digest_agent) {
     throw std::invalid_argument("NodeDriver: workload hooks not set");
   }
-
-  first_ = sim::contiguous_block_begin(n, options_.num_nodes,
-                                       options_.node_id);
-  end_ = sim::contiguous_block_begin(n, options_.num_nodes,
-                                     options_.node_id + 1);
-  owner_.resize(n);
-  for (std::uint32_t b = 0; b < options_.num_nodes; ++b) {
-    const std::uint32_t lo = sim::contiguous_block_begin(n, options_.num_nodes,
-                                                         b);
-    const std::uint32_t hi = sim::contiguous_block_begin(n, options_.num_nodes,
-                                                         b + 1);
-    for (std::uint32_t l = lo; l < hi; ++l) owner_[l] = b;
-  }
-
+  core_.apply_fault_plan(workload_->fault_plan);
   // Faulty labels get an agent too: they take no callbacks, but their
   // (initial) state is part of the block digest, as in the engine.
-  agents_.reserve(end_ - first_);
-  rngs_.reserve(end_ - first_);
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    agents_.push_back(workload_->make_agent(l));
-    if (agents_.back() == nullptr) {
+  for (std::uint32_t l = block_.begin; l < block_.end; ++l) {
+    std::unique_ptr<sim::Agent> agent = workload_->make_agent(l);
+    if (agent == nullptr) {
       throw std::invalid_argument("NodeDriver: make_agent returned null");
     }
-    rngs_.emplace_back(rfc::support::derive_seed(workload_->seed, l));
+    core_.set_agent(l, std::move(agent));
   }
 
   const std::string& policy = workload_->scheduler.policy();
   if (policy == "partial-async") {
-    partial_async_ = true;
-    awake_p_ = workload_->scheduler.param_double("p", 0.5);
-    if (!(awake_p_ >= 0.0 && awake_p_ <= 1.0)) {
-      throw std::invalid_argument(
-          "NodeDriver: wake probability must be in [0, 1]");
-    }
-    mask_rng_.seed(rfc::support::derive_seed(
-        workload_->seed, sim::PartialAsyncScheduler::kStream));
-    mask_.assign(n, true);
+    partial_async_ = std::make_unique<sim::PartialAsyncScheduler>(
+        workload_->scheduler.param_double("p", 0.5));
+    partial_async_->attach(core_);  // Seeds the engine's wake stream.
   } else if (policy != "synchronous") {
     throw std::invalid_argument("NodeDriver: scheduler '" + policy +
                                 "' is not round-based");
   }
 
-  actions_.resize(end_ - first_);
-  reply_for_.resize(end_ - first_);
-  reply_ready_.assign(end_ - first_, false);
   peer_down_.assign(options_.num_nodes, false);
   marks_.resize(options_.num_nodes);
   unmarked_.assign(options_.num_nodes, 0);
   for (SentSlot& slot : sent_) slot.to.resize(options_.num_nodes);
-  stamp_.assign(n, kNone);
+  stamp_.assign(workload_->n, kNone);
 }
 
-sim::Context NodeDriver::make_context(sim::AgentId label) noexcept {
-  sim::Context ctx;
-  ctx.self = label;
-  ctx.n = workload_->n;
-  ctx.round = round_;
-  ctx.rng = &rngs_[label - first_];
-  ctx.topology = nullptr;  // Workload factories reject topologies.
-  return ctx;
+template <typename Fn>
+void NodeDriver::for_each_inbound_lane(Fn&& fn) {
+  const NodeId self = options_.node_id;
+  for (NodeId p = 0; p < options_.num_nodes; ++p) {
+    if (p == self) continue;
+    for (std::uint32_t u = exec_.unit_begin(self);
+         u < exec_.unit_begin(self + 1); ++u) {
+      fn(p, exec_.lane(p, u));
+    }
+  }
 }
 
 bool NodeDriver::block_complete() const {
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    if (!workload_->fault_plan[l] &&
-        !workload_->agent_complete(*agents_[l - first_])) {
-      return false;
-    }
+  for (std::uint32_t l = block_.begin; l < block_.end; ++l) {
+    if (workload_->fault_plan[l]) continue;
+    if (!workload_->agent_complete(core_.agent(l))) return false;
   }
   return true;
 }
 
 std::uint64_t NodeDriver::local_digest() const {
   Fnv1a fnv;
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    workload_->digest_agent(fnv, *agents_[l - first_], l,
-                            workload_->fault_plan[l]);
+  for (std::uint32_t l = block_.begin; l < block_.end; ++l) {
+    workload_->digest_agent(fnv, core_.agent(l), l, workload_->fault_plan[l]);
   }
   return fnv.value();
 }
 
 void NodeDriver::begin_round() {
   for (PeerMarks& m : marks_) m.actions = m.replies = PeerMarks::Tally{};
-  pull_requests_.clear();
-  pull_replies_.clear();
+  for_each_inbound_lane([](NodeId, Lane& lane) {
+    lane.pulls.clear();
+    lane.pushes.clear();
+  });
+  replies_.clear();
   pushes_.clear();
   sections_.clear();
   SentSlot& slot = sent_[round_ & 1];
@@ -227,18 +202,19 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
   // destination; a reply travels back from the pullee's owner.
   const bool reply = frame.kind == FrameKind::kPullReply;
   const NodeId self = options_.node_id;
-  if (owner_[frame.agent] != (reply ? self : from) ||
-      owner_[frame.target] != (reply ? from : self) ||
+  if (block_of(frame.agent) != (reply ? self : from) ||
+      block_of(frame.target) != (reply ? from : self) ||
       (!reply && workload_->fault_plan[frame.target])) {
     protocol_violation("misrouted frame", from, frame);
   }
   if (std::exchange(stamp_[frame.agent], round_) == round_) return;  // Dup.
   ++(reply ? marks.replies : marks.actions).received;
   if (frame.kind == FrameKind::kPullRequest) {
-    pull_requests_.push_back(std::move(frame));
+    exec_.lane(from, exec_.unit_of(self, frame.target))
+        .pulls.push_back({frame.agent, frame.target});
     return;
   }
-  (reply ? pull_replies_ : pushes_)
+  (reply ? replies_ : pushes_)
       .push_back({from, std::move(frame), sections_.size(),
                   size - FrameCodec::kHeaderBytes});
   sections_.insert(sections_.end(), data + FrameCodec::kHeaderBytes,
@@ -246,7 +222,9 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
 }
 
 void NodeDriver::decode_filed(std::vector<Filed>& filed) {
-  std::sort(filed.begin(), filed.end(), by_agent);
+  std::sort(filed.begin(), filed.end(), [](const Filed& a, const Filed& b) {
+    return a.frame.agent < b.frame.agent;
+  });
   for (Filed& f : filed) {
     auto payload = interner_.decode_section(sections_.data() + f.section,
                                             f.size);
@@ -328,143 +306,101 @@ bool NodeDriver::exchange_status(bool local_complete) {
 }
 
 void NodeDriver::execute_round() {
-  const std::uint32_t n = workload_->n;
-  const std::vector<bool>& faulty = workload_->fault_plan;
   const NodeId self = options_.node_id;
-
-  // The awake mask is drawn for *all* n labels on every node, so the shared
-  // Bernoulli stream stays aligned with PartialAsyncScheduler::step.
-  if (partial_async_) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      mask_[i] = mask_rng_.bernoulli(awake_p_);
-    }
-  }
-
-  // Phase A: collect each local awake agent's single active operation, in
-  // label order; charge the requester/sender side and ship cross-block
-  // requests and pushes.
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    const std::uint32_t idx = l - first_;
-    sim::Action& action = actions_[idx];
-    if (faulty[l] || agents_[idx]->done() || (partial_async_ && !mask_[l])) {
-      action = sim::Action::idle();
-      continue;
-    }
-    action = agents_[idx]->on_round(make_context(l));
-    if (action.kind == sim::ActionKind::kIdle) continue;
-    if (action.target >= n) {
-      throw std::runtime_error("NodeDriver: agent " + std::to_string(l) +
-                               " targeted label out of range");
-    }
-    ++metrics_.active_links;
-    if (action.kind == sim::ActionKind::kPull) {
-      ++metrics_.pull_requests;
-      metrics_.note_message(rfc::support::bit_width_for_domain(n));
-      if (faulty[action.target]) {
-        // Pulling a faulty node observes silence; like the engine, the
-        // requester side synthesizes the empty reply without any traffic.
-        reply_for_[idx] = sim::Payload{};
-        reply_ready_[idx] = true;
-      } else if (owner_[action.target] != self) {
-        send_frame(owner_[action.target],
-                   {.kind = FrameKind::kPullRequest, .round = round_,
-                    .agent = l, .target = action.target});
-      }
-      // A local non-faulty pullee is served from actions_ in phase B.
-    } else {
-      ++metrics_.pushes;
-      metrics_.note_message(action.payload.bit_size());
-      // Pushes to faulty targets are charged but never travel (the engine
-      // drops them at delivery); local targets are delivered in phase D.
-      if (!faulty[action.target] && owner_[action.target] != self) {
-        send_frame(owner_[action.target],
-                   {.kind = FrameKind::kPush, .round = round_, .agent = l,
-                    .target = action.target, .payload = action.payload});
-      }
-    }
-  }
-
+  exec_.open_round(core_);
+  exec_.collect(core_, self,
+                partial_async_ ? &partial_async_->draw_awake(workload_->n)
+                               : nullptr);
+  send_actions();
   sync(FrameKind::kActionsDone);
-
-  // Phase B: serve every pull on a local pullee from round-start state, in
-  // global requester-label order (the engine's order restricted to this
-  // block's pullees).  The pullee side charges replies; empty replies still
-  // travel so the requester can always deliver phase C.
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    const sim::Action& a = actions_[l - first_];
-    if (a.kind == sim::ActionKind::kPull && !faulty[a.target] &&
-        owner_[a.target] == self) {
-      pull_requests_.push_back({.kind = FrameKind::kPullRequest,
-                                .agent = l, .target = a.target});
-    }
-  }
-  std::sort(pull_requests_.begin(), pull_requests_.end(),
-            [](const Frame& a, const Frame& b) { return a.agent < b.agent; });
-  for (const Frame& pull : pull_requests_) {
-    sim::Payload reply = local_agent(pull.target)
-                             .serve_pull(make_context(pull.target), pull.agent);
-    if (!reply.empty()) {
-      ++metrics_.pull_replies;
-      metrics_.note_message(reply.bit_size());
-    }
-    if (owner_[pull.agent] == self) {
-      reply_for_[pull.agent - first_] = std::move(reply);
-      reply_ready_[pull.agent - first_] = true;
-    } else {
-      send_frame(owner_[pull.agent],
-                 {.kind = FrameKind::kPullReply, .round = round_,
-                  .agent = pull.agent, .target = pull.target,
-                  .payload = std::move(reply)});
-    }
-  }
-
+  // An ordered transport delivers each lane in sender order already; a
+  // resent frame may arrive late.
+  for_each_inbound_lane([](NodeId, Lane& lane) {
+    std::sort(lane.pulls.begin(), lane.pulls.end(),
+              [](const auto& a, const auto& b) {
+                return a.requester < b.requester;
+              });
+  });
+  exec_.serve_pulls(core_, self);
+  send_replies();
   sync(FrameKind::kRepliesDone);
   // Nothing more arrives this round: decode the payloads phases C and D
-  // deliver.
-  decode_filed(pull_replies_);
+  // deliver, in label order.
+  decode_filed(replies_);
   decode_filed(pushes_);
+  file_replies();
+  for (Filed& f : pushes_) {
+    exec_.lane(f.from, exec_.unit_of(self, f.frame.target))
+        .pushes.push_back(
+            {std::move(f.frame.payload), f.frame.agent, f.frame.target});
+  }
+  exec_.deliver_replies(core_, self);
+  exec_.deliver_pushes(core_, self);
+  exec_.close_round(core_);
+}
 
-  // Phase C: deliver pull replies to local requesters in label order.
-  for (Filed& filed : pull_replies_) {
-    Frame& f = filed.frame;
-    const std::uint32_t idx = f.agent - first_;
-    if (actions_[idx].kind != sim::ActionKind::kPull ||
-        actions_[idx].target != f.target || reply_ready_[idx]) {
-      protocol_violation("unsolicited pull reply", owner_[f.target], f);
+void NodeDriver::send_actions() {
+  const NodeId self = options_.node_id;
+  const std::vector<bool>& faulty = workload_->fault_plan;
+  sim::Metrics& metrics = exec_.metrics(self);
+  for (NodeId p = 0; p < options_.num_nodes; ++p) {
+    if (p == self) continue;
+    for (std::uint32_t u = exec_.unit_begin(p); u < exec_.unit_begin(p + 1);
+         ++u) {
+      const Lane& lane = exec_.lane(self, u);
+      for (const auto& pull : lane.pulls) {
+        if (faulty[pull.server]) continue;
+        send_frame(p, {.kind = FrameKind::kPullRequest, .round = round_,
+                       .agent = pull.requester, .target = pull.server});
+      }
+      for (const auto& push : lane.pushes) {
+        if (faulty[push.target]) {
+          ++metrics.pushes;
+          metrics.note_message(push.payload.bit_size());
+          continue;
+        }
+        send_frame(p, {.kind = FrameKind::kPush, .round = round_,
+                       .agent = push.sender, .target = push.target,
+                       .payload = push.payload});
+      }
     }
-    reply_for_[idx] = std::move(f.payload);
-    reply_ready_[idx] = true;
   }
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    const std::uint32_t idx = l - first_;
-    if (actions_[idx].kind != sim::ActionKind::kPull) continue;
-    if (!reply_ready_[idx]) {
-      throw std::runtime_error("NodeDriver: no reply reached agent " +
-                               std::to_string(l) + " in round " +
-                               std::to_string(round_));
-    }
-    local_agent(l).on_pull_reply(make_context(l), actions_[idx].target,
-                                 reply_for_[idx]);
-    reply_for_[idx] = sim::Payload{};
-    reply_ready_[idx] = false;
-  }
+}
 
-  // Phase D: deliver pushes in sender-label order, the local ones merged
-  // into the remote ones.
-  const std::size_t remote = pushes_.size();
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    const sim::Action& a = actions_[l - first_];
-    if (a.kind == sim::ActionKind::kPush && !faulty[a.target] &&
-        owner_[a.target] == self) {
-      pushes_.push_back({self, {.kind = FrameKind::kPush, .agent = l,
-                                .target = a.target, .payload = a.payload}});
+void NodeDriver::send_replies() {
+  for_each_inbound_lane([&](NodeId p, Lane& lane) {
+    for (const auto& pull : lane.pulls) {
+      send_frame(p, {.kind = FrameKind::kPullReply, .round = round_,
+                     .agent = pull.requester, .target = pull.server,
+                     .payload = std::exchange(core_.pull_reply(pull.requester),
+                                              {})});
     }
+  });
+}
+
+void NodeDriver::file_replies() {
+  // Both lists are in requester order, so one merge pass matches them.
+  const NodeId self = options_.node_id;
+  auto reply = replies_.begin();
+  for (const auto& pull : exec_.pullers(self)) {
+    if (block_of(pull.server) == self || workload_->fault_plan[pull.server]) {
+      continue;
+    }
+    if (reply != replies_.end() && reply->frame.agent == pull.requester &&
+        reply->frame.target == pull.server) {
+      core_.pull_reply(pull.requester) = std::move(reply->frame.payload);
+      ++reply;
+      continue;
+    }
+    if (reply != replies_.end() && reply->frame.agent <= pull.requester) {
+      break;  // A reply no pull asked for.
+    }
+    throw std::runtime_error("NodeDriver: no reply reached agent " +
+                             std::to_string(pull.requester) + " in round " +
+                             std::to_string(round_));
   }
-  std::inplace_merge(pushes_.begin(), pushes_.begin() + remote, pushes_.end(),
-                     by_agent);
-  for (const Filed& f : pushes_) {
-    local_agent(f.frame.target)
-        .on_push(make_context(f.frame.target), f.frame.agent, f.frame.payload);
+  if (reply != replies_.end()) {
+    protocol_violation("unsolicited pull reply", reply->from, reply->frame);
   }
 }
 
@@ -476,11 +412,10 @@ NodeReport NodeDriver::run(const std::vector<PeerEndpoint>& peers) {
 
   bool global_complete = false;
   try {
-    for (std::uint32_t l = first_; l < end_; ++l) {
-      if (!workload_->fault_plan[l]) {
-        local_agent(l).on_start(make_context(l));
-      }
-    }
+    // Started before the executor binds, so the bind finds the RNG streams
+    // seeded and starts no thread pool: the node runs its shard inline.
+    core_.ensure_started();
+    exec_.prepare(core_);
     // The engine's check-before-step loop: completion is evaluated (here:
     // agreed on, via the status barrier) before a round may execute, and
     // the round budget caps executed rounds.
@@ -511,11 +446,12 @@ NodeReport NodeDriver::run(const std::vector<PeerEndpoint>& peers) {
 
   NodeReport report;
   report.node_id = options_.node_id;
-  report.first_label = first_;
-  report.end_label = end_;
+  report.first_label = block_.begin;
+  report.end_label = block_.end;
   report.complete = global_complete;
   report.rounds = round_;
-  report.metrics = metrics_;
+  report.metrics = core_.metrics();
+  report.metrics.rounds = 0;
   report.state_digest = local_digest();
   report.transport = counters_;
   report.transport.payloads = interner_.counters();

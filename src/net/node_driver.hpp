@@ -1,28 +1,31 @@
 // NodeDriver — one node process of a distributed GOSSIP run.
 //
-// Each node owns a contiguous label block (the partition rule shared with
-// the sharded executor: block b is [contiguous_block_begin(n, K, b),
-// contiguous_block_begin(n, K, b+1))) and replicates EngineCore's phased
-// synchronous round locally, moving every cross-block interaction over a
-// CommClient as wire frames.  The adaptation into asynchronous rounds with
-// explicit sync points follows ACP's ac_protocol.  A round passes three
-// barriers, all one sync point: broadcast a mark that counts, per peer, the
-// data frames sent to it since the last mark, then wait for every peer's
-// mark and every data frame it counted (exact over a reordering transport):
+// Each node owns a contiguous label block (block b is
+// [contiguous_block_begin(n, K, b), contiguous_block_begin(n, K, b+1))) and
+// runs the engine's own round on it: an EngineCore that owns only the
+// block, and a ShardedRoundExecutor whose K shards are the node blocks, of
+// which the node runs its own.  Every cross-block interaction moves over a
+// CommClient as wire frames.  As in ACP's ac_protocol, the node has sync
+// points where the engine has barriers.  Each broadcasts a mark that
+// counts, per peer, the data frames sent to it since the last mark, then
+// waits for every peer's mark and every data frame it counted (exact over
+// a reordering transport):
 //
 //   1. round-status  — at round *start*, carrying each block's completion
 //      flag (from post-previous-round state, as in the engine's
 //      check-before-step loop).  All blocks complete, or the round budget
 //      spent → the run ends here.
-//   2. actions-done  — after phase A: every local agent's action collected
-//      (in label order, under the partial-async mask when configured) and
-//      every cross-block pull request / push sent.
-//   3. replies-done  — after phase B: every pull on a local pullee served
-//      in global requester-label order from round-start state, and every
-//      cross-block reply (empty ones included) sent.
+//   2. actions-done  — after phase A, which routed every action into the
+//      lane of its target's unit: the lanes into other blocks' units go out
+//      as pull requests and pushes, and arriving requests fill the lanes
+//      into this block's units.  Nothing travels to a faulty label: the
+//      pull's reply slot stays empty, and the sender charges the push.
+//   3. replies-done  — after phase B: the replies served to remote
+//      requesters go out (empty ones included).  Arriving replies fill the
+//      core's reply slots, checked against this shard's pullers, and
+//      arriving pushes fill the lanes into this block's units.
 //
-// Phases C (deliver pull replies, requester order) and D (deliver pushes,
-// sender order) then run locally — all their inputs arrived by barrier 3.
+// Phases C and D then run locally: all their inputs arrived by sync point 3.
 //
 // One round in flight: a peer sends a data or mark frame (pull request,
 // reply, push, actions-done, replies-done) for round r+1 only after it has
@@ -31,9 +34,9 @@
 // current round; only a round-status can be for the next one, and nothing
 // for a later one.  on_message rejects anything else as a protocol
 // violation, so the round state is fixed-size: marks per peer (the status
-// stamped with its round), one frame list per kind, and a per-label round
-// stamp.  An agent acts at most once per round, so its label keys its data
-// frame and the stamp drops a second copy.
+// stamped with its round), the lanes, one frame list per payload kind, and
+// a per-label round stamp.  An agent acts at most once per round, so its
+// label keys its data frame and the stamp drops a second copy.
 //
 // Loss recovery: on a lossy transport (UDP) any frame can vanish.  Every
 // sent frame is kept encoded in a two-slot send buffer (slot round & 1,
@@ -48,17 +51,16 @@
 // decodes each distinct intention or certificate once, so local receivers
 // of one payload share one box.  An arriving frame's round, route and dedup
 // checks run on its header alone; a filed frame's payload section is
-// decoded after the last barrier, in label order, so the TransportCounters
-// do not depend on the order in which peers' frames arrive.
+// decoded after the last sync point, in label order, so the
+// TransportCounters do not depend on the order in which frames arrive.
 //
-// Determinism: agent RNG streams are derive_seed(seed, label), the fault
-// plan and the partial-async mask stream (one Bernoulli per label per
-// round, faulty included) are derived identically on every node, and all
-// per-phase processing is sorted by label — so the distributed execution
-// is the engine's execution, bit for bit, regardless of message arrival
-// interleaving.  Metrics are charged exactly once cluster-wide on the side
-// the engine charges them (requester: pull requests; pullee owner:
-// replies; sender: pushes), so per-node Metrics sum to the engine's.
+// Determinism: RNG streams, the fault plan and the partial-async mask (one
+// Bernoulli per label per round, drawn for all n on every node) are derived
+// as in the engine, and every lane is in sender-label order, so the cluster
+// runs the engine's execution bit for bit.  Each Metrics counter is charged
+// once, on the shard the engine charges it on (a push on its target's,
+// except that the sender charges a push to a faulty label), so per-node
+// Metrics sum to the engine's.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +72,10 @@
 #include "net/payload_interner.hpp"
 #include "net/wire_frame.hpp"
 #include "net/workload.hpp"
+#include "sim/engine_core.hpp"
 #include "sim/metrics.hpp"
-#include "support/rng.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/sharding.hpp"
 
 namespace rfc::net {
 
@@ -190,15 +194,21 @@ class NodeDriver final : public CommClientCallback {
     std::vector<std::vector<std::vector<std::uint8_t>>> to;  ///< By peer.
   };
 
-  sim::Context make_context(sim::AgentId label) noexcept;
-  sim::Agent& local_agent(sim::AgentId label) {
-    return *agents_[label - first_];
+  using Lane = sim::ShardedRoundExecutor::Lane;
+
+  NodeId block_of(sim::AgentId label) const {
+    return sim::contiguous_block_of(workload_->n, options_.num_nodes, label);
   }
+  /// Runs fn(peer, lane) over the lanes from each peer's shard into this
+  /// node's units: the ones arriving frames fill.
+  template <typename Fn>
+  void for_each_inbound_lane(Fn&& fn);
   bool block_complete() const;
   std::uint64_t local_digest() const;
 
-  /// Resets the marks' tallies, the frame lists, and the send-buffer slot
-  /// round_ reuses (it held round_ - 2, which no peer can still ask for).
+  /// Resets the marks' tallies, the inbound lanes, the frame lists, and the
+  /// send-buffer slot round_ reuses (it held round_ - 2, which no peer can
+  /// still ask for).
   void begin_round();
   void send_frame(NodeId to, const Frame& frame);
   /// Replays everything already sent to `to` for `round` from the send
@@ -214,34 +224,33 @@ class NodeDriver final : public CommClientCallback {
   void sync(FrameKind kind, bool complete = false);
   /// Sorts `filed` by agent label and decodes each payload section.
   void decode_filed(std::vector<Filed>& filed);
-  static bool by_agent(const Filed& a, const Filed& b) {
-    return a.frame.agent < b.frame.agent;
-  }
 
   /// Broadcasts this node's completion flag, waits for every peer's, and
   /// returns their conjunction: true when every agent in the cluster is
   /// done.
   bool exchange_status(bool local_complete);
   void execute_round();
+  /// After phase A: sends the lanes into other blocks' units.
+  void send_actions();
+  /// After phase B: sends the replies served to remote requesters.
+  void send_replies();
+  /// Before phase C: moves each remote pullee's reply into the core's slot
+  /// for its requester, one per pull of a non-faulty remote pullee.
+  void file_replies();
 
   const Workload* workload_;
   NodeOptions options_;
   CommClient* client_;
   PayloadInterner interner_;  ///< Every frame in and out goes through it.
 
-  std::uint32_t first_ = 0;               ///< Local block begin.
-  std::uint32_t end_ = 0;                 ///< Local block end.
-  std::vector<NodeId> owner_;             ///< label -> owning node.
-  std::vector<std::unique_ptr<sim::Agent>> agents_;  ///< Local block only.
-  std::vector<rfc::support::Xoshiro256> rngs_;       ///< Local block only.
+  sim::LabelRange block_;      ///< The local block.
+  sim::EngineCore core_;       ///< Owns the local block's labels.
+  sim::ShardedRoundExecutor exec_;  ///< Shard s = node s's block.
 
-  bool partial_async_ = false;
-  double awake_p_ = 1.0;
-  rfc::support::Xoshiro256 mask_rng_{0};
-  std::vector<bool> mask_;                ///< Full n, redrawn per round.
+  /// Draws the wake mask under partial-async; null when synchronous.
+  std::unique_ptr<sim::PartialAsyncScheduler> partial_async_;
 
   std::uint64_t round_ = 0;
-  sim::Metrics metrics_;
   TransportCounters counters_;  ///< All but `payloads` (see interner_).
   std::vector<bool> peer_down_;           ///< tcp disconnects, fail-fast.
   std::vector<PeerMarks> marks_;          ///< By peer.
@@ -249,21 +258,15 @@ class NodeDriver final : public CommClientCallback {
                                           ///< since the last mark.
   SentSlot sent_[2];                      ///< By round & 1.
 
-  // This round's filed frames (phase B adds the local pulls to
-  // pull_requests_), and the round each label last had a frame filed in.
-  // An agent acts at most once per round, so a label stamped with round_
-  // marks a duplicate: a request or push by its remote sender, or a reply
-  // by its local requester, so the two never share a label.
-  std::vector<Frame> pull_requests_;
-  std::vector<Filed> pull_replies_;
+  // This round's filed replies and pushes (requests go straight to the
+  // lanes), and the round each label last had a frame filed in.  An agent
+  // acts at most once per round, so a label stamped with round_ marks a
+  // duplicate: a request or push by its remote sender, or a reply by its
+  // local requester, so the two never share a label.
+  std::vector<Filed> replies_;
   std::vector<Filed> pushes_;
   std::vector<std::uint8_t> sections_;  ///< Filed frames' payload bytes.
   std::vector<std::uint64_t> stamp_;    ///< By label, over [0, n).
-
-  // Per-round scratch, reused.
-  std::vector<sim::Action> actions_;      ///< Local agents' actions.
-  std::vector<sim::Payload> reply_for_;   ///< Replies to local requesters.
-  std::vector<bool> reply_ready_;
 };
 
 }  // namespace rfc::net

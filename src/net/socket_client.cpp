@@ -11,8 +11,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <stdexcept>
@@ -598,12 +596,6 @@ class TcpMeshCommClient final : public CommClient {
       conn.buffer = std::move(in);
     }
     if (conn.eof) {
-      if (std::getenv("RFC_NET_TRACE") != nullptr) {
-        std::fprintf(stderr,
-                     "[trace] node %u eof from peer %u (tail delivered %zu, "
-                     "leftover %zu bytes)\n",
-                     self_, peer, delivered, conn.buffer.size());
-      }
       ::close(conn.fd);
       conns_.erase(peer);
       callback_->on_peer_state(peer, false);

@@ -11,9 +11,13 @@
 namespace rfc::sim {
 
 EngineCore::EngineCore(std::uint32_t n, std::uint64_t seed,
-                       TopologyPtr topology)
-    : n_(n), seed_(seed), topology_(std::move(topology)) {
+                       TopologyPtr topology, LabelRange owned)
+    : n_(n), seed_(seed), owned_(owned), topology_(std::move(topology)) {
   if (n_ == 0) throw std::invalid_argument("Engine: n must be positive");
+  owned_.end = std::min(owned_.end, n_);
+  if (owned_.begin >= owned_.end) {
+    throw std::invalid_argument("Engine: owned label range is empty");
+  }
   agents_.resize(n_);
   faulty_.assign(n_, 0);
   // Stream slots only; the SplitMix expansions are deferred to
@@ -180,13 +184,11 @@ void EngineCore::flush_deferred(std::vector<DelayedPush>& batch,
 }
 
 bool EngineCore::all_done() const {
-  if (obs_cache_enabled_ && started_) {
-    return num_done_ == n_ - num_faulty_;
-  }
+  if (obs_cache_enabled_ && started_) return num_done_ == num_owned_active_;
   // Without the caches, a fresh scan every call: completion can arrive
   // outside the agent's own callbacks (coalition blackboard), so nothing
   // cheaper is sound.
-  for (std::uint32_t i = 0; i < n_; ++i) {
+  for (std::uint32_t i = owned_.begin; i < owned_.end; ++i) {
     if (faulty_[i] == 0 && !agents_[i]->done()) return false;
   }
   return true;
@@ -219,7 +221,7 @@ std::vector<AgentId> EngineCore::active_labels() const {
 void EngineCore::active_labels(std::vector<AgentId>& out) const {
   out.clear();
   out.reserve(num_active());
-  for (std::uint32_t i = 0; i < n_; ++i) {
+  for (std::uint32_t i = owned_.begin; i < owned_.end; ++i) {
     if (faulty_[i] == 0) out.push_back(i);
   }
 }
@@ -246,8 +248,10 @@ void EngineCore::set_block_labels(std::uint32_t labels) {
   while (block_shift_ < 31 && (1u << block_shift_) < labels) ++block_shift_;
 }
 
-Context EngineCore::make_context(AgentId id) noexcept {
-  return make_context(id, serial_arena());
+void EngineCore::throw_bad_target(AgentId i, AgentId target) const {
+  throw std::out_of_range("Engine: agent " + std::to_string(i) +
+                          " targeted label " + std::to_string(target) +
+                          ", outside [0, " + std::to_string(n_) + ")");
 }
 
 Context EngineCore::make_context(AgentId id, support::Arena* arena) noexcept {
@@ -264,7 +268,7 @@ Context EngineCore::make_context(AgentId id, support::Arena* arena) noexcept {
 void EngineCore::ensure_started() {
   if (started_) return;
   if (!rngs_seeded_) {  // The sharded executor may have prefetched already.
-    seed_rng_block(0, n_);
+    seed_rng_block(owned_.begin, owned_.end);
     rngs_seeded_ = true;
   }
   ensure_arenas(1);
@@ -273,7 +277,7 @@ void EngineCore::ensure_started() {
   // out externally mutated state, shard_safe() rules out one label's
   // callback moving another label's observations (coalition blackboards).
   bool cacheable = true;
-  for (std::uint32_t i = 0; i < n_; ++i) {
+  for (std::uint32_t i = owned_.begin; i < owned_.end; ++i) {
     if (agents_[i] == nullptr) {
       throw std::logic_error("Engine: agent " + std::to_string(i) +
                              " not installed");
@@ -281,8 +285,10 @@ void EngineCore::ensure_started() {
     cacheable = cacheable && agents_[i]->shard_safe() &&
                 agents_[i]->cacheable_observations();
   }
-  for (std::uint32_t i = 0; i < n_; ++i) {
+  num_owned_active_ = 0;
+  for (std::uint32_t i = owned_.begin; i < owned_.end; ++i) {
     if (faulty_[i] == 0) {
+      ++num_owned_active_;
       const Context ctx = make_context(i, serial_arena());
       agents_[i]->on_start(ctx);
     }
@@ -295,8 +301,8 @@ void EngineCore::ensure_started() {
     done_settled_.assign(n_, 0);
     num_done_ = 0;
     live_list_.clear();
-    live_list_.reserve(n_ - num_faulty_);
-    for (std::uint32_t i = 0; i < n_; ++i) {
+    live_list_.reserve(num_owned_active_);
+    for (std::uint32_t i = owned_.begin; i < owned_.end; ++i) {
       done_[i] = agents_[i]->done() ? 1 : 0;
       if (faulty_[i] != 0) continue;
       if (done_[i] != 0) {
@@ -376,6 +382,9 @@ void EngineCore::sequential_activation(AgentId u) {
   support::Arena* arena = serial_arena();
   const Action action = agents_[u]->on_round(make_context(u, arena));
   note_activation(u);
+  if (action.kind != ActionKind::kIdle && action.target >= n_) {
+    throw_bad_target(u, action.target);
+  }
   switch (action.kind) {
     case ActionKind::kIdle:
       return;

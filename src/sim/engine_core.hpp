@@ -1,4 +1,5 @@
-// The execution substrate shared by every activation model.
+// The execution substrate shared by every activation model, in one process
+// or spread over the nodes of a cluster.
 //
 // EngineCore owns *what it means to run agents* — agent storage, fault
 // bookkeeping, per-agent SplitMix-derived RNG streams, exact message
@@ -6,10 +7,11 @@
 //
 //   * the synchronous phased round (collect one active operation per awake
 //     agent, serve pulls from round-start state, deliver replies, deliver
-//     pushes).  Its one implementation is ShardedRoundExecutor::run_round
+//     pushes).  Its one implementation is ShardedRoundExecutor
 //     (sim/sharding.hpp), a friend that runs the phases over one or more
 //     contiguous label partitions against this core's buffers and
-//     accounting;
+//     accounting — every partition in one engine, or one per cluster node
+//     (net::NodeDriver), whose core owns only its node's labels;
 //   * sequential_activation — one agent wakes alone and its operation
 //     resolves immediately against current state.
 //
@@ -31,24 +33,9 @@
 // own callback running (the coalition blackboard) declares shard_safe()
 // false and gets the virtual-scan behavior unchanged.
 //
-// Delivery is cache-blocked at every n: the round routes each action into
-// the queue of its target's *block* (2^16 contiguous labels, so n <= 2^16
-// is a single block), and the serve and push phases drain the queues block
-// by block, touching one block's agents at a time instead of hopping the
-// whole array per message.  Queues fill in label order and a receiver
-// lives in exactly one block, so every receiver sees its senders (and
-// every server its pullers) in label order whatever the block size;
-// metrics are order-independent sums.  tests/sharded_equivalence_test.cpp
-// pins this against pre-refactor digests, with blocks forced down to one
-// label.
-//
-// Rounds are *sparse*: with the SoA caches live the engine maintains the
-// label-ordered live list (non-faulty, not-done labels) incrementally —
-// phase A iterates it instead of scanning all n labels, compacting done
-// entries in place as it goes (done() is monotone by the Agent contract),
-// phases B/C/D walk this round's queues and puller list, and the done
-// counter is settled at the round's end from the labels whose done() byte
-// flipped — so a round costs O(live + messages), not O(n).
+// The round this core feeds is cache-blocked (the lanes drain 2^16-label
+// units, block_shift_) and sparse (phase A walks the live list kept below,
+// so a round costs O(live + messages), not O(n)); sim/sharding.hpp says how.
 #pragma once
 
 #include <cstdint>
@@ -63,11 +50,21 @@
 
 namespace rfc::sim {
 
+/// The contiguous labels [begin, end) one core runs.
+struct LabelRange {
+  AgentId begin = 0;
+  AgentId end = kNoAgent;  ///< Clamped to n.
+};
+
 class EngineCore {
  public:
-  EngineCore(std::uint32_t n, std::uint64_t seed, TopologyPtr topology);
+  /// A core over labels [0, n) that runs (installs, seeds, starts and
+  /// schedules) only those in `owned`: all of them in an engine, one node's
+  /// block in a cluster.  The fault plan still covers all n labels.
+  EngineCore(std::uint32_t n, std::uint64_t seed, TopologyPtr topology,
+             LabelRange owned = {});
 
-  /// Installs the agent for label `id`.  All labels must be populated
+  /// Installs the agent for label `id`.  All owned labels must be populated
   /// before the first step.
   void set_agent(AgentId id, std::unique_ptr<Agent> agent);
 
@@ -111,7 +108,6 @@ class EngineCore {
   /// stage is gated out entirely, not merely drawing zero-probability
   /// verdicts.
   void set_network(NetworkModelPtr network);
-  const NetworkModel* network_model() const noexcept { return network_.get(); }
 
   /// True while churn holds agent `id` crashed: it idles, serves silence,
   /// and absorbs (charged) messages until its rejoin epoch.  Always false
@@ -140,13 +136,13 @@ class EngineCore {
   /// The agent's numeric pipeline position (Agent::progress()).
   double agent_progress(AgentId id) const;
 
-  /// True when every non-faulty agent reports done().  O(1) off the cached
-  /// done counter when the SoA caches are live; otherwise the legacy scan
+  /// True when every owned non-faulty agent reports done().  O(1) off the
+  /// cached done counter when the SoA caches are live; otherwise the scan
   /// (done() can flip without the agent's own callback running, e.g.
   /// through a coalition blackboard, so no counter is sound there).
   bool all_done() const;
 
-  /// Non-faulty labels, in label order.
+  /// Owned non-faulty labels, in label order.
   std::vector<AgentId> active_labels() const;
   /// Allocation-free overload: clears and refills `out` (capacity reused by
   /// the caller across calls — scheduler attach/rebuild paths use this).
@@ -178,8 +174,8 @@ class EngineCore {
   // --- Execution primitives, composed by Scheduler policies. ---
   // (The synchronous round is ShardedRoundExecutor::run_round.)
 
-  /// Installs-check plus on_start for every active agent in label order.
-  /// Idempotent; runs before the first scheduler step.
+  /// Installs-check plus on_start for every owned active agent in label
+  /// order.  Idempotent; runs before the first scheduler step.
   void ensure_started();
 
   /// Advances time by one step, then wakes `u` alone: its action is
@@ -188,9 +184,14 @@ class EngineCore {
   /// activation, as in the sequential model's analyses.
   void sequential_activation(AgentId u);
 
-  /// The per-callback view handed to agent `id` at the current time
-  /// (carries round arena 0).
-  Context make_context(AgentId id) noexcept;
+  /// The reply phase B served to `requester`'s pull, which phase C
+  /// delivers (empty once delivered).  A cluster node moves the replies of
+  /// remote requesters out of here and the replies from remote servers in.
+  Payload& pull_reply(AgentId requester) { return pull_replies_[requester]; }
+
+  /// Throws std::out_of_range for agent `i`'s action on `target` >= n: the
+  /// one error every execution path gives for it.
+  [[noreturn]] void throw_bad_target(AgentId i, AgentId target) const;
 
  private:
   friend class ShardedRoundExecutor;  // sim/sharding.hpp
@@ -303,6 +304,7 @@ class EngineCore {
 
   std::uint32_t n_;
   std::uint64_t seed_;
+  LabelRange owned_;
   TopologyPtr topology_;
   std::vector<std::unique_ptr<Agent>> agents_;
 
@@ -317,11 +319,12 @@ class EngineCore {
   static constexpr std::uint8_t kProgressValid = 2;
 
   std::uint32_t num_faulty_ = 0;
-  std::uint32_t num_done_ = 0;  ///< Non-faulty labels with done_[i] set.
-  /// Label-ordered live labels (non-faulty, not done) — the sparse round's
-  /// phase-A iteration domain.  Built at ensure_started with the caches;
-  /// done entries compact away in place in each partition's phase A, and
-  /// the round closes the gaps between partitions at its end.
+  std::uint32_t num_done_ = 0;  ///< Owned non-faulty labels with done_[i].
+  std::uint32_t num_owned_active_ = 0;  ///< Owned non-faulty labels.
+  /// Label-ordered live owned labels (non-faulty, not done) — the sparse
+  /// round's phase-A iteration domain.  Built at ensure_started with the
+  /// caches; done entries compact away in place in each partition's phase
+  /// A, and the round closes the gaps between partitions at its end.
   std::vector<AgentId> live_list_;
   /// done_[i] as last settled into num_done_ (settle_done).
   std::vector<std::uint8_t> done_settled_;
@@ -342,7 +345,6 @@ class EngineCore {
   std::uint64_t churn_unswept_ = 0;  ///< First epoch not yet swept.
   std::vector<std::uint64_t> down_until_;  ///< Crash windows, epoch units.
   std::vector<DelayedPush> net_delayed_;   ///< Cross-round delayed pushes.
-  std::vector<DelayedPush> net_deferred_;  ///< Same-round reordered pushes.
 
   // --- Round arenas (one per partition; the sequential path uses 0). ------
   std::vector<std::unique_ptr<support::Arena>> arenas_;

@@ -68,14 +68,14 @@ void PartialAsyncScheduler::attach(EngineCore& core) {
 
 double PartialAsyncScheduler::step(EngineCore& core,
                                    const EngineView& /*view*/) {
-  if (awake_.size() != core.n()) awake_.assign(core.n(), false);
-  // One draw per label, faulty included, so the wake pattern of agent i is
-  // independent of the fault plan (mirrors the per-agent RNG streams).
-  for (std::uint32_t i = 0; i < core.n(); ++i) {
-    awake_[i] = rng_.bernoulli(p_);
-  }
-  executor_.run_round(core, &awake_);
+  executor_.run_round(core, &draw_awake(core.n()));
   return 1.0;
+}
+
+const std::vector<bool>& PartialAsyncScheduler::draw_awake(std::uint32_t n) {
+  if (awake_.size() != n) awake_.assign(n, false);
+  for (std::uint32_t i = 0; i < n; ++i) awake_[i] = rng_.bernoulli(p_);
+  return awake_;
 }
 
 BatchedDeliveryScheduler::BatchedDeliveryScheduler(BatchedDeliveryConfig cfg)

@@ -210,6 +210,10 @@ class PartialAsyncScheduler final : public Scheduler {
   }
   void attach(EngineCore& core) override;
   double step(EngineCore& core, const EngineView& view) override;
+  /// Draws the next round's wake mask: one Bernoulli(p) per label of [n],
+  /// faulty included, so the wake pattern of agent i is independent of the
+  /// fault plan (a cluster node draws all n to stay on the engine's stream).
+  const std::vector<bool>& draw_awake(std::uint32_t n);
 
  private:
   double p_;

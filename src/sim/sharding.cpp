@@ -1,7 +1,6 @@
 #include "sim/sharding.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -45,9 +44,6 @@ void ShardedRoundExecutor::bind(EngineCore& core) {
             " shares mutable state across labels (shard_safe() == false) "
             "and cannot run under a sharded round; use shards=1");
       }
-    }
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<rfc::support::ThreadPool>(cfg_.threads);
     }
     // Shard-local RNG prefetch: derive each shard's per-agent streams on
     // its own worker before the agents start.  The streams are a pure
@@ -127,6 +123,9 @@ void ShardedRoundExecutor::pool_phase(
   // round's state is partially applied either way.
   std::exception_ptr first_error;
   std::mutex error_mu;
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<rfc::support::ThreadPool>(cfg_.threads);
+  }
   for (std::uint32_t s = 0; s < shards_; ++s) {
     pool_->submit([&, s] {
       try {
@@ -143,33 +142,7 @@ void ShardedRoundExecutor::pool_phase(
 
 void ShardedRoundExecutor::run_round(EngineCore& core,
                                      const std::vector<bool>* awake_mask) {
-  // bind() before ensure_started(): a sharded bind prefetches the per-agent
-  // RNG blocks in parallel, which must precede the agents' on_start draws.
-  bind(core);
-  core.ensure_started();
-  bind_units(core);
-  core.advance_churn(core.time_);  // One churn epoch per round.
-  // The round-start arena reset: last round's arena payloads die here, so
-  // an arena-boxed payload is valid for exactly one full round.
-  core.reset_round_arenas();
-
-  // Each shard walks its segment of the core's label-ordered live list.
-  // The segments are found here, before any shard compacts its own in
-  // place, so no shard reads another's while it is being written.
-  if (core.obs_cache_enabled_) {
-    const auto& live = core.live_list_;
-    std::size_t begin = 0;
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-      const std::size_t end = static_cast<std::size_t>(
-          std::lower_bound(live.begin() + begin, live.end(),
-                           shard_begin_[s + 1]) -
-          live.begin());
-      scratch_[s].live_begin = begin;
-      scratch_[s].live_end = end;
-      begin = end;
-    }
-  }
-
+  open_round(core);
   parallel_phase([&](std::uint32_t s) { collect(core, s, awake_mask); });
   // A phase with no work is skipped outright — pull-free rounds (e.g. the
   // push steady state of a spread) cost nothing beyond phase A.
@@ -190,9 +163,47 @@ void ShardedRoundExecutor::run_round(EngineCore& core,
   if (any_push) {
     parallel_phase([&](std::uint32_t d) { deliver_pushes(core, d); });
   }
+  close_round(core);
+}
 
+void ShardedRoundExecutor::prepare(EngineCore& core) {
+  // bind() before ensure_started(): a sharded bind prefetches the per-agent
+  // RNG blocks in parallel, which must precede the agents' on_start draws.
+  bind(core);
+  core.ensure_started();
+  bind_units(core);
+}
+
+void ShardedRoundExecutor::open_round(EngineCore& core) {
+  prepare(core);
+  core.advance_churn(core.time_);  // One churn epoch per round.
+  // The round-start arena reset: last round's arena payloads die here, so
+  // an arena-boxed payload is valid for exactly one full round.
+  core.reset_round_arenas();
+
+  // Each shard walks its segment of the core's label-ordered live list.
+  // The segments are found here, before any shard compacts its own in
+  // place, so no shard reads another's while it is being written.  A
+  // segment counts as kept whole until its shard's phase A compacts it: a
+  // cluster node runs phase A for its own shard only.
+  if (core.obs_cache_enabled_) {
+    const auto& live = core.live_list_;
+    std::size_t begin = 0;
+    for (std::uint32_t s = 0; s < shards_; ++s) {
+      const std::size_t end = static_cast<std::size_t>(
+          std::lower_bound(live.begin() + begin, live.end(),
+                           shard_begin_[s + 1]) -
+          live.begin());
+      scratch_[s].live_begin = begin;
+      scratch_[s].live_end = scratch_[s].live_kept_end = end;
+      begin = end;
+    }
+  }
+}
+
+void ShardedRoundExecutor::close_round(EngineCore& core) {
   if (core.net_msgs_) {
-    // Barrier merge of the per-shard sinks.  Delayed pushes join the core's
+    // Merge of the per-shard sinks.  Delayed pushes join the core's
     // pending list (delivery sorts by (origin, sender), so merge order is
     // free); reordered ones are flushed now, at the end of this round's
     // push phase, in sender order.
@@ -265,7 +276,7 @@ void ShardedRoundExecutor::collect(EngineCore& core, std::uint32_t s,
     Action a = core.agents_[i]->on_round(ctx);
     core.note_activation_sharded(i, sc.flipped);
     if (a.kind == ActionKind::kIdle) continue;
-    assert(a.target < n);
+    if (a.target >= n) [[unlikely]] core.throw_bad_target(i, a.target);
     ++sc.metrics.active_links;
     // One shard has one unit per block: skip contiguous_block_of's
     // division on the serial engine's hot path.
@@ -375,7 +386,7 @@ void ShardedRoundExecutor::deliver_pushes(EngineCore& core, std::uint32_t d) {
   // unit's receivers stay cache-resident while its lanes stream through.
   // Fault verdicts are pure per-message hashes, so shard interleaving
   // cannot change them; held-back pushes go to per-shard sinks merged (and
-  // sorted) at the barrier.
+  // sorted) by close_round.
   ShardScratch& sc = scratch_[d];
   Metrics& m = sc.metrics;
   support::Arena* arena = core.round_arena(d);

@@ -1,15 +1,23 @@
-// The synchronous phased round — the engine's one implementation of the
-// paper's GOSSIP round, serial or parallel.
+// The synchronous phased round — the one implementation of the paper's
+// GOSSIP round, for the engine (serial or parallel) and for a cluster node.
 //
 // ShardedRoundExecutor partitions the label space [n] into S *contiguous*
-// shards and runs each phase of the round as S tasks, separated by
-// barriers: on a support::ThreadPool when S > 1, inline on the calling
-// thread (no pool, no task hop) when S = 1 — the serial engine is one
-// partition.  Every shard's label range is cut into *units*: blocks of
-// 2^block_shift labels (EngineCore::block_shift_, 2^16 by default, so
-// n <= 2^16 is one block) clamped to the shard, so a unit never straddles
-// two shards.  Each (source shard, destination unit) pair owns one
-// cache-line-aligned lane holding a pull queue and a push queue:
+// shards.  A round is a serial open (start the core, sweep one churn epoch,
+// reset the round arenas, cut the live list into shard segments), four
+// phases run per shard, and a serial close.  run_round runs each phase as
+// S tasks separated by barriers: on a support::ThreadPool when S > 1,
+// inline on the calling thread (no pool, no task hop) when S = 1 — the
+// serial engine is one partition.  A cluster node (net::NodeDriver) makes
+// the same calls for its own shard alone, its shards being the node
+// blocks, and has sync points where run_round has barriers: the lanes into
+// other shards' units are its outbox, and other shards' frames fill the
+// lanes into its own units.
+//
+// Every shard's label range is cut into *units*: blocks of 2^block_shift
+// labels (EngineCore::block_shift_, 2^16 by default, so n <= 2^16 is one
+// block) clamped to the shard, so a unit never straddles two shards.  Each
+// (source shard, destination unit) pair owns one cache-line-aligned lane
+// holding a pull queue and a push queue:
 //
 //   Phase A (by self-shard):    collect each awake agent's action and route
 //                               it, in label order, into the lane of its
@@ -31,13 +39,13 @@
 //   Phase D (by target-shard):  deliver pushes unit by unit; the source-
 //                               shard merge again yields global sender-
 //                               label order per receiver.
-//   Barrier (serial):           merge the shards' Metrics deltas, settle
+//   Close (serial):             merge the shards' Metrics deltas, settle
 //                               the labels whose done() flipped into the
 //                               done counter, and close the gaps phase A's
 //                               in-place live-list compaction left between
-//                               shard segments.  The barrier touches only
-//                               flipped labels and the live list, so a round
-//                               stays O(live + messages).
+//                               shard segments.  It touches only flipped
+//                               labels and the live list, so a round stays
+//                               O(live + messages).
 //
 // Phases B, C and D use a two-stage software prefetch (the agent pointer a
 // few entries ahead, then the agent object) and one hoisted Context per
@@ -52,8 +60,9 @@
 // sums (plus one max), so the execution is *bit-identical* for every
 // (shards, threads) combination and every block size, including thread
 // counts exceeding the core count (tests/sharded_equivalence_test.cpp pins
-// this).  Without the engine's SoA caches an agent may observe another
-// label's state, so those rounds use a single block and deliver in global
+// this), and for a cluster of any node count (tests/net_loopback_test.cpp).
+// Without the engine's SoA caches an agent may observe another label's
+// state, so those rounds use one unit per shard and deliver in global
 // label order.
 //
 // Requirements on agents: with S > 1, callbacks must only touch the
@@ -135,7 +144,20 @@ class ShardedRoundExecutor {
   /// mask.  An exception from an agent callback propagates to the caller.
   void run_round(EngineCore& core, const std::vector<bool>* awake_mask);
 
- private:
+  // --- The round in steps: run_round is open_round, each phase for every
+  // shard with a barrier after it, and close_round.  A driver running one
+  // shard alone makes the same calls for that shard.
+
+  /// Sizes the shards and units to `core` and starts it.  Idempotent.
+  void prepare(EngineCore& core);
+  void open_round(EngineCore& core);
+  void collect(EngineCore& core, std::uint32_t s,
+               const std::vector<bool>* awake_mask);
+  void serve_pulls(EngineCore& core, std::uint32_t d);
+  void deliver_replies(EngineCore& core, std::uint32_t s);
+  void deliver_pushes(EngineCore& core, std::uint32_t d);
+  void close_round(EngineCore& core);
+
   /// One routed pull: `requester` pulls `server` (server's shard serves).
   struct PullItem {
     AgentId requester;
@@ -154,6 +176,26 @@ class ShardedRoundExecutor {
     std::vector<PullItem> pulls;
     std::vector<PushItem> pushes;
   };
+
+  // --- For a driver that carries the other shards' traffic (valid after
+  // prepare).  Phase A clears its own shard's lanes; lanes from a shard
+  // whose phase A runs elsewhere are the driver's to clear and fill.
+
+  /// Shard d owns units [unit_begin(d), unit_begin(d + 1)).
+  std::uint32_t unit_begin(std::uint32_t d) const { return unit_begin_[d]; }
+  /// The unit holding label x of shard d.
+  std::uint32_t unit_of(std::uint32_t d, AgentId x) const {
+    return (x >> bound_shift_) + unit_offset_[d];
+  }
+  Lane& lane(std::uint32_t s, std::uint32_t u) { return scratch_[s].lanes[u]; }
+  /// Shard s's pulls this round, in requester-label order.
+  const std::vector<PullItem>& pullers(std::uint32_t s) const {
+    return scratch_[s].pullers;
+  }
+  /// Shard s's Metrics delta this round, merged by close_round.
+  Metrics& metrics(std::uint32_t s) { return scratch_[s].metrics; }
+
+ private:
   /// Everything one shard's tasks write, cache-line isolated from the
   /// other shards' scratch.  Capacities persist across rounds.
   struct alignas(64) ShardScratch {
@@ -164,7 +206,7 @@ class ShardedRoundExecutor {
     std::uint32_t pushes = 0;  ///< Pushes routed by this shard this round.
     std::vector<Lane> lanes;   ///< Indexed by destination unit.
     /// Network-fault sinks of phase D (delayed / reordered pushes), merged
-    /// into the core's pending lists at the barrier; the merged order is
+    /// into the core's pending lists by close_round; the merged order is
     /// irrelevant because delivery sorts (see sim::DelayedPush).  Empty
     /// unless a fault-enabled network model is installed.
     std::vector<DelayedPush> delayed;
@@ -180,25 +222,20 @@ class ShardedRoundExecutor {
   };
 
   /// Lazily sizes the shard partition and scratch to `core` (n is fixed
-  /// per engine), and for S > 1 checks the agents, spins up the pool and
-  /// prefetches the RNG streams.  Runs before the core starts.
+  /// per engine), and for S > 1 checks the agents and prefetches the RNG
+  /// streams.  Runs before the core starts.
   void bind(EngineCore& core);
   /// Cuts the shards into units for the core's block size (after the core
   /// started: the caches decide between blocks and one label-order block)
   /// and pre-sizes the lanes.
   void bind_units(const EngineCore& core);
   /// Runs fn(shard) for every shard and returns once all are done (a
-  /// barrier): inline for one shard, on the pool otherwise.
+  /// barrier): inline for one shard, otherwise on the pool, which the
+  /// first such phase starts.
   template <typename Fn>
   void parallel_phase(Fn&& fn);
   void pool_phase(const std::function<void(std::uint32_t)>& fn);
-  // The round's phases for one shard (see the header comment).
-  void collect(EngineCore& core, std::uint32_t s,
-               const std::vector<bool>* awake_mask);
-  void serve_pulls(EngineCore& core, std::uint32_t d);
-  void deliver_replies(EngineCore& core, std::uint32_t s);
-  void deliver_pushes(EngineCore& core, std::uint32_t d);
-  /// The barrier's done bookkeeping: settles every shard's flipped labels
+  /// The close's done bookkeeping: settles every shard's flipped labels
   /// and joins the compacted live-list segments.
   void settle_done(EngineCore& core);
 

@@ -10,6 +10,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "net/lossy_client.hpp"
 #include "net/wire_frame.hpp"
 #include "net/workload.hpp"
+#include "sim/engine.hpp"
 #include "sim/scheduler.hpp"
 #include "support/rng.hpp"
 
@@ -562,6 +564,95 @@ TEST(MergeReports, RejectsInconsistentReportSets) {
 
   std::vector<NodeReport> missing(reports.begin(), reports.begin() + 1);
   EXPECT_THROW(merge_reports(wl, missing), std::runtime_error);
+}
+
+
+// --------------------------------------------------------------------------
+// One round kernel: a node runs the engine's executor on its own shard, the
+// node blocks being the shards.  Blocks that span several delivery units,
+// cut by block boundaries, must still match the engine, and a bad action
+// must fail with the engine's error.
+// --------------------------------------------------------------------------
+
+TEST(LoopbackCluster, BlocksSpanningSeveralDeliveryUnitsMatchEngine) {
+  // n = 2^17 + 3 over 3 nodes: both block boundaries cut a 2^16-label
+  // delivery unit, and nodes 1 and 2 own two units each.
+  for (const char* scheduler : {"synchronous", "partial-async:p=0.5"}) {
+    ClusterSpec spec = rumor_spec(3, 4096, scheduler);
+    spec.rumor.n = (1u << 17) + 3;
+    spec.rumor.max_rounds = 6;
+    EXPECT_EQ(cross_check_local(spec, TransportKind::kLoopback), "")
+        << scheduler;
+  }
+}
+
+/// Idles, except that label `bad` pushes to label n, one past the last.
+class OutOfRangePusher final : public sim::Agent {
+ public:
+  explicit OutOfRangePusher(bool bad) : bad_(bad) {}
+  sim::Action on_round(const sim::Context& ctx) override {
+    return bad_ ? sim::Action::push(ctx.n, sim::Payload{})
+                : sim::Action::idle();
+  }
+  sim::Payload serve_pull(const sim::Context&, sim::AgentId) override {
+    return {};
+  }
+  bool done() const override { return false; }
+
+ private:
+  bool bad_;
+};
+
+TEST(OutOfRangeTarget, EngineAndLoopbackClusterThrowTheSameError) {
+  constexpr std::uint32_t kN = 8;
+  constexpr sim::AgentId kBad = 5;  // In node 1's block [4, 8).
+  const auto make_agent = [](sim::AgentId label) {
+    return std::make_unique<OutOfRangePusher>(label == kBad);
+  };
+
+  sim::Engine engine(sim::EngineConfig(kN, 1));
+  for (sim::AgentId l = 0; l < kN; ++l) engine.set_agent(l, make_agent(l));
+  std::string engine_error;
+  try {
+    engine.step();
+    FAIL() << "the engine accepted a target out of range";
+  } catch (const std::out_of_range& e) {
+    engine_error = e.what();
+  }
+  EXPECT_NE(engine_error.find("agent 5 targeted label 8"), std::string::npos)
+      << engine_error;
+
+  Workload wl;
+  wl.n = kN;
+  wl.scheduler = sim::SchedulerSpec::parse("synchronous");
+  wl.fault_plan.assign(kN, false);
+  wl.max_rounds = 4;
+  wl.make_agent = make_agent;
+  wl.agent_complete = [](const sim::Agent&) { return false; };
+  wl.digest_agent = [](Fnv1a&, const sim::Agent&, sim::AgentId, bool) {};
+  LoopbackHub hub(2);
+  std::string node_error;
+  std::vector<std::thread> threads;
+  for (NodeId id = 0; id < 2; ++id) {
+    threads.emplace_back([&, id] {
+      const CommClientPtr client =
+          make_comm_client(TransportKind::kLoopback, &hub);
+      NodeOptions options;
+      options.node_id = id;
+      options.num_nodes = 2;
+      options.sync_timeout_ms = 5000;
+      NodeDriver driver(wl, options, *client);
+      try {
+        driver.run(std::vector<PeerEndpoint>(2));
+      } catch (const std::out_of_range& e) {
+        if (id == 1) node_error = e.what();
+      } catch (const std::runtime_error&) {
+        // Node 0 loses its peer at the next sync point.
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(node_error, engine_error);
 }
 
 }  // namespace
