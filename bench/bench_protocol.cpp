@@ -53,10 +53,8 @@ void BM_VerifyCertificate(benchmark::State& state) {
     const std::uint32_t j = v % params.q;
     intention[j].target = 0;
     cert.votes.push_back({v, j, intention[j].value});
-    rfc::core::CommitmentRecord record;
-    record.intention = std::make_shared<const rfc::core::VoteIntention>(
-        std::move(intention));
-    collected.emplace(v, std::move(record));
+    collected.append_kept(v, std::make_shared<const rfc::core::IntentionBox>(
+                                 rfc::core::IntentionBox{std::move(intention)}));
   }
   cert.k = cert.vote_sum(params);
 

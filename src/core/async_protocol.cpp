@@ -174,13 +174,20 @@ void AsyncProtocolAgent::on_pull_reply(const sim::Context&,
   if (phase == AsyncSchedule::LocalPhase::kCommitment) {
     // First declaration wins; a missing or malformed intention marks the
     // peer faulty (footnote 4).
-    const auto [it, inserted] = collected_.emplace(target, CommitmentRecord{});
-    if (inserted && payload != nullptr &&
-        well_formed_intention(params_, payload->intention)) {
-      // The reply is arena-transient, so its intention is copied once into
-      // a shared box of our own (unsummarized: Verification scans it).
-      it->second.intention =
-          std::make_shared<const VoteIntention>(payload->intention);
+    if (collected_.contains(target)) return;
+    // L_u holds at most q records: one per Commitment pull.
+    if (collected_.empty()) collected_.reserve(params_.q);
+    // The reply is arena-transient, so its intention is copied once into a
+    // box of our own, stamped with its verdict and target summary (which
+    // lets Verification skip the records that cannot name the winner).
+    IntentionBox box = payload != nullptr
+                           ? make_intention_box(payload->intention, params_)
+                           : IntentionBox{};
+    if (box.well_formed) {
+      collected_.append_kept(
+          target, std::make_shared<const IntentionBox>(std::move(box)));
+    } else {
+      collected_.append(target, nullptr);
     }
   } else if (phase == AsyncSchedule::LocalPhase::kFindMin) {
     if (payload != nullptr && payload->has_cert &&

@@ -34,16 +34,6 @@ sim::Payload clone_certificate(const sim::Payload& p) {
                                                Certificate{*cert});
 }
 
-/// H boxed with its well_formed_intention verdict under `params` and its
-/// target summary.
-IntentionBox audited_box(VoteIntention intention,
-                         const ProtocolParams& params) {
-  const bool well_formed = well_formed_intention(params, intention);
-  const std::uint64_t targets = target_summary(intention);
-  return {std::move(intention), params.m,  params.n,
-          params.q,             well_formed, targets};
-}
-
 /// The parameters an intention box's verdict was stamped for.
 ProtocolParams stamp_params(const IntentionBox& box) noexcept {
   ProtocolParams params;
@@ -64,7 +54,7 @@ sim::Payload corrupt_intention(const sim::Payload& p, std::uint64_t salt) {
       std::uint64_t{1} << (salt % 64u);
   return sim::Payload::make_boxed<IntentionBox>(
       kIntentionPayloadTag, p.bit_size(),
-      audited_box(std::move(tampered), stamp_params(*box)));
+      make_intention_box(std::move(tampered), stamp_params(*box)));
 }
 
 sim::Payload clone_intention(const sim::Payload& p) {
@@ -84,13 +74,22 @@ sim::Payload clone_intention(const sim::Payload& p) {
 
 }  // namespace
 
+IntentionBox make_intention_box(VoteIntention intention,
+                                const ProtocolParams& params) {
+  const bool well_formed = well_formed_intention(params, intention);
+  const std::uint64_t targets = target_summary(intention);
+  return {std::move(intention), targets, params.m, params.n, params.q,
+          well_formed};
+}
+
 sim::Payload make_intention_payload(VoteIntention intention,
                                     const ProtocolParams& params) {
   const std::uint64_t bits =
       intention.size() * (static_cast<std::uint64_t>(params.value_bits()) +
                           params.label_bits());
   return sim::Payload::make_boxed<IntentionBox>(
-      kIntentionPayloadTag, bits, audited_box(std::move(intention), params));
+      kIntentionPayloadTag, bits,
+      make_intention_box(std::move(intention), params));
 }
 
 sim::Payload make_intention_payload_in(rfc::support::Arena* arena,
@@ -101,7 +100,7 @@ sim::Payload make_intention_payload_in(rfc::support::Arena* arena,
                           params.label_bits());
   return sim::Payload::make_boxed_in<IntentionBox>(
       arena, kIntentionPayloadTag, bits,
-      audited_box(std::move(intention), params));
+      make_intention_box(std::move(intention), params));
 }
 
 sim::Payload make_vote_payload(std::uint64_t value,

@@ -32,6 +32,11 @@ inline constexpr sim::PayloadTag kAsyncReplyPayloadTag = 0x29;  // AsyncReply
 
 // --- Factories ------------------------------------------------------------
 
+/// H with its well_formed_intention verdict under `params` and its target
+/// summary: the object every intention payload boxes.
+IntentionBox make_intention_box(VoteIntention intention,
+                                const ProtocolParams& params);
+
 /// Commitment-phase reply: a full copy of the sender's vote intention H,
 /// boxed with its well_formed_intention verdict under `params` and its
 /// target summary (see IntentionBox).  Every intention payload is built
@@ -77,18 +82,6 @@ inline const IntentionBox* intention_box_in(const sim::Payload& p) noexcept {
 inline const VoteIntention* intention_in(const sim::Payload& p) noexcept {
   const IntentionBox* box = intention_box_in(p);
   return box != nullptr ? &box->intention : nullptr;
-}
-
-/// A shared handle to a heap-boxed intention (aliasing its IntentionBox,
-/// which it keeps alive); null for an arena-boxed one, which dies at the
-/// round barrier and must be copied to be retained.
-inline std::shared_ptr<const VoteIntention> shared_intention_in(
-    const sim::Payload& p) noexcept {
-  std::shared_ptr<const IntentionBox> box =
-      p.shared_as<IntentionBox>(kIntentionPayloadTag);
-  if (box == nullptr) return nullptr;
-  const VoteIntention* intention = &box->intention;
-  return {std::move(box), intention};
 }
 
 inline const Certificate* certificate_in(const sim::Payload& p) noexcept {

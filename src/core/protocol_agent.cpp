@@ -217,30 +217,33 @@ sim::Payload ProtocolAgent::serve_pull(const sim::Context& ctx,
 
 void ProtocolAgent::record_commitment_reply(sim::AgentId target,
                                             const sim::Payload& reply) {
-  // L_u holds at most q records under the synchronous schedule.
-  if (collected_.empty()) collected_.reserve(params_.q);
   // First declaration wins: if we already hold a record for `target`
   // (pulled it twice), the original stands.
-  const auto [it, inserted] = collected_.emplace(target, CommitmentRecord{});
-  if (!inserted) return;
+  if (collected_.contains(target)) return;
+  // L_u holds at most q records under the synchronous schedule.
+  if (collected_.empty()) collected_.reserve(params_.q);
   // "Replies in an unexpected way" (footnote 4): no intention, wrong length
   // or out-of-domain entries leave the peer marked faulty.  The box's
   // stamped verdict stands in for the scan when it was computed for our
   // parameters.
   const IntentionBox* box = intention_box_in(reply);
-  if (box == nullptr) return;
-  const bool well_formed = box->stamped_for(params_)
-                               ? box->well_formed
-                               : well_formed_intention(params_, box->intention);
-  if (!well_formed) return;
-  CommitmentRecord& record = it->second;
-  // Keep the heap box the reply arrived in; an arena box dies at the round
-  // barrier, so it is copied once into a box of our own.
-  record.intention =
-      reply.is_arena_boxed()
-          ? std::make_shared<const VoteIntention>(box->intention)
-          : shared_intention_in(reply);
-  record.targets = box->targets;
+  const bool well_formed =
+      box != nullptr && (box->stamped_for(params_)
+                             ? box->well_formed
+                             : well_formed_intention(params_, box->intention));
+  if (!well_formed) {
+    collected_.append(target, nullptr);
+  } else if (reply.is_pinned()) {
+    // An honest peer's write-once H_u, which lives as long as the engine
+    // that holds both of us: view it, as the reply did.
+    collected_.append(target, box);
+  } else if (reply.is_arena_boxed()) {
+    // Dies at the round barrier: copy it once, verdict and summary too.
+    collected_.append_kept(target, std::make_shared<const IntentionBox>(*box));
+  } else {
+    collected_.append_kept(
+        target, reply.shared_as<IntentionBox>(kIntentionPayloadTag));
+  }
 }
 
 void ProtocolAgent::on_pull_reply(const sim::Context& ctx, sim::AgentId target,

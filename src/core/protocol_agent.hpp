@@ -54,9 +54,9 @@ class ProtocolAgent : public sim::Agent {
   }
   /// The boxes holding this agent's only copies of H_u, CE_u and CE_min
   /// (each empty until built or adopted).  H_u and CE_u own their heap
-  /// boxes; Commitment replies and CE_min are pinned views of them, L_u
-  /// records take counted handles, and nothing copies the objects.  CE_min
-  /// may instead be a view of, or handle to, an adopted arrival.
+  /// boxes; Commitment replies, the L_u records filed from them and CE_min
+  /// are views of them, so nothing else counts or copies the objects.
+  /// CE_min may instead be a view of, or handle to, an adopted arrival.
   const sim::Payload& intention_payload() const noexcept {
     return intention_payload_;
   }
@@ -192,9 +192,10 @@ class ProtocolAgent : public sim::Agent {
   // ---- Protocol state (visible to deviation subclasses) ----------------
   ProtocolParams params_;
   Color color_;                      ///< c_u, the initially supported color.
-  /// L_u.  Records hold shared handles to the immutable intention boxes
-  /// the replies arrived in (taken through a pinned view when the reply is
-  /// one); arena-boxed replies are copied on retention.
+  /// L_u.  A record filed from a pinned reply views the peer's write-once
+  /// H_u box and counts no reference; any other heap box is kept by a
+  /// counted handle, and an arena-boxed reply is copied once into a heap
+  /// box that keeps its verdict and summary.
   CollectedIntentions collected_;
   /// W_u, until the default build_own_certificate moves it into CE_u;
   /// from then on read it through received_votes().

@@ -1,8 +1,10 @@
 // Shared vocabulary types of Protocol P (Algorithm 1 of the paper).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -57,14 +59,15 @@ inline std::uint64_t target_summary(const VoteIntention& intention) noexcept {
 /// m), so the producer computes it once and each of the ~q auditors of the
 /// box reads it instead of rescanning H; an auditor whose parameters differ
 /// from the stamp recomputes it.  The target summary is a function of H
-/// alone, so it holds under any parameters.
+/// alone, so it holds under any parameters.  It sits next to H's handle,
+/// where the Verification phase reads both.
 struct IntentionBox {
   VoteIntention intention;
+  std::uint64_t targets = kAnyTarget;  ///< target_summary(intention).
   std::uint64_t m = 0;
   std::uint32_t n = 0;
   std::uint32_t q = 0;
   bool well_formed = false;
-  std::uint64_t targets = kAnyTarget;  ///< target_summary(intention).
 
   /// Whether the stamped verdict holds for `params`.
   bool stamped_for(const ProtocolParams& params) const noexcept {
@@ -88,88 +91,156 @@ struct ReceivedVote {
 /// W_u: all votes received by u during the Voting phase.
 using ReceivedVotes = std::vector<ReceivedVote>;
 
-/// One record of L_u: the vote intention an agent declared to us in the
-/// Commitment phase, or the "marked faulty" state if it did not reply
-/// (footnote 4 of the paper: a silent peer's votes all count as zero).
+/// One record of L_u, as a view: the vote intention an agent declared to
+/// us in the Commitment phase, or the "marked faulty" state if it did not
+/// reply (footnote 4 of the paper: a silent peer's votes all count as
+/// zero).
 ///
-/// The intention is a shared handle to the immutable box the reply arrived
-/// in, not a copy: every auditor of an honest peer holds the same object.
-/// A reply boxed in a round arena dies at the round barrier, so the
-/// receiver copies it once into a fresh shared box before retaining it.
-/// The handle aliases the H inside the reply's IntentionBox, so auditors
-/// read a plain VoteIntention and keep the whole box alive.
-struct CommitmentRecord {
-  /// The declared H; null iff the peer is marked faulty.
-  std::shared_ptr<const VoteIntention> intention;
-  /// target_summary(*intention), copied from the reply's box, or
-  /// kAnyTarget when the record was built without one.  Whoever replaces
-  /// `intention` keeps this a superset of the true summary.
-  std::uint64_t targets = kAnyTarget;
-
-  bool marked_faulty() const noexcept { return intention == nullptr; }
-  /// False only if no entry of the intention targets `agent`.
-  bool may_target(sim::AgentId agent) const noexcept {
-    return (targets & target_bit(agent)) != 0;
-  }
-};
-
-/// L_u: first-declaration-wins table from peer label to its declared
-/// intention.  "First declaration" implements the h* values of Theorem 7's
-/// proof: an equivocating peer is pinned to whatever it told us first.
-///
-/// Records are appended in arrival order and never move; iteration runs in
-/// that order, not in label order.  A lookup scans a compact array of the
-/// labels without branches.  That is linear in the table's size, which
-/// stays small: every agent files one record per Commitment pull, so at
-/// most q records, under every scheduler.
-class CollectedIntentions {
+/// The record is a pointer to the immutable box the reply arrived in, not
+/// a copy: every auditor of an honest peer reads the same object.  The
+/// record owns nothing; CollectedIntentions decides what keeps the box
+/// alive (see there).
+class CommitmentRecord {
  public:
-  using value_type = std::pair<sim::AgentId, CommitmentRecord>;
-  using iterator = std::vector<value_type>::iterator;
-  using const_iterator = std::vector<value_type>::const_iterator;
+  explicit CommitmentRecord(const IntentionBox* box) noexcept : box_(box) {}
 
-  const_iterator begin() const noexcept { return entries_.begin(); }
-  const_iterator end() const noexcept { return entries_.end(); }
-  std::size_t size() const noexcept { return entries_.size(); }
-  bool empty() const noexcept { return entries_.empty(); }
-  void clear() noexcept {
-    labels_.clear();
-    entries_.clear();
-  }
-  void reserve(std::size_t records) {
-    labels_.reserve(records);
-    entries_.reserve(records);
-  }
-
-  const_iterator find(sim::AgentId peer) const noexcept {
-    return entries_.begin() + index_of(peer);
-  }
-  bool contains(sim::AgentId peer) const noexcept {
-    return find(peer) != end();
-  }
-
-  /// Appends (peer, record) unless `peer` already has a record, in which
-  /// case the first declaration stands.  Returns the peer's entry and
-  /// whether it was inserted, like std::map::emplace.
-  std::pair<iterator, bool> emplace(sim::AgentId peer,
-                                    CommitmentRecord record) {
-    const std::size_t i = index_of(peer);
-    if (i != size()) return {entries_.begin() + i, false};
-    labels_.push_back(peer);
-    entries_.emplace_back(peer, std::move(record));
-    return {entries_.end() - 1, true};
-  }
-
-  /// The record of `peer`, inserting a default (faulty) one if absent.
-  CommitmentRecord& operator[](sim::AgentId peer) {
-    return emplace(peer, CommitmentRecord{}).first->second;
+  bool marked_faulty() const noexcept { return box_ == nullptr; }
+  /// The box holding the declared H; null iff the peer is marked faulty.
+  const IntentionBox* box() const noexcept { return box_; }
+  /// The declared H.  Precondition: !marked_faulty().
+  const VoteIntention& intention() const noexcept { return box_->intention; }
+  /// The box's target summary, a superset of target_summary(intention())
+  /// (precondition as intention()).
+  std::uint64_t targets() const noexcept { return box_->targets; }
+  /// False only if no entry of the intention targets `agent` (precondition
+  /// as intention()).
+  bool may_target(sim::AgentId agent) const noexcept {
+    return (targets() & target_bit(agent)) != 0;
   }
 
  private:
-  /// Index of `peer`'s entry, or size() if it has none.  Labels are
+  const IntentionBox* box_ = nullptr;
+};
+
+/// L_u: the table from peer label to its first-declared intention.  "First
+/// declaration" implements the h* values of Theorem 7's proof: an
+/// equivocating peer is pinned to whatever it told us first, so the agents
+/// append a record for a peer only while contains(peer) is false.
+///
+/// A structure of arrays: a record is a 4 B label and an 8 B box pointer
+/// (null: marked faulty), appended in arrival order and never moved;
+/// iteration runs in that order, not in label order.  Most boxes are an
+/// honest peer's write-once H_u, served as a pinned view
+/// (sim/payload.hpp), so the table views them like the reply did and takes
+/// no reference count.  Any other box (an equivocator's lie, a
+/// network-tampered or transport-decoded reply, a copy of an arena reply)
+/// is appended with a counted handle, kept in a side list for as long as
+/// the table lives.
+///
+/// A lookup first tests a 64-bit filter with bit (label & 63) set for
+/// every label present, and stops if the label's bit is clear.  A peer is
+/// in L_u with probability ~q/n, so nearly every lookup is for an absent
+/// label, and a share (63/64)^size of those stops at the filter: 62% at
+/// q = 31 (n = 2^11, gamma = 4).  The rest scan the label array without
+/// branches.  That scan is linear in the table's size, which stays small:
+/// every agent files one record per Commitment pull, so at most q records,
+/// under every scheduler.
+class CollectedIntentions {
+ public:
+  using value_type = std::pair<sim::AgentId, CommitmentRecord>;
+
+  /// Iterates (label, record) pairs in arrival order.  A pair is assembled
+  /// from the two arrays, so dereferencing yields a value, not a reference.
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = CollectedIntentions::value_type;
+    using difference_type = std::ptrdiff_t;
+    using reference = value_type;
+    /// What operator-> returns: the pair, held by value.
+    struct pointer {
+      value_type entry;
+      const value_type* operator->() const noexcept { return &entry; }
+    };
+
+    const_iterator() noexcept = default;
+    value_type operator*() const noexcept {
+      return {table_->labels_[i_], CommitmentRecord(table_->boxes_[i_])};
+    }
+    pointer operator->() const noexcept { return {**this}; }
+    const_iterator& operator++() noexcept {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) noexcept {
+      const const_iterator old = *this;
+      ++i_;
+      return old;
+    }
+    friend bool operator==(const const_iterator&,
+                           const const_iterator&) = default;
+
+   private:
+    friend class CollectedIntentions;
+    const_iterator(const CollectedIntentions* table, std::size_t i) noexcept
+        : table_(table), i_(i) {}
+
+    const CollectedIntentions* table_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  const_iterator begin() const noexcept { return {this, 0}; }
+  const_iterator end() const noexcept { return {this, size()}; }
+  std::size_t size() const noexcept { return labels_.size(); }
+  bool empty() const noexcept { return labels_.empty(); }
+  void clear() noexcept {
+    labels_.clear();
+    boxes_.clear();
+    kept_.clear();
+    filter_ = 0;
+  }
+  void reserve(std::size_t records) {
+    labels_.reserve(records);
+    boxes_.reserve(records);
+  }
+
+  const_iterator find(sim::AgentId peer) const noexcept {
+    return {this, index_of(peer)};
+  }
+  bool contains(sim::AgentId peer) const noexcept {
+    return index_of(peer) != size();
+  }
+
+  /// Appends a record for `peer`, which has none yet, viewing `box` (null:
+  /// marked faulty).  The table does not own the box: the caller promises
+  /// that it outlives every read of the table, as a pinned payload's owner
+  /// does.
+  void append(sim::AgentId peer, const IntentionBox* box) {
+    assert(!contains(peer));
+    labels_.push_back(peer);
+    boxes_.push_back(box);
+    filter_ |= label_bit(peer);
+  }
+
+  /// Appends a record for `peer`, which has none yet, viewing `box` and
+  /// keeping it alive for as long as the table lives.
+  void append_kept(sim::AgentId peer, std::shared_ptr<const IntentionBox> box) {
+    append(peer, box.get());
+    // One reservation: a transport node keeps every remote peer's reply.
+    if (kept_.empty()) kept_.reserve(labels_.capacity());
+    kept_.push_back(std::move(box));
+  }
+
+ private:
+  static constexpr std::uint64_t label_bit(sim::AgentId peer) noexcept {
+    return std::uint64_t{1} << (peer & 63u);
+  }
+
+  /// Index of `peer`'s record, or size() if it has none.  Labels are
   /// distinct, so summing i + 1 over the matching slots yields the one
   /// match's i + 1, or 0: a loop with no branch to mispredict.
   std::size_t index_of(sim::AgentId peer) const noexcept {
+    if ((filter_ & label_bit(peer)) == 0) return size();
     const std::uint32_t count = static_cast<std::uint32_t>(labels_.size());
     const sim::AgentId* labels = labels_.data();
     std::uint32_t hit = 0;
@@ -179,11 +250,16 @@ class CollectedIntentions {
     return hit == 0 ? size() : hit - 1;
   }
 
-  std::vector<sim::AgentId> labels_;  ///< labels_[i] == entries_[i].first.
-  std::vector<value_type> entries_;
-};
+  std::vector<sim::AgentId> labels_;
+  std::vector<const IntentionBox*> boxes_;  ///< boxes_[i] for labels_[i].
+  /// Owners of the boxes no pinned payload keeps alive, in arrival order.
+  std::vector<std::shared_ptr<const IntentionBox>> kept_;
+  std::uint64_t filter_ = 0;  ///< label_bit of every label in labels_.
 
-static_assert(sizeof(CollectedIntentions::value_type) <= 32,
-              "an L_u entry is a label and a record: two per cache line");
+  static_assert(sizeof(decltype(labels_)::value_type) +
+                        sizeof(decltype(boxes_)::value_type) ==
+                    12,
+                "an L_u record is a 4 B label and an 8 B box pointer");
+};
 
 }  // namespace rfc::core

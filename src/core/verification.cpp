@@ -84,16 +84,23 @@ VerificationResult verify_certificate(const ProtocolParams& params,
     return {VerificationFailure::kBadKeySum};
   }
 
+  // Records are views of boxes spread over the heap (mostly other agents'
+  // H_u), and (c) and (d) read through them: start every box's load now,
+  // so the misses overlap instead of running one after another.
+  for (const auto& [peer, record] : collected) {
+    __builtin_prefetch(record.box());
+  }
+
   // (c) Consistency against first-declared intentions.
   std::size_t audited_votes = 0;
   for (const ReceivedVote& v : votes) {
     const auto it = collected.find(v.voter);
     if (it == collected.end()) continue;  // We never audited this voter.
-    const CommitmentRecord& record = it->second;
+    const CommitmentRecord record = it->second;
     if (record.marked_faulty()) {
       return {VerificationFailure::kVoteFromFaulty};
     }
-    const VoteEntry& declared = record.intention->at(v.round_index);
+    const VoteEntry& declared = record.intention().at(v.round_index);
     if (declared.target != owner || declared.value != v.value) {
       return {VerificationFailure::kIntentionMismatch};
     }
@@ -108,7 +115,7 @@ VerificationResult verify_certificate(const ProtocolParams& params,
     std::size_t declared_votes = 0;
     for (const auto& [voter, record] : collected) {
       if (record.marked_faulty() || !record.may_target(owner)) continue;
-      for (const VoteEntry& e : *record.intention) {
+      for (const VoteEntry& e : record.intention()) {
         declared_votes += e.target == owner ? 1 : 0;
       }
     }

@@ -20,7 +20,8 @@
 //     delivery hook copies arena objects it keeps; agents that cache a
 //     payload across rounds (ProtocolAgent's intention/certificate boxes)
 //     keep the shared_ptr form, and consumers retain a heap box by handle
-//     (`shared_as`) rather than by copy;
+//     (`shared_as`), or a pinned one by its object pointer, rather than by
+//     copy;
 //   * pinned          — a non-owning view of a heap-boxed payload (`pinned()`)
 //     whose owner writes it once and keeps it, unchanged, for as long as the
 //     engine it serves lives.  Copying, moving or destroying a view touches
@@ -31,7 +32,10 @@
 //     Lifetime rule: the owning Payload must be neither reassigned nor
 //     destroyed while any view of it can still be read.  ProtocolAgent's
 //     H_u and CE_u boxes are write-once members of an agent the engine
-//     owns, and every payload in flight dies with the engine.
+//     owns, and every payload in flight dies with the engine.  So do the
+//     other views: an agent's CE_min and the L_u records it files from
+//     pinned Commitment replies (core/types.hpp), which keep only the
+//     object pointer (`boxed_as`) and live in agents the engine owns.
 //
 // This replaces the old virtual `Payload` class: the simulation hot path
 // (Action buffers, pull-reply scratch, per-message delivery) now moves

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -12,7 +13,10 @@
 #include "core/payloads.hpp"
 #include "core/runner.hpp"
 #include "sim/engine.hpp"
+#include "sim/network.hpp"
 #include "sim/scheduler_spec.hpp"
+#include "support/arena.hpp"
+#include "support/rng.hpp"
 
 namespace rfc::core {
 namespace {
@@ -67,8 +71,8 @@ TEST(ProtocolAgent, CommitmentCollectsOnePullPerRound) {
     for (const auto& [peer, record] : agent->collected_intentions()) {
       EXPECT_LT(peer, w.params.n);
       EXPECT_FALSE(record.marked_faulty());  // Everyone honest & active.
-      ASSERT_NE(record.intention, nullptr);
-      EXPECT_EQ(record.intention->size(), w.params.q);
+      ASSERT_NE(record.box(), nullptr);
+      EXPECT_EQ(record.intention().size(), w.params.q);
     }
   }
 }
@@ -178,7 +182,7 @@ TEST(ProtocolAgent, AuditRecordsShareThePeersReplyBox) {
       const VoteIntention* box =
           intention_in(w.agents[peer]->intention_payload());
       ASSERT_NE(box, nullptr);
-      EXPECT_EQ(record.intention.get(), box);
+      EXPECT_EQ(&record.intention(), box);
       ++shared;
     }
   }
@@ -225,9 +229,10 @@ TEST(ProtocolAgent, FaultFreeRunEndsWithOneMinCertificateObject) {
 }
 
 TEST(ProtocolAgent, ServedBoxesAreCountedOnlyByOwnersAndAuditRecords) {
-  // H_u and CE_u are served, pushed and adopted as pinned views, so after
-  // a fault-free run nothing but its owner holds a CE_u box, and an H_u box
-  // is held by its owner and by the L_u records that name it.
+  // H_u and CE_u are served, pushed and adopted as pinned views, and L_u
+  // records filed from pinned replies view H_u boxes too, so after a
+  // fault-free run nothing but its owner holds a CE_u or an H_u box, even
+  // though the L_u records name the H_u boxes.
   World w(256, 4.0);
   w.run_all();
   std::map<const VoteIntention*, long> records;
@@ -236,9 +241,10 @@ TEST(ProtocolAgent, ServedBoxesAreCountedOnlyByOwnersAndAuditRecords) {
     ASSERT_FALSE(agent->failed());
     EXPECT_TRUE(agent->min_certificate_payload().is_pinned());
     for (const auto& [peer, record] : agent->collected_intentions()) {
-      ++records[record.intention.get()];
+      ++records[&record.intention()];
     }
   }
+  long named = 0;  // Records naming an owner's H_u box.
   for (const auto* agent : w.agents) {
     const auto certificate =
         agent->own_certificate_payload().shared_as<Certificate>(
@@ -249,8 +255,15 @@ TEST(ProtocolAgent, ServedBoxesAreCountedOnlyByOwnersAndAuditRecords) {
         agent->intention_payload().shared_as<IntentionBox>(
             kIntentionPayloadTag);
     ASSERT_NE(intention, nullptr);
-    EXPECT_EQ(intention.use_count() - 1, 1 + records[&intention->intention]);
+    EXPECT_EQ(intention.use_count() - 1, 1);
+    named += records[&intention->intention];
   }
+  // Every record names some owner's box, so the count of 1 above holds
+  // for boxes that L_u does name.
+  long filed = 0;
+  for (const auto& [box, count] : records) filed += count;
+  EXPECT_EQ(named, filed);
+  EXPECT_GT(named, 256);
 }
 
 /// The honest agent, counting its build_own_certificate calls.
@@ -357,10 +370,170 @@ TEST(ProtocolAgent, PeerPulledTwiceKeepsItsFirstDeclaration) {
   EXPECT_EQ(collected.begin()->first, 9u);
   const auto it = collected.find(9);
   ASSERT_NE(it, collected.end());
-  EXPECT_EQ(it->second.intention.get(), intention_in(first));
-  EXPECT_EQ(*it->second.intention, declared);
-  EXPECT_EQ(it->second.targets, target_summary(declared));
+  EXPECT_EQ(&it->second.intention(), intention_in(first));
+  EXPECT_EQ(it->second.intention(), declared);
+  EXPECT_EQ(it->second.targets(), target_summary(declared));
   EXPECT_TRUE(collected.find(4)->second.marked_faulty());
+}
+
+/// A Commitment-round context for driving one agent's on_pull_reply.
+sim::Context commitment_context(const ProtocolParams& p) {
+  sim::Context ctx;
+  ctx.self = 0;
+  ctx.n = p.n;
+  ctx.round = 0;
+  return ctx;
+}
+
+TEST(ProtocolAgent, RecordOfAHeapReplyOutlivesEveryOtherHandle) {
+  // A reply that is no pinned view (here a plain heap box and a
+  // network-tampered copy) is kept by L_u's own handle: the record still
+  // reads the declared H once every other handle to the box is gone.
+  const ProtocolParams p = ProtocolParams::make(32, 2.0);
+  ProtocolAgent auditor(p, 0);
+  const sim::Context ctx = commitment_context(p);
+  const VoteIntention declared(p.q, {1, 3});
+  VoteIntention tampered_h;
+  {
+    const sim::Payload reply = make_intention_payload(declared, p);
+    const sim::Payload tampered = sim::corrupt_payload(reply, 5);
+    ASSERT_NE(intention_in(tampered), nullptr);
+    tampered_h = *intention_in(tampered);
+    auditor.on_pull_reply(ctx, 9, reply);
+    auditor.on_pull_reply(ctx, 4, tampered);
+  }
+  const CollectedIntentions& collected = auditor.collected_intentions();
+  ASSERT_EQ(collected.size(), 2u);
+  const CommitmentRecord honest = collected.find(9)->second;
+  ASSERT_FALSE(honest.marked_faulty());
+  EXPECT_EQ(honest.intention(), declared);
+  EXPECT_EQ(honest.targets(), target_summary(declared));
+  const CommitmentRecord lie = collected.find(4)->second;
+  ASSERT_FALSE(lie.marked_faulty());
+  EXPECT_EQ(lie.intention(), tampered_h);
+}
+
+TEST(ProtocolAgent, RecordOfAnArenaReplySurvivesArenaRelease) {
+  // An arena reply dies with its round's arena, so the record is a heap
+  // copy of the box, verdict and summary included.
+  const ProtocolParams p = ProtocolParams::make(32, 2.0);
+  ProtocolAgent auditor(p, 0);
+  const sim::Context ctx = commitment_context(p);
+  VoteIntention declared(p.q, {1, 3});
+  declared.back().target = 17;
+  const IntentionBox* arena_box = nullptr;
+  {
+    auto arena = std::make_unique<rfc::support::Arena>();
+    const sim::Payload reply =
+        make_intention_payload_in(arena.get(), declared, p);
+    ASSERT_TRUE(reply.is_arena_boxed());
+    arena_box = intention_box_in(reply);
+    auditor.on_pull_reply(ctx, 9, reply);
+    arena->reset();  // The round barrier: the arena's objects die.
+  }  // ~Arena releases its chunks.
+  const CommitmentRecord record =
+      auditor.collected_intentions().find(9)->second;
+  ASSERT_FALSE(record.marked_faulty());
+  EXPECT_NE(record.box(), arena_box);
+  EXPECT_EQ(record.intention(), declared);
+  EXPECT_EQ(record.targets(), target_summary(declared));
+  EXPECT_TRUE(record.box()->well_formed);
+  EXPECT_TRUE(record.box()->stamped_for(p));
+}
+
+TEST(ProtocolAgent, FilteredRecordLookupMatchesAPlainScan) {
+  // Differential fuzz of L_u's lookup (a label filter, then a branch-free
+  // scan) against a plain first-declaration-wins list.  Pulled labels come
+  // from a few filter bits (b + 64 k), peers are pulled repeatedly, up to
+  // 2q distinct peers file records, and replies are pinned views, heap
+  // boxes, arena boxes, malformed or empty.
+  const ProtocolParams p = ProtocolParams::make(4096, 2.0);
+  const sim::Context ctx = commitment_context(p);
+  rfc::support::Xoshiro256 rng(2026);
+  struct Expected {
+    sim::AgentId peer;
+    const IntentionBox* box;  ///< The reply's box; null if marked faulty.
+    bool copied;              ///< Arena reply: the record is a copy.
+  };
+  std::size_t shared_bits = 0;
+  for (int rep = 0; rep < 200; ++rep) {
+    ProtocolAgent auditor(p, 0);
+    rfc::support::Arena arena;
+    std::vector<sim::AgentId> bits(1 + rng.below(4));
+    for (sim::AgentId& b : bits) b = static_cast<sim::AgentId>(rng.below(64));
+    const std::uint64_t distinct = 1 + rng.below(2 * p.q);
+    // Owners of the pinned replies, never reallocated while viewed.
+    std::vector<sim::Payload> owners;
+    owners.reserve(4 * p.q);
+    std::vector<Expected> expected;
+    for (std::uint32_t pull = 0; pull < 4 * p.q; ++pull) {
+      const auto peer = static_cast<sim::AgentId>(
+          bits[rng.below(bits.size())] + 64 * rng.below(p.n / 64));
+      const bool fresh =
+          std::none_of(expected.begin(), expected.end(),
+                       [&](const Expected& e) { return e.peer == peer; });
+      if (fresh && expected.size() == distinct) continue;
+      VoteIntention h(p.q);
+      for (VoteEntry& e : h) {
+        e = {rng.below(p.m), static_cast<sim::AgentId>(rng.below(p.n))};
+      }
+      sim::Payload reply;
+      switch (rng.below(5)) {
+        case 0: break;  // Silent.
+        case 1: reply = make_intention_payload(h, p); break;
+        case 2:
+          owners.push_back(make_intention_payload(h, p));
+          reply = owners.back().pinned();
+          break;
+        case 3: reply = make_intention_payload_in(&arena, h, p); break;
+        default:
+          h.pop_back();  // Malformed: one entry short.
+          reply = make_intention_payload(h, p);
+          break;
+      }
+      auditor.on_pull_reply(ctx, peer, reply);
+      if (!fresh) continue;
+      const IntentionBox* box = intention_box_in(reply);
+      expected.push_back({peer, box != nullptr && box->well_formed ? box
+                                                                   : nullptr,
+                          reply.is_arena_boxed()});
+      shared_bits += expected.size() > 1 &&
+                     std::any_of(expected.begin(), expected.end() - 1,
+                                 [&](const Expected& e) {
+                                   return (e.peer & 63) == (peer & 63);
+                                 });
+    }
+    arena.reset();
+
+    const CollectedIntentions& collected = auditor.collected_intentions();
+    ASSERT_EQ(collected.size(), expected.size()) << "rep " << rep;
+    auto it = collected.begin();
+    for (const Expected& e : expected) {
+      const auto [peer, record] = *it++;
+      EXPECT_EQ(peer, e.peer);
+      EXPECT_EQ(record.marked_faulty(), e.box == nullptr);
+      if (e.box != nullptr && !e.copied) {
+        EXPECT_EQ(record.box(), e.box);
+      }
+    }
+    for (sim::AgentId label = 0; label < p.n; ++label) {
+      const auto want =
+          std::find_if(expected.begin(), expected.end(),
+                       [&](const Expected& e) { return e.peer == label; });
+      const auto got = collected.find(label);
+      ASSERT_EQ(got == collected.end(), want == expected.end())
+          << "rep " << rep << ", label " << label;
+      EXPECT_EQ(collected.contains(label), want != expected.end());
+      if (want == expected.end()) continue;
+      EXPECT_EQ(got->first, label);
+      const std::size_t index =
+          static_cast<std::size_t>(want - expected.begin());
+      std::size_t at = 0;
+      for (auto scan = collected.begin(); scan != got; ++scan) ++at;
+      EXPECT_EQ(at, index) << "rep " << rep << ", label " << label;
+    }
+  }
+  EXPECT_GT(shared_bits, 1000u);  // Filter collisions are the common case.
 }
 
 TEST(ProtocolAgent, CoherenceComparesDistinctBoxesDeeply) {

@@ -244,8 +244,8 @@ TEST(Strategies, EquivocatorLiesOutliveTheirRoundArenas) {
       ASSERT_NE(receipt, auditor->receipts().end());
       EXPECT_TRUE(receipt->second.arena_boxed);
       ASSERT_FALSE(record.marked_faulty());
-      ASSERT_NE(record.intention, nullptr);
-      EXPECT_EQ(*record.intention, receipt->second.intention);
+      ASSERT_NE(record.box(), nullptr);
+      EXPECT_EQ(record.intention(), receipt->second.intention);
       ++lies_checked;
     }
   }

@@ -43,10 +43,10 @@ FuzzWorld make_world(const ProtocolParams& params, sim::AgentId owner,
                                 intention[j].value});
       }
     }
-    CommitmentRecord record;
-    record.intention =
-        std::make_shared<const VoteIntention>(std::move(intention));
-    w.collected.emplace(static_cast<sim::AgentId>(v), std::move(record));
+    // Unsummarized (kAnyTarget): Verification scans every record.
+    w.collected.append_kept(static_cast<sim::AgentId>(v),
+                            std::make_shared<const IntentionBox>(
+                                IntentionBox{std::move(intention)}));
   }
   for (std::uint32_t u = 0; u < unaudited; ++u) {
     const auto voter =
@@ -161,9 +161,9 @@ VerificationFailure reference_verdict(const ProtocolParams& params,
         collected.begin(), collected.end(),
         [&v](const auto& entry) { return entry.first == v.voter; });
     if (it == collected.end()) continue;
-    const CommitmentRecord& record = it->second;
+    const CommitmentRecord record = it->second;
     if (record.marked_faulty()) return VerificationFailure::kVoteFromFaulty;
-    const VoteEntry& declared = record.intention->at(v.round_index);
+    const VoteEntry& declared = record.intention().at(v.round_index);
     if (declared.target != certificate.owner || declared.value != v.value) {
       return VerificationFailure::kIntentionMismatch;
     }
@@ -171,7 +171,7 @@ VerificationFailure reference_verdict(const ProtocolParams& params,
   if (params.strict_verification) {
     for (const auto& [voter, record] : collected) {
       if (record.marked_faulty()) continue;
-      const VoteIntention& intention = *record.intention;
+      const VoteIntention& intention = record.intention();
       for (std::uint32_t j = 0; j < intention.size(); ++j) {
         if (intention[j].target != certificate.owner) continue;
         if (!std::binary_search(keys.begin(), keys.end(),
@@ -201,7 +201,7 @@ FuzzWorld make_oracle_world(const ProtocolParams& params,
   const auto audited = static_cast<std::uint32_t>(rng.below(10));
   for (std::uint32_t a = 0; a < audited; ++a) {
     const sim::AgentId voter = label();
-    CommitmentRecord record;
+    std::shared_ptr<const IntentionBox> box;  // Null: marked faulty.
     if (rng.below(8) != 0) {
       VoteIntention intention(params.q + (rng.below(10) == 0 ? 1 : 0));
       for (std::uint32_t j = 0; j < intention.size(); ++j) {
@@ -219,21 +219,26 @@ FuzzWorld make_oracle_world(const ProtocolParams& params,
           w.cert.votes.push_back({voter, j, intention[j].value});
         }
       }
+      std::uint64_t targets = kAnyTarget;  // Unsummarized.
       switch (rng.below(3)) {
-        case 0: record.targets = target_summary(intention); break;
-        case 1:
-          record.targets = target_summary(intention) | rng.next();
-          break;
-        default: break;  // Unsummarized: kAnyTarget.
+        case 0: targets = target_summary(intention); break;
+        case 1: targets = target_summary(intention) | rng.next(); break;
+        default: break;
       }
-      record.intention =
-          std::make_shared<const VoteIntention>(std::move(intention));
+      box = std::make_shared<const IntentionBox>(
+          IntentionBox{std::move(intention), targets});
     } else if (rng.below(2) == 0) {  // Marked faulty, yet in W.
       w.cert.votes.push_back(
           {voter, static_cast<std::uint32_t>(rng.below(params.q)),
            rng.below(params.m)});
     }
-    w.collected.emplace(voter, std::move(record));
+    // First declaration wins, as in the agents.
+    if (w.collected.contains(voter)) continue;
+    if (box != nullptr) {
+      w.collected.append_kept(voter, std::move(box));
+    } else {
+      w.collected.append(voter, nullptr);
+    }
   }
   for (std::uint64_t u = rng.below(6); u > 0; --u) {
     w.cert.votes.push_back({label(),

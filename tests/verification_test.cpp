@@ -22,7 +22,7 @@ class VerificationTest : public ::testing::Test {
     cert_ = Certificate{};
     cert_.owner = winner;
     cert_.color = 3;
-    collected_.clear();
+    boxes_.clear();
     std::uint64_t value = 10;
     for (int v = 1; v <= num_voters; ++v) {
       VoteIntention intention(params_.q, {0, sim::kNoAgent});
@@ -37,16 +37,27 @@ class VerificationTest : public ::testing::Test {
           intention[j] = {value * 3, static_cast<sim::AgentId>(63)};
         }
       }
-      CommitmentRecord record;
-      record.intention =
-          std::make_shared<const VoteIntention>(std::move(intention));
-      collected_.emplace(static_cast<sim::AgentId>(v), std::move(record));
+      // Unsummarized (kAnyTarget): Verification scans every record.
+      boxes_.push_back(std::make_shared<const IntentionBox>(
+          IntentionBox{std::move(intention)}));
     }
     cert_.k = cert_.vote_sum(params_);
+    file_records();
+  }
+
+  /// Files voter v's box as a view in L_u, or marks v faulty if it is
+  /// `faulty`.
+  void file_records(sim::AgentId faulty = sim::kNoAgent) {
+    collected_.clear();
+    for (std::size_t i = 0; i < boxes_.size(); ++i) {
+      const auto v = static_cast<sim::AgentId>(i + 1);
+      collected_.append(v, v == faulty ? nullptr : boxes_[i].get());
+    }
   }
 
   ProtocolParams params_;
   Certificate cert_;
+  std::vector<std::shared_ptr<const IntentionBox>> boxes_;  ///< Voter i + 1.
   CollectedIntentions collected_;
 };
 
@@ -132,7 +143,7 @@ TEST_F(VerificationTest, RejectsVoteFromPeerMarkedFaulty) {
   build_consistent_world(0, 2);
   // Re-mark voter 1 as faulty: its votes all count as zero (footnote 4),
   // so any vote from it in W is a lie.
-  collected_[1].intention.reset();
+  file_records(1);
   const auto r = verify_certificate(params_, cert_, collected_);
   EXPECT_EQ(r.failure, VerificationFailure::kVoteFromFaulty);
 }
@@ -148,7 +159,7 @@ TEST_F(VerificationTest, RejectsValueDifferentFromDeclaration) {
 TEST_F(VerificationTest, RejectsVoteDeclaredForAnotherTarget) {
   build_consistent_world(0, 2);
   // Claim voter 1's round-1 vote (declared for agent 63) was for us.
-  const auto& declared = (*collected_[1].intention)[1];
+  const auto& declared = collected_.find(1)->second.intention()[1];
   cert_.votes.push_back({1, 1, declared.value});
   cert_.k = cert_.vote_sum(params_);
   const auto r = verify_certificate(params_, cert_, collected_);
