@@ -87,100 +87,84 @@ void EngineCore::advance_churn(std::uint64_t epoch) {
   }
 }
 
-void EngineCore::deliver_push(AgentId sender, AgentId target,
-                              const Payload& payload, support::Arena* arena) {
-  if (faulty_[target] != 0 || is_down(target)) return;
-  agents_[target]->on_push(make_context(target, arena), sender, payload);
+void EngineCore::net_reply(AgentId server, AgentId requester, Payload& reply,
+                           Metrics& metrics) {
+  if (network_->drop(NetMessage::kPullReply, time_, server, requester)) {
+    ++metrics.net_drops;
+    reply = {};
+    return;
+  }
+  if (network_->corrupt(NetMessage::kPullReply, time_, server, requester)) {
+    Payload tampered = corrupt_payload(
+        reply, network_->corrupt_salt(time_, server, requester));
+    if (!tampered.empty()) {
+      ++metrics.net_corruptions;
+      reply = std::move(tampered);
+    }
+  }
 }
 
-void EngineCore::net_push(AgentId sender, AgentId target,
-                          const Payload& payload, Metrics& metrics,
-                          support::Arena* arena, NetSinks* sinks) {
+unsigned EngineCore::net_push(AgentId sender, AgentId target,
+                              const Payload*& body, Payload& tampered,
+                              Metrics& metrics, NetSinks sinks) {
   const NetworkModel& net = *network_;
   const std::uint64_t now = time_;
   if (net.drop(NetMessage::kPush, now, sender, target)) {
     ++metrics.net_drops;  // Charged at send, lost in transit.
-    return;
+    return 0;
   }
-  const Payload* body = &payload;
-  Payload tampered;
   if (net.corrupt(NetMessage::kPush, now, sender, target)) {
-    tampered = corrupt_payload(payload, net.corrupt_salt(now, sender, target));
+    tampered = corrupt_payload(*body, net.corrupt_salt(now, sender, target));
     if (!tampered.empty()) {
       ++metrics.net_corruptions;  // Only metered when bits actually flipped.
       body = &tampered;
     }
   }
-  if (sinks != nullptr) {
-    if (sinks->delayed != nullptr) {
-      const std::uint64_t d = net.delay_of(now, sender, target);
-      if (d > 0) {
-        Payload kept = clone_payload(*body);
-        if (!kept.empty() || body->empty()) {
-          ++metrics.net_delays;
-          sinks->delayed->push_back(
-              DelayedPush{now + d, now, sender, target, std::move(kept)});
-          return;
-        }
-        // Unclonable across rounds (an arena-boxed tag with no registered
-        // clone hook): fall through and deliver this round instead.
-      }
-    }
-    if (sinks->deferred != nullptr && net.reorder(now, sender, target)) {
-      // Same-round payloads survive until the next barrier reset, so no
-      // clone is needed here.
+  const std::uint64_t d = net.delay_of(now, sender, target);
+  if (d > 0) {
+    Payload kept = clone_payload(*body);
+    if (!kept.empty() || body->empty()) {
       ++metrics.net_delays;
-      sinks->deferred->push_back(DelayedPush{now, now, sender, target, *body});
-      return;
+      sinks.held->push_back(
+          DelayedPush{now + d, now, sender, target, std::move(kept)});
+      return 0;
     }
+    // Unclonable across rounds (an arena-boxed tag with no registered clone
+    // hook): fall through and deliver this round instead.
+  }
+  if (sinks.reorder && net.reorder(now, sender, target)) {
+    // Same-round payloads survive until the next barrier reset, so no clone
+    // is needed here.
+    ++metrics.net_delays;
+    sinks.held->push_back(DelayedPush{now, now, sender, target, *body});
+    return 0;
   }
   const bool dup = net.duplicate(now, sender, target);
   if (dup) ++metrics.net_dups;
-  deliver_push(sender, target, *body, arena);
-  if (dup) deliver_push(sender, target, *body, arena);
+  return dup ? 2 : 1;
 }
 
-void EngineCore::deliver_due_delayed(support::Arena* arena) {
-  if (net_delayed_.empty()) return;
-  std::vector<DelayedPush> due;
+void EngineCore::deliver_held() {
   std::size_t w = 0;
   for (DelayedPush& e : net_delayed_) {
     if (e.due <= time_) {
-      due.push_back(std::move(e));
+      net_due_.push_back(std::move(e));
     } else {
       net_delayed_[w++] = std::move(e);
     }
   }
   net_delayed_.resize(w);
-  if (due.empty()) return;
-  // (origin round, sender) is unique per delayed push — a total order, so
-  // delivery cannot depend on how the pending list was accumulated.
-  std::sort(due.begin(), due.end(),
+  std::sort(net_due_.begin(), net_due_.end(),
             [](const DelayedPush& a, const DelayedPush& b) {
               return a.origin != b.origin ? a.origin < b.origin
                                           : a.sender < b.sender;
             });
-  for (const DelayedPush& e : due) {
-    deliver_push(e.sender, e.target, e.payload, arena);
+  Context ctx = make_context(0, serial_arena());
+  for (const DelayedPush& e : net_due_) {
+    deliver<true>(ctx, e.sender, e.target, e.payload);
     note_activation(e.target);
   }
-}
-
-void EngineCore::flush_deferred(std::vector<DelayedPush>& batch,
-                                support::Arena* arena) {
-  if (batch.empty()) return;
-  // Senders are unique within a round (one action per agent), so sender
-  // label is a total order, independent of the partition count and of
-  // how the batch was accumulated.
-  std::sort(batch.begin(), batch.end(),
-            [](const DelayedPush& a, const DelayedPush& b) {
-              return a.sender < b.sender;
-            });
-  for (const DelayedPush& e : batch) {
-    deliver_push(e.sender, e.target, e.payload, arena);
-    note_activation(e.target);
-  }
-  batch.clear();
+  net_due_.clear();
 }
 
 bool EngineCore::all_done() const {
@@ -210,12 +194,6 @@ double EngineCore::agent_progress(AgentId id) const {
     obs_valid_[id] |= kProgressValid;
   }
   return progress_cache_[id];
-}
-
-std::vector<AgentId> EngineCore::active_labels() const {
-  std::vector<AgentId> labels;
-  active_labels(labels);
-  return labels;
 }
 
 void EngineCore::active_labels(std::vector<AgentId>& out) const {
@@ -322,50 +300,6 @@ void EngineCore::charge_pull_request(Metrics& metrics) {
   metrics.note_message(pull_request_bits());
 }
 
-Payload EngineCore::serve_and_charge_pull(AgentId v, AgentId requester,
-                                          Metrics& metrics,
-                                          support::Arena* arena) {
-  if (net_msgs_ &&
-      network_->drop(NetMessage::kPullRequest, time_, requester, v)) {
-    ++metrics.net_drops;  // Lost request: charged by the caller, never
-    return {};            // served — the requester observes silence.
-  }
-  if (faulty_[v] != 0 || is_down(v)) return {};  // Silence: no reply.
-  Payload reply = agents_[v]->serve_pull(make_context(v, arena), requester);
-  if (reply.empty()) return reply;
-  ++metrics.pull_replies;
-  metrics.note_message(reply.bit_size());
-  if (net_msgs_) {
-    // The reply was served and charged either way — the server's RNG
-    // consumption never depends on what the network does afterwards.
-    if (network_->drop(NetMessage::kPullReply, time_, v, requester)) {
-      ++metrics.net_drops;
-      return {};
-    }
-    if (network_->corrupt(NetMessage::kPullReply, time_, v, requester)) {
-      Payload tampered =
-          corrupt_payload(reply, network_->corrupt_salt(time_, v, requester));
-      if (!tampered.empty()) {
-        ++metrics.net_corruptions;
-        return tampered;
-      }
-    }
-  }
-  return reply;
-}
-
-void EngineCore::execute_push(AgentId sender, AgentId target,
-                              const Payload& payload, Metrics& metrics,
-                              support::Arena* arena, NetSinks* sinks) {
-  ++metrics.pushes;
-  metrics.note_message(payload.bit_size());
-  if (net_msgs_) {
-    net_push(sender, target, payload, metrics, arena, sinks);
-    return;
-  }
-  deliver_push(sender, target, payload, arena);
-}
-
 void EngineCore::sequential_activation(AgentId u) {
   ensure_started();
   reset_round_arenas();  // One activation = one message lifetime.
@@ -375,12 +309,12 @@ void EngineCore::sequential_activation(AgentId u) {
   // analogue of one synchronous round — and delayed pushes land at the
   // start of the first activation at or past their due step.
   if (net_churn_) advance_churn(time_ / n_);
-  if (net_msgs_) deliver_due_delayed(serial_arena());
+  if (net_msgs_) deliver_held();
   if (agent_done(u)) return;  // A wasted activation.
   if (is_down(u)) return;     // A crashed agent's activation is wasted too.
 
-  support::Arena* arena = serial_arena();
-  const Action action = agents_[u]->on_round(make_context(u, arena));
+  Context ctx = make_context(u, serial_arena());
+  const Action action = agents_[u]->on_round(ctx);
   note_activation(u);
   if (action.kind != ActionKind::kIdle && action.target >= n_) {
     throw_bad_target(u, action.target);
@@ -395,23 +329,18 @@ void EngineCore::sequential_activation(AgentId u) {
       // finishes while slow ones are mid-audit, and whether a terminated
       // agent keeps serving is the agent's own policy (as in the
       // synchronous round).
-      const Payload reply =
-          serve_and_charge_pull(action.target, u, metrics_, arena);
+      const Payload reply = serve_step<true>(ctx, action.target, u, metrics_);
       note_activation(action.target);
-      agents_[u]->on_pull_reply(make_context(u, arena), action.target, reply);
+      agents_[u]->on_pull_reply(aim(ctx, u), action.target, reply);
       note_activation(u);
       return;
     }
-    case ActionKind::kPush: {
+    case ActionKind::kPush:
       ++metrics_.active_links;
-      // No delivery phase to reorder within: reordering is a no-op here,
-      // but cross-activation delay still applies.
-      NetSinks sinks{&net_delayed_, nullptr};
-      execute_push(u, action.target, action.payload, metrics_, arena,
-                   &sinks);
+      push_step<true>(ctx, u, action.target, action.payload, metrics_,
+                      NetSinks{&net_delayed_, false});
       note_activation(action.target);
       return;
-    }
   }
 }
 

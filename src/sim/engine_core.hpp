@@ -142,10 +142,9 @@ class EngineCore {
   /// through a coalition blackboard, so no counter is sound there).
   bool all_done() const;
 
-  /// Owned non-faulty labels, in label order.
-  std::vector<AgentId> active_labels() const;
-  /// Allocation-free overload: clears and refills `out` (capacity reused by
-  /// the caller across calls — scheduler attach/rebuild paths use this).
+  /// Clears `out` and refills it with the owned non-faulty labels, in label
+  /// order (capacity reused by the caller across calls — scheduler
+  /// attach/rebuild paths use this).
   void active_labels(std::vector<AgentId>& out) const;
 
   /// Bits charged for a pull *request* (the "send me your X" control
@@ -196,15 +195,16 @@ class EngineCore {
  private:
   friend class ShardedRoundExecutor;  // sim/sharding.hpp
 
-  /// Where the fault stage parks held-back pushes: the core-owned vectors
-  /// on the sequential path, per-partition vectors in the round (merged at
-  /// its end so delivery order stays partition-count independent).  A null
-  /// member means the context cannot defer that way (the sequential path
-  /// has no delivery phase to reorder within) and the push is delivered
-  /// immediately instead.
+  /// Where the fault stage parks the pushes it holds back: `held` takes
+  /// the delayed ones (due in a later round) and, when `reorder` is set,
+  /// the reordered ones (due this round, delivered after its push phase).
+  /// The round passes per-partition lists (merged at its end, so delivery
+  /// order stays partition-count independent); the sequential path passes
+  /// the core's pending list and no reorder, having no delivery phase to
+  /// reorder within, so it delivers a reordered push immediately.
   struct NetSinks {
-    std::vector<DelayedPush>* delayed;
-    std::vector<DelayedPush>* deferred;
+    std::vector<DelayedPush>* held;
+    bool reorder;
   };
 
   /// Expands the per-agent RNG streams for labels [lo, hi) from the master
@@ -256,28 +256,85 @@ class EngineCore {
     if (refresh_done(i)) flipped.push_back(i);
   }
 
-  // Shared accounting/delivery between the synchronous round and the
-  // sequential activation path — one definition keeps every execution
-  // model's metrics bit-identical by construction.  `metrics` is metrics_
-  // on the sequential path and a per-partition delta in the round (merged
-  // after it); `arena` is the round arena the served/delivered agent's
-  // callbacks allocate from.
+  /// Points the caller's hoisted `ctx` at agent `id`: its label and RNG
+  /// stream.  Every other Context field is fixed for a round.
+  Context& aim(Context& ctx, AgentId id) noexcept {
+    ctx.self = id;
+    ctx.rng = &rngs_[id];
+    return ctx;
+  }
+
+  // The round steps: one definition of each message rule, shared by the
+  // synchronous round (every phase, every partition, a cluster node) and the
+  // sequential activation, so every execution model's metrics and agent
+  // states agree by construction.  `Net` compiles the network stage in:
+  // request/reply drop and corruption, churn's down checks, and net_push.
+  // The round picks Net once per phase task from whether a fault-enabled
+  // model is installed; the sequential path always takes Net = true, whose
+  // per-message checks stay inert without one.  `metrics` is metrics_ on
+  // the sequential path and a per-partition delta in the round (merged
+  // after it).  A step points `ctx` at the agent it calls; the caller
+  // refreshes that agent's observation cache.
   void charge_pull_request(Metrics& metrics);
-  /// Serves `requester`'s pull on `v` (silence if `v` is faulty or down,
-  /// or the network dropped the request or the reply; a corrupted reply
-  /// comes back tampered), charging the reply if any.  Delivery to the
-  /// requester is the caller's job:
-  /// the synchronous round defers it to phase C, the sequential path
-  /// delivers immediately.  The caller refreshes v's observation cache.
-  Payload serve_and_charge_pull(AgentId v, AgentId requester,
-                                Metrics& metrics, support::Arena* arena);
-  /// Charges `sender`'s push, runs the network fault stage when one is
-  /// active, and delivers it unless the target is faulty or down (the
-  /// message still travels, and is charged, either way).  The caller
-  /// refreshes the target's observation cache.
-  void execute_push(AgentId sender, AgentId target, const Payload& payload,
-                    Metrics& metrics, support::Arena* arena,
-                    NetSinks* sinks = nullptr);
+  /// Serves `requester`'s pull on `v` from v's current state, charging the
+  /// reply if there is one.  Faulty and down servers, and pulls whose
+  /// request or reply the network drops, yield silence; a corrupted reply
+  /// comes back tampered.  The round files the reply for phase C, the
+  /// sequential path delivers it at once.
+  template <bool Net>
+  Payload serve_step(Context& ctx, AgentId v, AgentId requester,
+                     Metrics& metrics) {
+    if constexpr (Net) {
+      if (net_msgs_ &&
+          network_->drop(NetMessage::kPullRequest, time_, requester, v)) {
+        ++metrics.net_drops;  // Lost request: charged by the caller, never
+        return {};            // served — the requester observes silence.
+      }
+      if (is_down(v)) return {};
+    }
+    if (faulty_[v] != 0) return {};
+    Payload reply = agents_[v]->serve_pull(aim(ctx, v), requester);
+    if (reply.empty()) return reply;
+    ++metrics.pull_replies;
+    metrics.note_message(reply.bit_size());
+    // Served and charged either way: the server's RNG consumption never
+    // depends on what the network does afterwards.
+    if constexpr (Net) {
+      if (net_msgs_) net_reply(v, requester, reply, metrics);
+    }
+    return reply;
+  }
+  /// Charges `sender`'s push, runs the fault stage, and delivers what
+  /// survives it.  The message travels, and is charged, even when a faulty
+  /// or down target absorbs it.
+  template <bool Net>
+  void push_step(Context& ctx, AgentId sender, AgentId target,
+                 const Payload& payload, Metrics& metrics, NetSinks sinks) {
+    ++metrics.pushes;
+    metrics.note_message(payload.bit_size());
+    if constexpr (Net) {
+      if (net_msgs_) {
+        const Payload* body = &payload;
+        Payload tampered;
+        unsigned copies = net_push(sender, target, body, tampered, metrics,
+                                   sinks);
+        for (; copies > 0; --copies) deliver<Net>(ctx, sender, target, *body);
+        return;
+      }
+    }
+    deliver<Net>(ctx, sender, target, payload);
+  }
+  /// Delivery past charging and the fault stage: faulty and (with Net) down
+  /// targets absorb the message silently.
+  template <bool Net>
+  void deliver(Context& ctx, AgentId sender, AgentId target,
+               const Payload& payload) {
+    if (faulty_[target] != 0) return;
+    if constexpr (Net) {
+      if (is_down(target)) return;
+    }
+    agents_[target]->on_push(aim(ctx, target), sender, payload);
+  }
 
   // --- Network fault stage (no-ops unless a fault-enabled model is set). --
 
@@ -285,22 +342,22 @@ class EngineCore {
   /// verdict per unswept epoch; a down agent returns when its window
   /// expires.  Serial contexts only (called at round/activation start).
   void advance_churn(std::uint64_t epoch);
-  /// The post-charge fault stage of one push: drop / corrupt / delay /
-  /// reorder / duplicate, then delivery of whatever survives.
-  void net_push(AgentId sender, AgentId target, const Payload& payload,
-                Metrics& metrics, support::Arena* arena, NetSinks* sinks);
-  /// Delivery past the fault stage: faulty and down targets absorb the
-  /// (already charged) message silently.
-  void deliver_push(AgentId sender, AgentId target, const Payload& payload,
-                    support::Arena* arena);
-  /// Delivers the delayed pushes whose round has come, ordered by (origin
-  /// round, sender).  Serial contexts only (the round calls it between
-  /// its reply and push phases).
-  void deliver_due_delayed(support::Arena* arena);
-  /// Delivers and clears a batch of same-round reordered pushes, ordered by
-  /// sender label (senders are unique within a round, so the order is
-  /// total and shard-count independent).
-  void flush_deferred(std::vector<DelayedPush>& batch, support::Arena* arena);
+  /// The network's drop / corrupt verdicts on a served, charged reply.
+  void net_reply(AgentId server, AgentId requester, Payload& reply,
+                 Metrics& metrics);
+  /// The fault stage of one charged push: drop / corrupt / delay / reorder
+  /// / duplicate.  Returns how many copies of `*body` to deliver now (none
+  /// when dropped or held back in `sinks`), re-pointing `body` at
+  /// `tampered` when the payload was corrupted.
+  unsigned net_push(AgentId sender, AgentId target, const Payload*& body,
+                    Payload& tampered, Metrics& metrics, NetSinks sinks);
+  /// Delivers the held-back pushes now due (due <= time_: delayed pushes
+  /// whose round has come, and this round's reordered ones) in (origin
+  /// round, sender) order.  One push per sender per round makes that order
+  /// total, so it cannot depend on how the pending list was accumulated.
+  /// Serial contexts only: the round calls it before its push phase and
+  /// again at its close, the sequential path at each activation.
+  void deliver_held();
 
   std::uint32_t n_;
   std::uint64_t seed_;
@@ -344,7 +401,8 @@ class EngineCore {
   std::uint64_t net_epoch_ = 0;      ///< Epoch advance_churn has reached.
   std::uint64_t churn_unswept_ = 0;  ///< First epoch not yet swept.
   std::vector<std::uint64_t> down_until_;  ///< Crash windows, epoch units.
-  std::vector<DelayedPush> net_delayed_;   ///< Cross-round delayed pushes.
+  std::vector<DelayedPush> net_delayed_;   ///< Held-back pushes, pending.
+  std::vector<DelayedPush> net_due_;       ///< deliver_held's scratch.
 
   // --- Round arenas (one per partition; the sequential path uses 0). ------
   std::vector<std::unique_ptr<support::Arena>> arenas_;

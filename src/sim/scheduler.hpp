@@ -102,7 +102,7 @@ class Scheduler {
 using SchedulerPtr = std::unique_ptr<Scheduler>;
 
 /// Incrementally maintained wakeable-label set for the sampling schedulers:
-/// built once from EngineCore::active_labels(), sampled by index, and
+/// built once by EngineCore::active_labels(out), sampled by index, and
 /// compacted by swap-remove as agents are discovered done — O(1) per
 /// removal, order not preserved.  PoissonClockScheduler draws from this set
 /// so completed agents stop absorbing wake draws (and stop contributing to

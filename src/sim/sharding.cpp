@@ -4,6 +4,7 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "sim/engine_core.hpp"
@@ -159,7 +160,7 @@ void ShardedRoundExecutor::run_round(EngineCore& core,
   // Pushes the network delayed in earlier rounds land at the start of the
   // push phase.  Runs between barriers, so single-threaded delivery
   // against the core is safe.
-  if (core.net_msgs_) core.deliver_due_delayed(core.round_arena(0));
+  if (core.net_msgs_) core.deliver_held();
   if (any_push) {
     parallel_phase([&](std::uint32_t d) { deliver_pushes(core, d); });
   }
@@ -203,22 +204,14 @@ void ShardedRoundExecutor::open_round(EngineCore& core) {
 
 void ShardedRoundExecutor::close_round(EngineCore& core) {
   if (core.net_msgs_) {
-    // Merge of the per-shard sinks.  Delayed pushes join the core's
-    // pending list (delivery sorts by (origin, sender), so merge order is
-    // free); reordered ones are flushed now, at the end of this round's
-    // push phase, in sender order.
-    deferred_merge_.clear();
+    // The shards' held-back pushes join the core's pending list (delivery
+    // sorts, so merge order is free); the reordered ones, due this round,
+    // land now, after its push phase.
     for (ShardScratch& sc : scratch_) {
-      for (DelayedPush& e : sc.delayed) {
-        core.net_delayed_.push_back(std::move(e));
-      }
-      for (DelayedPush& e : sc.deferred) {
-        deferred_merge_.push_back(std::move(e));
-      }
-      sc.delayed.clear();
-      sc.deferred.clear();
+      for (DelayedPush& e : sc.held) core.net_delayed_.push_back(std::move(e));
+      sc.held.clear();
     }
-    core.flush_deferred(deferred_merge_, core.round_arena(0));
+    core.deliver_held();
   }
 
   // Shard deltas carry no rounds/virtual_time (the scheduler owns those),
@@ -271,9 +264,7 @@ void ShardedRoundExecutor::collect(EngineCore& core, std::uint32_t s,
     if (core.is_down(i) || (awake_mask != nullptr && !(*awake_mask)[i])) {
       continue;
     }
-    ctx.self = i;
-    ctx.rng = &core.rngs_[i];
-    Action a = core.agents_[i]->on_round(ctx);
+    Action a = core.agents_[i]->on_round(core.aim(ctx, i));
     core.note_activation_sharded(i, sc.flipped);
     if (a.kind == ActionKind::kIdle) continue;
     if (a.target >= n) [[unlikely]] core.throw_bad_target(i, a.target);
@@ -298,58 +289,54 @@ void ShardedRoundExecutor::collect(EngineCore& core, std::uint32_t s,
   sc.live_kept_end = w;
 }
 
-void ShardedRoundExecutor::serve_pulls(EngineCore& core, std::uint32_t d) {
-  // Phase B, by server-shard: serve pulls from round-start state, unit by
-  // unit.  Inside a unit the lanes drain in source-shard order; contiguous
-  // shards make that the global requester-label order per server.
-  ShardScratch& sc = scratch_[d];
-  Metrics& m = sc.metrics;
-  support::Arena* arena = core.round_arena(d);
-  Context ctx = core.make_context(0, arena);
-  const bool net_active = core.net_msgs_ || core.net_churn_;
-  for (std::uint32_t u = unit_begin_[d]; u < unit_begin_[d + 1]; ++u) {
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-      const PullItem* q = scratch_[s].lanes[u].pulls.data();
-      const std::size_t len = scratch_[s].lanes[u].pulls.size();
-      for (std::size_t j = 0; j < len; ++j) {
-        // Two-stage prefetch (pointer line, then object), plus the reply
-        // slot the serve is about to write: requesters are label-ordered
-        // but sparse, so the stores stride past what the hardware
-        // prefetcher tracks.
-        if (j + 8 < len) {
-          __builtin_prefetch(&core.agents_[q[j + 8].server]);
-        }
-        if (j + 4 < len) {
-          __builtin_prefetch(core.agents_[q[j + 4].server].get());
-          __builtin_prefetch(&core.pull_replies_[q[j + 4].requester], 1);
-        }
-        const PullItem& e = q[j];
-        // Each requester pulls at most once per round, so its reply slot
-        // is written by exactly one shard.
-        if (net_active) {
-          // Fault-enabled rounds take the shared serve path so the
-          // request/reply fault stage has one definition.
-          core.pull_replies_[e.requester] =
-              core.serve_and_charge_pull(e.server, e.requester, m, arena);
-          core.note_activation_sharded(e.server, sc.flipped);
-          continue;
-        }
-        // serve_and_charge_pull on the hoisted Context.
-        if (core.faulty_[e.server] != 0) {
-          core.pull_replies_[e.requester] = {};  // Silence: no reply.
-          continue;
-        }
-        ctx.self = e.server;
-        ctx.rng = &core.rngs_[e.server];
-        Payload reply = core.agents_[e.server]->serve_pull(ctx, e.requester);
-        if (!reply.empty()) {
-          ++m.pull_replies;
-          m.note_message(reply.bit_size());
-        }
-        core.pull_replies_[e.requester] = std::move(reply);
-        core.note_activation_sharded(e.server, sc.flipped);
+template <auto Callee, typename Item, typename Body>
+void ShardedRoundExecutor::drain(EngineCore& core,
+                                 const std::vector<Item>& items, Body& body) {
+  const Item* q = items.data();
+  const std::size_t len = items.size();
+  for (std::size_t j = 0; j < len; ++j) {
+    if (j + 8 < len) __builtin_prefetch(&core.agents_[q[j + 8].*Callee]);
+    if (j + 4 < len) {
+      __builtin_prefetch(core.agents_[q[j + 4].*Callee].get());
+      if constexpr (std::is_same_v<Item, PullItem>) {
+        __builtin_prefetch(&core.pull_replies_[q[j + 4].requester], 1);
       }
     }
+    body(q[j]);
+  }
+}
+
+template <auto Callee, typename Item, typename Body>
+void ShardedRoundExecutor::drain_lanes(EngineCore& core, std::uint32_t d,
+                                       std::vector<Item> Lane::*queue,
+                                       Body&& body) {
+  for (std::uint32_t u = unit_begin_[d]; u < unit_begin_[d + 1]; ++u) {
+    for (std::uint32_t s = 0; s < shards_; ++s) {
+      drain<Callee>(core, scratch_[s].lanes[u].*queue, body);
+    }
+  }
+}
+
+void ShardedRoundExecutor::serve_pulls(EngineCore& core, std::uint32_t d) {
+  // Phase B, by server-shard: serve pulls from round-start state.  The
+  // lanes' source-shard order within a unit is, shards being contiguous,
+  // the global requester-label order per server.  Each requester pulls at
+  // most once per round, so its reply slot is written by one shard only.
+  ShardScratch& sc = scratch_[d];
+  Context ctx = core.make_context(0, core.round_arena(d));
+  const auto serve = [&](auto net) {
+    constexpr bool kNet = decltype(net)::value;
+    drain_lanes<&PullItem::server>(
+        core, d, &Lane::pulls, [&](const PullItem& e) {
+          core.pull_replies_[e.requester] =
+              core.serve_step<kNet>(ctx, e.server, e.requester, sc.metrics);
+          core.note_activation_sharded(e.server, sc.flipped);
+        });
+  };
+  if (core.net_msgs_ || core.net_churn_) {
+    serve(std::true_type{});
+  } else {
+    serve(std::false_type{});
   }
 }
 
@@ -359,25 +346,14 @@ void ShardedRoundExecutor::deliver_replies(EngineCore& core,
   // (each shard's puller list is label-ordered by construction).
   ShardScratch& sc = scratch_[s];
   Context ctx = core.make_context(0, core.round_arena(s));
-  const PullItem* pullers = sc.pullers.data();
-  const std::size_t np = sc.pullers.size();
-  for (std::size_t j = 0; j < np; ++j) {
-    if (j + 8 < np) {
-      __builtin_prefetch(&core.agents_[pullers[j + 8].requester]);
-    }
-    if (j + 4 < np) {
-      const AgentId ahead = pullers[j + 4].requester;
-      __builtin_prefetch(core.agents_[ahead].get());
-      __builtin_prefetch(&core.pull_replies_[ahead], 1);
-    }
-    const AgentId i = pullers[j].requester;
-    ctx.self = i;
-    ctx.rng = &core.rngs_[i];
-    core.agents_[i]->on_pull_reply(ctx, pullers[j].server,
+  const auto reply = [&](const PullItem& e) {
+    const AgentId i = e.requester;
+    core.agents_[i]->on_pull_reply(core.aim(ctx, i), e.server,
                                    core.pull_replies_[i]);
     core.pull_replies_[i] = {};
     core.note_activation_sharded(i, sc.flipped);
-  }
+  };
+  drain<&PullItem::requester>(core, sc.pullers, reply);
 }
 
 void ShardedRoundExecutor::deliver_pushes(EngineCore& core, std::uint32_t d) {
@@ -385,45 +361,23 @@ void ShardedRoundExecutor::deliver_pushes(EngineCore& core, std::uint32_t d) {
   // merge yields global sender-label order at every receiver, and one
   // unit's receivers stay cache-resident while its lanes stream through.
   // Fault verdicts are pure per-message hashes, so shard interleaving
-  // cannot change them; held-back pushes go to per-shard sinks merged (and
-  // sorted) by close_round.
+  // cannot change them; held-back pushes go to the shard's sink, merged
+  // (and sorted) by close_round.
   ShardScratch& sc = scratch_[d];
-  Metrics& m = sc.metrics;
-  support::Arena* arena = core.round_arena(d);
-  Context ctx = core.make_context(0, arena);
-  EngineCore::NetSinks sinks{&sc.delayed, &sc.deferred};
-  const bool net_active = core.net_msgs_ || core.net_churn_;
-  for (std::uint32_t u = unit_begin_[d]; u < unit_begin_[d + 1]; ++u) {
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-      const PushItem* q = scratch_[s].lanes[u].pushes.data();
-      const std::size_t len = scratch_[s].lanes[u].pushes.size();
-      for (std::size_t j = 0; j < len; ++j) {
-        // Two-stage prefetch of the target: the agent-pointer line a few
-        // entries ahead, then the agent object one stage later (its
-        // address needs the pointer already resident).
-        if (j + 8 < len) {
-          __builtin_prefetch(&core.agents_[q[j + 8].target]);
-        }
-        if (j + 4 < len) {
-          __builtin_prefetch(core.agents_[q[j + 4].target].get());
-        }
-        const PushItem& e = q[j];
-        if (net_active) {
-          core.execute_push(e.sender, e.target, e.payload, m, arena, &sinks);
+  Context ctx = core.make_context(0, core.round_arena(d));
+  const auto push = [&](auto net) {
+    constexpr bool kNet = decltype(net)::value;
+    drain_lanes<&PushItem::target>(
+        core, d, &Lane::pushes, [&](const PushItem& e) {
+          core.push_step<kNet>(ctx, e.sender, e.target, e.payload,
+                               sc.metrics, {&sc.held, true});
           core.note_activation_sharded(e.target, sc.flipped);
-          continue;
-        }
-        // execute_push + note_activation_sharded on the hoisted Context
-        // (metrics charged identically for faulty targets).
-        ++m.pushes;
-        m.note_message(e.payload.bit_size());
-        if (core.faulty_[e.target] != 0) continue;
-        ctx.self = e.target;
-        ctx.rng = &core.rngs_[e.target];
-        core.agents_[e.target]->on_push(ctx, e.sender, e.payload);
-        core.note_activation_sharded(e.target, sc.flipped);
-      }
-    }
+        });
+  };
+  if (core.net_msgs_ || core.net_churn_) {
+    push(std::true_type{});
+  } else {
+    push(std::false_type{});
   }
 }
 

@@ -47,11 +47,15 @@
 //                               labels and the live list, so a round stays
 //                               O(live + messages).
 //
-// Phases B, C and D use a two-stage software prefetch (the agent pointer a
-// few entries ahead, then the agent object) and one hoisted Context per
-// task.  All of a shard's mutable scratch — its Metrics delta, puller
-// list, lanes, fault sinks and flipped labels — lives in one
-// cache-line-aligned struct, so no two workers ever write the same line.
+// Phases B, C and D share one two-stage software prefetch (the agent
+// pointer a few entries ahead, then the agent object) and hoist one Context
+// per task.  Phases B and D apply the core's one step per message kind
+// (EngineCore::serve_step, push_step) — the same steps the sequential path
+// takes — with the network fault stage a template parameter chosen once
+// per task, so fault-free rounds compile it out.  All of a shard's mutable
+// scratch — its Metrics delta, puller list, lanes, fault sink and flipped
+// labels — lives in one cache-line-aligned struct, so no two workers ever
+// write the same line.
 //
 // Determinism: each agent (its state and its private RNG stream) is touched
 // by exactly one shard per phase — phase A/C by its own shard, phase B/D by
@@ -205,12 +209,11 @@ class ShardedRoundExecutor {
     std::vector<PullItem> pullers;
     std::uint32_t pushes = 0;  ///< Pushes routed by this shard this round.
     std::vector<Lane> lanes;   ///< Indexed by destination unit.
-    /// Network-fault sinks of phase D (delayed / reordered pushes), merged
-    /// into the core's pending lists by close_round; the merged order is
-    /// irrelevant because delivery sorts (see sim::DelayedPush).  Empty
+    /// Phase D's network-fault sink (delayed and reordered pushes), merged
+    /// into the core's pending list by close_round; the merged order is
+    /// irrelevant because delivery sorts (EngineCore::deliver_held).  Empty
     /// unless a fault-enabled network model is installed.
-    std::vector<DelayedPush> delayed;
-    std::vector<DelayedPush> deferred;
+    std::vector<DelayedPush> held;
     /// The shard's segment [live_begin, live_end) of the core's live list,
     /// and its end after phase A's in-place compaction.
     std::size_t live_begin = 0;
@@ -235,6 +238,20 @@ class ShardedRoundExecutor {
   template <typename Fn>
   void parallel_phase(Fn&& fn);
   void pool_phase(const std::function<void(std::uint32_t)>& fn);
+  /// Runs body(item) over `items` in order with a two-stage prefetch of
+  /// the agent each item calls (label item.*Callee): its pointer 8 items
+  /// ahead, then the object 4 ahead, once its address is resident.  A pull
+  /// also prefetches its requester's reply slot, which phases B and C
+  /// write: requesters are label-ordered but sparse, so those stores stride
+  /// past what the hardware prefetcher tracks.
+  template <auto Callee, typename Item, typename Body>
+  static void drain(EngineCore& core, const std::vector<Item>& items,
+                    Body& body);
+  /// drain over the `queue` of every lane into shard d: unit by unit, and
+  /// inside a unit in source-shard order.
+  template <auto Callee, typename Item, typename Body>
+  void drain_lanes(EngineCore& core, std::uint32_t d,
+                   std::vector<Item> Lane::*queue, Body&& body);
   /// The close's done bookkeeping: settles every shard's flipped labels
   /// and joins the compacted live-list segments.
   void settle_done(EngineCore& core);
@@ -252,7 +269,6 @@ class ShardedRoundExecutor {
   std::vector<std::uint32_t> unit_offset_;  ///< size shards_.
   std::vector<std::uint32_t> unit_begin_;   ///< size shards_+1.
   std::vector<ShardScratch> scratch_;       ///< One per shard.
-  std::vector<DelayedPush> deferred_merge_;
 };
 
 }  // namespace rfc::sim

@@ -7,6 +7,10 @@
 #include <memory>
 #include <vector>
 
+#include "sim/engine_core.hpp"
+#include "sim/network_spec.hpp"
+#include "sim/sharding.hpp"
+
 namespace rfc::sim {
 namespace {
 
@@ -204,6 +208,80 @@ TEST(Engine, PerAgentRngStreamsDiffer) {
   rfc::support::Xoshiro256 r0(rfc::support::derive_seed(99, 0));
   rfc::support::Xoshiro256 r1(rfc::support::derive_seed(99, 1));
   EXPECT_NE(r0.next(), r1.next());
+}
+
+/// Pulls its ring successor in even rounds and pushes to it in odd ones,
+/// recording the last reply and counting the pushes it receives.
+class RingProbe final : public Agent {
+ public:
+  std::uint64_t reply_round = ~0ull;
+  bool reply_empty = false;
+  std::uint32_t pushes = 0;
+
+  Action on_round(const Context& ctx) override {
+    const AgentId next = (ctx.self + 1) % ctx.n;
+    if (ctx.round % 2 == 0) return Action::pull(next);
+    return Action::push(next, number_payload(ctx.round));
+  }
+  Payload serve_pull(const Context& ctx, AgentId) override {
+    return number_payload(ctx.round);
+  }
+  void on_pull_reply(const Context& ctx, AgentId,
+                     const Payload& reply) override {
+    reply_round = ctx.round;
+    reply_empty = reply.empty();
+  }
+  void on_push(const Context&, AgentId, const Payload&) override {
+    ++pushes;
+  }
+  bool done() const override { return false; }
+};
+
+TEST(Engine, ChurnDownServerIsSilentAndDownTargetAbsorbsChargedPush) {
+  // Churn alone (no per-message fault rate), serial and with shards: an
+  // agent churn holds down serves silence and absorbs the pushes sent to
+  // it, which are charged all the same.  A round's crash verdicts hold
+  // until the next round opens, so is_down() after a round is its state.
+  constexpr std::uint32_t kN = 64;
+  for (const ShardingConfig cfg :
+       {ShardingConfig{1, 1}, ShardingConfig{4, 2}}) {
+    EngineCore core(kN, 11, nullptr);
+    for (AgentId i = 0; i < kN; ++i) {
+      core.set_agent(i, std::make_unique<RingProbe>());
+    }
+    core.set_network(
+        NetworkSpec::parse("network:churn=0.2,rejoin=2,seed=3").make());
+    const auto probe = [&core](AgentId i) -> const RingProbe& {
+      return static_cast<const RingProbe&>(core.agent(i));
+    };
+    ShardedRoundExecutor executor(cfg);
+    std::uint32_t silent = 0;
+    std::uint32_t absorbed = 0;
+    for (std::uint64_t round = 0; round < 24; ++round) {
+      std::vector<std::uint32_t> received(kN);
+      for (AgentId i = 0; i < kN; ++i) received[i] = probe(i).pushes;
+      const std::uint64_t pushes_before = core.metrics().pushes;
+      executor.run_round(core, nullptr);
+      std::uint64_t senders = 0;
+      for (AgentId u = 0; u < kN; ++u) {
+        const AgentId v = (u + 1) % kN;
+        if (core.is_down(u)) continue;  // A down agent idles.
+        if (round % 2 == 0) {
+          EXPECT_EQ(probe(u).reply_round, round) << u;
+          EXPECT_EQ(probe(u).reply_empty, core.is_down(v)) << u;
+          silent += core.is_down(v) ? 1 : 0;
+        } else {
+          ++senders;
+          EXPECT_EQ(probe(v).pushes - received[v], core.is_down(v) ? 0u : 1u)
+              << v;
+          absorbed += core.is_down(v) ? 1 : 0;
+        }
+      }
+      EXPECT_EQ(core.metrics().pushes - pushes_before, senders) << round;
+    }
+    EXPECT_GT(silent, 0u);
+    EXPECT_GT(absorbed, 0u);
+  }
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "net/lossy_client.hpp"
 #include "net/wire_frame.hpp"
 #include "net/workload.hpp"
+#include "order_trace_agent.hpp"
 #include "sim/engine.hpp"
 #include "sim/scheduler.hpp"
 #include "support/rng.hpp"
@@ -582,6 +583,92 @@ TEST(LoopbackCluster, BlocksSpanningSeveralDeliveryUnitsMatchEngine) {
     spec.rumor.n = (1u << 17) + 3;
     spec.rumor.max_rounds = 6;
     EXPECT_EQ(cross_check_local(spec, TransportKind::kLoopback), "")
+        << scheduler;
+  }
+}
+
+/// OrderTraceAgents on n labels (every 97th faulty) under `scheduler` for
+/// six rounds, each block digested by its agents' trace hashes.
+Workload order_trace_workload(std::uint32_t n, const char* scheduler) {
+  Workload wl;
+  wl.n = n;
+  wl.seed = 77;
+  wl.scheduler = sim::SchedulerSpec::parse(scheduler);
+  wl.fault_plan.assign(n, false);
+  for (sim::AgentId l = 0; l < n; l += 97) wl.fault_plan[l] = true;
+  wl.max_rounds = 6;
+  wl.make_agent = [](sim::AgentId) {
+    return std::make_unique<rfc::testing::OrderTraceAgent>();
+  };
+  wl.agent_complete = [](const sim::Agent&) { return false; };
+  wl.digest_agent = [](Fnv1a& fnv, const sim::Agent& agent, sim::AgentId,
+                       bool) {
+    fnv.mix_u64(
+        static_cast<const rfc::testing::OrderTraceAgent&>(agent).hash());
+  };
+  return wl;
+}
+
+/// `wl` as `nodes` NodeDrivers over a loopback hub, one thread each.
+ClusterResult run_workload_cluster(const Workload& wl, std::uint32_t nodes) {
+  LoopbackHub hub(nodes);
+  std::vector<NodeReport> reports(nodes);
+  std::vector<std::string> errors(nodes);
+  std::vector<std::thread> threads;
+  for (NodeId id = 0; id < nodes; ++id) {
+    threads.emplace_back([&, id] {
+      const CommClientPtr client =
+          make_comm_client(TransportKind::kLoopback, &hub);
+      NodeOptions options;
+      options.node_id = id;
+      options.num_nodes = nodes;
+      options.sync_timeout_ms = 5000;
+      try {
+        NodeDriver driver(wl, options, *client);
+        reports[id] = driver.run(std::vector<PeerEndpoint>(nodes));
+      } catch (const std::exception& e) {
+        errors[id] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::string& error : errors) {
+    if (!error.empty()) throw std::runtime_error(error);
+  }
+  return merge_reports(wl, reports);
+}
+
+/// `wl` on the in-memory engine, summarized as a `nodes`-node cluster.
+ClusterResult run_workload_engine(const Workload& wl, std::uint32_t nodes) {
+  sim::Engine engine(
+      sim::EngineConfig(wl.n, wl.seed, nullptr, wl.scheduler.make()));
+  engine.apply_fault_plan(wl.fault_plan);
+  for (sim::AgentId l = 0; l < wl.n; ++l) engine.set_agent(l, wl.make_agent(l));
+  engine.run(wl.max_rounds);
+  ClusterResult result;
+  result.rounds = engine.round();
+  result.metrics = engine.metrics();
+  for (std::uint32_t b = 0; b < nodes; ++b) {
+    Fnv1a fnv;
+    for (sim::AgentId l = sim::contiguous_block_begin(wl.n, nodes, b);
+         l < sim::contiguous_block_begin(wl.n, nodes, b + 1); ++l) {
+      wl.digest_agent(fnv, engine.agent(l), l, engine.is_faulty(l));
+    }
+    result.block_digests.push_back(fnv.value());
+  }
+  result.digest = combine_block_digests(result.block_digests);
+  return result;
+}
+
+TEST(LoopbackCluster, DeliveryOrderAcrossUnitsMatchesEngine) {
+  // The layout above, with agents whose state is the order in which they
+  // met every requester, server and sender: a node that drains its units'
+  // lanes in any order but the engine's ends in another state.
+  for (const char* scheduler : {"synchronous", "partial-async:p=0.5"}) {
+    const Workload wl = order_trace_workload((1u << 17) + 3, scheduler);
+    EXPECT_EQ(cross_check(run_workload_cluster(wl, 3),
+                          run_workload_engine(wl, 3)),
+              "")
         << scheduler;
   }
 }

@@ -23,6 +23,7 @@
 #include "core/runner.hpp"
 #include "end_state_digest.hpp"
 #include "gossip/rumor.hpp"
+#include "order_trace_agent.hpp"
 #include "rational/strategies.hpp"
 #include "sim/engine.hpp"
 #include "sim/engine_core.hpp"
@@ -574,6 +575,53 @@ TEST(ShardedEquivalence, MultiBlockDeliveryOrderAndAllDoneMatchSerial) {
           static_cast<const OrderHashAgent&>(sharded->agent(i)).hash();
     }
     EXPECT_EQ(diverged, 0u) << case_name(c) << ": agents in another state";
+  }
+}
+
+/// Runs 12 rounds of OrderTraceAgents at n = 4099 (every 97th label faulty)
+/// and returns each agent's trace hash.
+std::vector<std::uint64_t> order_trace_hashes(const SchedulerSpec& spec,
+                                              const NetworkSpec& net,
+                                              std::uint32_t block_labels,
+                                              Metrics* metrics) {
+  constexpr std::uint32_t kN = 4099;
+  Engine engine(EngineConfig(kN, 4242, nullptr, spec.make(), net.make()));
+  for (AgentId i = 0; i < kN; ++i) {
+    engine.set_agent(i, std::make_unique<rfc::testing::OrderTraceAgent>());
+    if (i % 97 == 0) engine.set_faulty(i);
+  }
+  engine.set_block_labels(block_labels);
+  engine.run(12);
+  std::vector<std::uint64_t> hashes;
+  for (AgentId i = 0; i < kN; ++i) {
+    hashes.push_back(
+        static_cast<const rfc::testing::OrderTraceAgent&>(engine.agent(i))
+            .hash());
+  }
+  *metrics = engine.metrics();
+  return hashes;
+}
+
+TEST(ShardedEquivalence, MultiBlockOrderTraceMatchesSerial) {
+  // One global-order block serially against 16-label blocks at every shard
+  // case: every agent must meet its requesters, servers and senders in the
+  // same order, under the reliable and the fully adversarial network.
+  for (const NetworkSpec& net : multi_block_networks()) {
+    Metrics serial_metrics;
+    const std::vector<std::uint64_t> serial = order_trace_hashes(
+        SchedulerSpec::synchronous(), net, 1u << 16, &serial_metrics);
+    for (const ShardCase& c : shard_cases()) {
+      const std::string where = net.to_string() + " " + case_name(c);
+      Metrics metrics;
+      const std::vector<std::uint64_t> sharded =
+          order_trace_hashes(sharded_spec(c), net, 16, &metrics);
+      std::uint32_t diverged = 0;
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        diverged += serial[i] != sharded[i];
+      }
+      EXPECT_EQ(diverged, 0u) << where << ": agents in another state";
+      expect_metrics_identical(serial_metrics, metrics, where);
+    }
   }
 }
 
