@@ -549,14 +549,17 @@ int main(int argc, char** argv) {
   // net_corruptions counts flips applied in transit; every one a verifier
   // sees must be rejected — adopting one would poison agreement, so any
   // success-rate cliff here must come from *lost* information, not from
-  // accepted forgeries).
+  // accepted forgeries).  The last column attributes the honest failures:
+  // the share that Verification rejected, against Coherence mismatches and
+  // agents that never decided.
   {
     const auto trials8 = rfc::exputil::sweep_trials(args, 40, 200);
     const auto pn = static_cast<std::uint32_t>(args.get_uint("n", 96));
     const auto slack =
         static_cast<std::uint32_t>(args.get_uint("slack", 40));
     rfc::support::Table t8({"network", "success rate", "net drops",
-                            "net corruptions", "events/agent"});
+                            "net corruptions", "events/agent",
+                            "verify-rejected share"});
     std::vector<rfc::sim::NetworkSpec> specs = {rfc::sim::NetworkSpec::none()};
     for (const double drop : {0.02, 0.05, 0.10}) {
       char text[64];
@@ -572,7 +575,7 @@ int main(int argc, char** argv) {
         rfc::sim::NetworkSpec::parse("network:drop=0.05,corrupt=0.01"));
     rfc::support::ThreadPool pool(0);
     for (const auto& net : specs) {
-      std::uint64_t ok = 0;
+      std::uint64_t ok = 0, failures = 0, rejected = 0;
       rfc::support::OnlineStats drops, corruptions, events;
       const auto results =
           rfc::analysis::run_trials<rfc::core::AsyncRunResult>(
@@ -595,6 +598,9 @@ int main(int argc, char** argv) {
         drops.add(static_cast<double>(r.metrics.net_drops));
         corruptions.add(static_cast<double>(r.metrics.net_corruptions));
         events.add(static_cast<double>(r.steps) / pn);
+        failures += r.honest_failures;
+        rejected +=
+            r.honest_failures - r.failure_causes.coherence_or_undecided;
       }
       t8.add_row({
           net.to_string(),
@@ -603,6 +609,11 @@ int main(int argc, char** argv) {
           rfc::support::Table::fmt(drops.mean(), 0),
           rfc::support::Table::fmt(corruptions.mean(), 0),
           rfc::support::Table::fmt(events.mean(), 0),
+          failures == 0 ? std::string("-")
+                        : rfc::support::Table::fmt(
+                              static_cast<double>(rejected) /
+                                  static_cast<double>(failures),
+                              3),
       });
     }
     rfc::exputil::print_table(

@@ -1,12 +1,8 @@
 #include "core/async_protocol.hpp"
 
-#include <memory>
+#include <utility>
 
 #include "core/payloads.hpp"
-#include "core/runner.hpp"
-#include "sim/engine.hpp"
-#include "sim/scheduler.hpp"
-#include "support/math_util.hpp"
 
 namespace rfc::core {
 namespace {
@@ -26,28 +22,27 @@ sim::Payload make_async_vote_payload(std::uint64_t value,
 /// Composite pull reply: the servee cannot know whether the puller is
 /// auditing (wants H) or broadcasting (wants CE_min), so it sends both.
 /// This costs a constant-factor message inflation over the synchronous
-/// protocol — part of the price of the sequential model.
+/// protocol — part of the price of the sequential model.  It holds a view
+/// of the server's H_u box and CE_min's payload as the server holds it.
 struct AsyncReply {
-  VoteIntention intention;
-  bool has_cert = false;
-  Certificate cert;
+  sim::Payload intention;
+  sim::Payload min_cert;
 };
 
 sim::Payload make_async_reply_payload(rfc::support::Arena* arena,
-                                      const VoteIntention& intention,
-                                      const Certificate* min_cert,
+                                      const AuditState& audit,
                                       const ProtocolParams& params) {
-  const bool has_cert = min_cert != nullptr;
+  const sim::Payload& min_cert = audit.min_certificate_payload();
   const std::uint64_t bits =
-      intention.size() * (static_cast<std::uint64_t>(params.value_bits()) +
-                          params.label_bits()) +
-      1 + (has_cert ? min_cert->bit_size(params) : 0);
+      audit.intention().size() *
+          (static_cast<std::uint64_t>(params.value_bits()) +
+           params.label_bits()) +
+      1 + (min_cert.empty() ? 0 : audit.min_certificate().bit_size(params));
   // Transient by construction: the reply is consumed by the puller's
   // on_pull_reply within the same activation, so the round arena owns it.
   return sim::Payload::make_boxed_in<AsyncReply>(
       arena, kAsyncReplyPayloadTag, bits,
-      AsyncReply{intention, has_cert,
-                 has_cert ? *min_cert : Certificate{}});
+      AsyncReply{audit.intention_payload().pinned(), min_cert});
 }
 
 const AsyncReply* async_reply_in(const sim::Payload& p) noexcept {
@@ -108,49 +103,47 @@ AsyncProtocolAgent::AsyncProtocolAgent(const ProtocolParams& params,
     : params_(params), schedule_(schedule), color_(color) {}
 
 void AsyncProtocolAgent::on_start(const sim::Context& ctx) {
-  intention_.resize(params_.q);
-  for (VoteEntry& e : intention_) {
+  VoteIntention intention(params_.q);
+  for (VoteEntry& e : intention) {
     e.value = ctx.rng->below(params_.m);
     e.target = ctx.random_peer();
   }
+  audit_.write_intention(params_, std::move(intention));
 }
 
 sim::Action AsyncProtocolAgent::on_round(const sim::Context& ctx) {
   if (done()) return sim::Action::idle();
   const std::uint64_t a = activations_++;
-  const auto phase = schedule_.phase_of(a);
-  switch (phase) {
+  switch (schedule_.phase_of(a)) {
     case AsyncSchedule::LocalPhase::kCommitment:
       return sim::Action::pull(ctx.random_peer());
     case AsyncSchedule::LocalPhase::kVoting: {
       const std::uint32_t i = schedule_.index_of(a);
-      const VoteEntry& vote = intention_.at(i);
+      const VoteEntry& vote = audit_.intention().at(i);
       return sim::Action::push(
           vote.target, make_async_vote_payload(vote.value, i, params_));
     }
     case AsyncSchedule::LocalPhase::kFindMin:
-      if (!own_cert_built_) {
-        own_cert_ = make_certificate(params_, ctx.self, color_,
-                                     received_votes_);
-        own_cert_built_ = true;
-        if (!has_min_cert_ || own_cert_.less_than(min_cert_)) {
-          min_cert_ = own_cert_;
-        }
-        has_min_cert_ = true;
+      if (!audit_.has_own_certificate()) {
+        audit_.seal_own_certificate(
+            params_,
+            audit_.take_votes_into_certificate(params_, ctx.self, color_));
       }
       return sim::Action::pull(ctx.random_peer());
     case AsyncSchedule::LocalPhase::kCoherence:
-      in_coherence_ = true;
-      // The pushed certificate is copied out by every receiver's
-      // consider_certificate within the round — arena-transient.
-      return sim::Action::push(
-          ctx.random_peer(),
-          make_certificate_payload_in(ctx.arena, min_cert_, params_));
+      return sim::Action::push(ctx.random_peer(),
+                               audit_.min_certificate_payload());
     case AsyncSchedule::LocalPhase::kFinished:
-      finalize();
-      return sim::Action::idle();
+      // Verification + decision.
+      if (audit_.verify(params_)) {
+        final_color_ = audit_.min_certificate().color;
+      } else {
+        failed_ = true;
+      }
+      decided_ = true;
+      break;
     case AsyncSchedule::LocalPhase::kGuard:
-      return sim::Action::idle();
+      break;
   }
   return sim::Action::idle();
 }
@@ -161,38 +154,22 @@ sim::Payload AsyncProtocolAgent::serve_pull(const sim::Context& ctx,
   // Decided agents keep serving: in the sequential model fast agents finish
   // while slow auditors are still working, and refusing them would make
   // honest agents look faulty.
-  return make_async_reply_payload(
-      ctx.arena, intention_, has_min_cert_ ? &min_cert_ : nullptr, params_);
+  return make_async_reply_payload(ctx.arena, audit_, params_);
 }
 
 void AsyncProtocolAgent::on_pull_reply(const sim::Context&,
                                        sim::AgentId target,
                                        const sim::Payload& reply) {
   if (done()) return;
-  const AsyncReply* payload = async_reply_in(reply);
+  const AsyncReply* r = async_reply_in(reply);
   const auto phase = schedule_.phase_of(activations_ - 1);
   if (phase == AsyncSchedule::LocalPhase::kCommitment) {
-    // First declaration wins; a missing or malformed intention marks the
-    // peer faulty (footnote 4).
-    if (collected_.contains(target)) return;
-    // L_u holds at most q records: one per Commitment pull.
-    if (collected_.empty()) collected_.reserve(params_.q);
-    // The reply is arena-transient, so its intention is copied once into a
-    // box of our own, stamped with its verdict and target summary (which
-    // lets Verification skip the records that cannot name the winner).
-    IntentionBox box = payload != nullptr
-                           ? make_intention_box(payload->intention, params_)
-                           : IntentionBox{};
-    if (box.well_formed) {
-      collected_.append_kept(
-          target, std::make_shared<const IntentionBox>(std::move(box)));
-    } else {
-      collected_.append(target, nullptr);
-    }
-  } else if (phase == AsyncSchedule::LocalPhase::kFindMin) {
-    if (payload != nullptr && payload->has_cert &&
-        payload->cert.less_than(min_cert_)) {
-      min_cert_ = payload->cert;
+    // A missing reply marks the peer faulty (footnote 4).
+    audit_.file_commitment_reply(params_, target,
+                                 r != nullptr ? r->intention : sim::Payload{});
+  } else if (phase == AsyncSchedule::LocalPhase::kFindMin && r != nullptr) {
+    if (const Certificate* cert = certificate_in(r->min_cert)) {
+      audit_.consider_certificate(params_, *cert, &r->min_cert);
     }
   }
 }
@@ -203,63 +180,50 @@ void AsyncProtocolAgent::on_push(const sim::Context&, sim::AgentId sender,
   if (payload.tag() == kAsyncVotePayloadTag) {
     // Votes landing after the certificate is sealed are lost — the
     // misalignment the guard bands exist to make unlikely.
-    if (!own_cert_built_) {
-      received_votes_.push_back(ReceivedVote{
-          sender, static_cast<std::uint32_t>(payload.word(1)),
-          payload.word(0)});
+    if (!audit_.has_own_certificate()) {
+      audit_.record_vote(params_,
+                         {sender, static_cast<std::uint32_t>(payload.word(1)),
+                          payload.word(0)});
     }
     return;
   }
   if (const Certificate* cert = certificate_in(payload)) {
-    if (in_coherence_) {
+    if (schedule_.phase_of(activations_ - 1) ==
+        AsyncSchedule::LocalPhase::kCoherence) {
       // Algorithm 1's Coherence rule: any disagreement is fatal.
-      if (!(*cert == min_cert_)) {
-        failed_ = true;
-        failed_in_coherence_ = true;
-      }
-    } else if (!has_min_cert_ || cert->less_than(min_cert_)) {
+      if (!audit_.coherent_with(*cert)) failed_ = true;
+    } else if (audit_.min_certificate_payload().empty() ||
+               cert->less_than(audit_.min_certificate())) {
       // An early coherence push from a fast peer doubles as Find-Min
       // information.
-      min_cert_ = *cert;
-      has_min_cert_ = true;
+      audit_.adopt_certificate(params_, *cert, &payload);
     }
   }
 }
 
-void AsyncProtocolAgent::finalize() {
-  if (decided_ || failed_) return;
-  const VerificationResult result =
-      verify_certificate(params_, min_cert_, collected_);
-  verification_failure_ = result.failure;
-  if (result.accepted()) {
-    final_color_ = min_cert_.color;
-    decided_ = true;
-  } else {
-    failed_ = true;
-    decided_ = true;
-  }
-}
-
-AsyncRunResult run_async_protocol(const AsyncRunConfig& cfg) {
+std::unique_ptr<sim::Engine> build_async_engine(const AsyncRunConfig& cfg) {
   const ProtocolParams params = ProtocolParams::make(cfg.n, cfg.gamma);
-  AsyncSchedule schedule;
-  schedule.q = params.q;
-  schedule.slack = cfg.slack;
-
-  sim::Engine engine(
-      {cfg.n, cfg.seed, nullptr, cfg.scheduler.make(), cfg.network.make()});
+  auto engine = std::make_unique<sim::Engine>(sim::EngineConfig{
+      cfg.n, cfg.seed, nullptr, cfg.scheduler.make(), cfg.network.make()});
   rfc::support::Xoshiro256 fault_rng(
       rfc::support::derive_seed(cfg.seed, 0x0fau));
-  engine.apply_fault_plan(
+  engine->apply_fault_plan(
       sim::make_fault_plan(cfg.placement, cfg.n, cfg.num_faulty, fault_rng));
 
   const std::vector<Color> colors =
       cfg.colors.empty() ? leader_election_colors(cfg.n) : cfg.colors;
   for (std::uint32_t i = 0; i < cfg.n; ++i) {
-    engine.set_agent(i, std::make_unique<AsyncProtocolAgent>(
-                            params, schedule, colors.at(i)));
+    engine->set_agent(i, std::make_unique<AsyncProtocolAgent>(
+                             params, AsyncSchedule{params.q, cfg.slack},
+                             colors.at(i)));
   }
+  return engine;
+}
 
+AsyncRunResult run_async_protocol_on(sim::Engine& engine,
+                                     const AsyncRunConfig& cfg) {
+  const AsyncSchedule schedule{ProtocolParams::make(cfg.n, cfg.gamma).q,
+                               cfg.slack};
   // Each active agent needs ~total_activations wake-ups, which costs
   // ~steps_per_round scheduling events apiece under the chosen policy;
   // coupon-collector slack covers the wake schedule's tail.  An explicit
@@ -273,31 +237,17 @@ AsyncRunResult run_async_protocol(const AsyncRunConfig& cfg) {
   engine.run(budget);
 
   AsyncRunResult result;
+  static_cast<HonestOutcome&>(result) =
+      tally_honest_outcome<AsyncProtocolAgent>(engine, cfg.colors, {});
   result.steps = engine.steps();
   result.virtual_time = engine.virtual_time();
   result.metrics = engine.metrics();
-
-  bool have = false;
-  Color winner = kNoColor;
-  bool bottom = false;
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
-    if (engine.is_faulty(i)) continue;
-    ++result.active_colors[colors.at(i)];
-    const auto& agent =
-        static_cast<const AsyncProtocolAgent&>(engine.agent(i));
-    if (agent.failed() || !agent.decided()) {
-      bottom = true;
-      continue;
-    }
-    if (!have) {
-      have = true;
-      winner = agent.decision();
-    } else if (winner != agent.decision()) {
-      bottom = true;
-    }
-  }
-  if (!bottom && have) result.winner = winner;
   return result;
+}
+
+AsyncRunResult run_async_protocol(const AsyncRunConfig& cfg) {
+  const std::unique_ptr<sim::Engine> engine = build_async_engine(cfg);
+  return run_async_protocol_on(*engine, cfg);
 }
 
 }  // namespace rfc::core

@@ -8,18 +8,19 @@
 // activations, which concentrate around t/n after t global steps with
 // Θ(sqrt(t/n)) jitter — so naive per-agent phase schedules misalign by
 // Θ(sqrt(q)) activations and late votes miss the certificate, tripping the
-// (completeness) verification.
-//
-// Our variant makes three changes, each independently motivated:
+// (completeness) verification.  Our variant makes three changes:
 //   1. votes carry their own voting-round index (log q extra bits), since
 //      the receiver cannot infer it from a global clock;
-//   2. pull replies are phase-tagged composites (intention + optional
-//      current minimal certificate), since the servee cannot know which
-//      phase its puller is in;
+//   2. a pull reply is a composite of H_u and the current CE_min, since the
+//      servee cannot know which phase its puller is in.  It holds views of
+//      the server's boxes, not copies; the wire still charges both objects
+//      in full, plus one bit that says whether CE_min is present;
 //   3. **guard bands**: each agent idles for `slack` activations between
 //      phases, absorbing the Θ(sqrt(q log n)) scheduling jitter.  slack = 0
 //      recovers the naive schedule (which fails often); slack of a few
 //      sqrt(q) makes the full audit pipeline go through w.h.p.
+// The audit itself is the synchronous agent's (core/audit_state.hpp), so
+// L_u records are 12-byte views of the peers' H_u boxes.
 //
 // Experiment E12c measures failure rate and fairness vs the slack.  The
 // *rational* analysis of this variant is open — we reproduce and
@@ -28,19 +29,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
-#include "core/certificate.hpp"
-#include "core/params.hpp"
-#include "core/types.hpp"
-#include "core/verification.hpp"
+#include "core/audit_state.hpp"
+#include "core/runner.hpp"
 #include "sim/agent.hpp"
-#include "sim/budget.hpp"
-#include "sim/fault_model.hpp"
 #include "sim/metrics.hpp"
-#include "sim/network_spec.hpp"
-#include "sim/scheduler_spec.hpp"
 
 namespace rfc::core {
 
@@ -96,15 +91,14 @@ class AsyncProtocolAgent final : public sim::Agent {
   Color decision() const noexcept {
     return decided_ && !failed_ ? final_color_ : kNoColor;
   }
-  Color initial_color() const noexcept { return color_; }
-  /// Why verification rejected (kNone when accepted or failure came from
-  /// the Coherence mismatch rule).
+  /// Why Verification rejected; kNone for a Coherence failure.
   VerificationFailure verification_failure() const noexcept {
-    return verification_failure_;
+    return audit_.verification_failure();
   }
-  bool failed_in_coherence() const noexcept { return failed_in_coherence_; }
   /// Wake-ups consumed so far (diagnostics).
   std::uint64_t activations() const noexcept { return activations_; }
+  /// H_u, L_u, W_u, CE_u and CE_min with their boxes.
+  const AuditState& audit() const noexcept { return audit_; }
 
   void on_start(const sim::Context& ctx) override;
   sim::Action on_round(const sim::Context& ctx) override;
@@ -135,25 +129,15 @@ class AsyncProtocolAgent final : public sim::Agent {
   }
 
  private:
-  void finalize();
-
   ProtocolParams params_;
   AsyncSchedule schedule_;
   Color color_;
   std::uint64_t activations_ = 0;
-  VoteIntention intention_;
-  CollectedIntentions collected_;
-  ReceivedVotes received_votes_;
-  Certificate own_cert_;
-  bool own_cert_built_ = false;
-  Certificate min_cert_;   ///< Best certificate seen (incl. early pushes).
-  bool has_min_cert_ = false;
-  bool in_coherence_ = false;
-  bool failed_ = false;
-  bool failed_in_coherence_ = false;
-  bool decided_ = false;
+  /// CE_min is the best certificate seen, early Coherence pushes included.
+  AuditState audit_;
   Color final_color_ = kNoColor;
-  VerificationFailure verification_failure_ = VerificationFailure::kNone;
+  bool failed_ = false;
+  bool decided_ = false;
 };
 
 struct AsyncRunConfig {
@@ -181,15 +165,22 @@ struct AsyncRunConfig {
   sim::Budget budget;
 };
 
-struct AsyncRunResult {
-  Color winner = kNoColor;  ///< kNoColor = ⊥ (failure or disagreement).
-  bool failed() const noexcept { return winner == kNoColor; }
+/// The outcome, failure causes included (runner.hpp), plus the run's cost.
+struct AsyncRunResult : HonestOutcome {
   std::uint64_t steps = 0;           ///< Scheduling events elapsed.
   double virtual_time = 0.0;         ///< Simulated time (= steps discrete).
   sim::Metrics metrics;
-  std::map<Color, std::uint32_t> active_colors;
 };
 
+/// Builds the engine of an asynchronous run (agents installed, fault plan
+/// applied) without stepping it, so a harness can read every agent after.
+std::unique_ptr<sim::Engine> build_async_engine(const AsyncRunConfig& cfg);
+
+/// Runs an engine built by build_async_engine and extracts the outcome.
+AsyncRunResult run_async_protocol_on(sim::Engine& engine,
+                                     const AsyncRunConfig& cfg);
+
+/// Equivalent to build_async_engine + run_async_protocol_on.
 AsyncRunResult run_async_protocol(const AsyncRunConfig& cfg);
 
 }  // namespace rfc::core

@@ -49,7 +49,7 @@ sim::Payload make_intention_payload(VoteIntention intention,
 /// delivery hook, never cached): bump-allocates in the engine's round arena
 /// when one is live (Context::arena), falling back to the shared form when
 /// `arena` is null.  Producers that cache the payload across rounds
-/// (ProtocolAgent's H_u and CE_u boxes) must keep the plain factory.
+/// (core::AuditState's H_u and CE_u boxes) must keep the plain factory.
 sim::Payload make_intention_payload_in(rfc::support::Arena* arena,
                                        VoteIntention intention,
                                        const ProtocolParams& params);

@@ -1,9 +1,5 @@
 #include "core/protocol_agent.hpp"
 
-#include <cassert>
-#include <memory>
-#include <utility>
-
 #include "core/payloads.hpp"
 
 namespace rfc::core {
@@ -26,22 +22,7 @@ ProtocolAgent::ProtocolAgent(const ProtocolParams& params, Color color)
     : params_(params), color_(color) {}
 
 void ProtocolAgent::on_start(const sim::Context& ctx) {
-  // Written once: the replies served from this box are pinned views of it.
-  assert(intention_payload_.empty());
-  intention_payload_ = make_intention_payload(choose_intention(ctx), params_);
-}
-
-const VoteIntention& ProtocolAgent::intention() const noexcept {
-  static const VoteIntention kNone;
-  const VoteIntention* h = intention_in(intention_payload_);
-  return h != nullptr ? *h : kNone;
-}
-
-const Certificate& ProtocolAgent::certificate_or_default(
-    const sim::Payload& payload) noexcept {
-  static const Certificate kNone;
-  const Certificate* certificate = certificate_in(payload);
-  return certificate != nullptr ? *certificate : kNone;
+  audit_.write_intention(params_, choose_intention(ctx));
 }
 
 VoteIntention ProtocolAgent::choose_intention(const sim::Context& ctx) {
@@ -61,41 +42,20 @@ sim::Action ProtocolAgent::commitment_action(const sim::Context& ctx) {
 
 sim::Payload ProtocolAgent::commitment_reply(const sim::Context&,
                                              sim::AgentId) {
-  return intention_payload_.pinned();
+  return audit_.intention_payload().pinned();
 }
 
 VoteEntry ProtocolAgent::vote_for_round(const sim::Context&,
                                         std::uint32_t i) {
-  return intention().at(i);
+  return audit_.intention().at(i);
 }
 
 Certificate ProtocolAgent::build_own_certificate(const sim::Context& ctx) {
-  votes_in_own_certificate_ = true;
-  return make_certificate(params_, ctx.self, color_,
-                          std::move(received_votes_));
+  return audit_.take_votes_into_certificate(params_, ctx.self, color_);
 }
 
 void ProtocolAgent::consider_certificate(const Certificate& certificate) {
-  if (certificate.less_than(min_certificate())) {
-    min_cert_payload_ = arriving_box_of(certificate);
-    if (min_cert_payload_.empty()) {
-      min_cert_payload_ = make_certificate_payload(certificate, params_);
-    }
-  }
-}
-
-sim::Payload ProtocolAgent::arriving_box_of(
-    const Certificate& certificate) const {
-  // Only a heap box (or a pinned view of one) can be kept past this round,
-  // and only one that holds exactly `certificate` at its honest wire size
-  // can stand in for the payload make_certificate_payload would build.  A
-  // view stays a view: its box is another agent's write-once CE_u.
-  if (arriving_cert_ == nullptr || arriving_cert_->is_arena_boxed() ||
-      certificate_in(*arriving_cert_) != &certificate ||
-      arriving_cert_->bit_size() != certificate.bit_size(params_)) {
-    return {};
-  }
-  return *arriving_cert_;
+  audit_.consider_certificate(params_, certificate, arriving_cert_);
 }
 
 sim::Action ProtocolAgent::coherence_action(const sim::Context& ctx) {
@@ -112,11 +72,7 @@ sim::Payload ProtocolAgent::find_min_reply(const sim::Context&,
 }
 
 void ProtocolAgent::on_coherence_certificate(const Certificate& certificate) {
-  // After Find-Min converges every honest agent holds the winner's box, and
-  // one immutable object is equal to itself; other boxes get the deep check.
-  const Certificate& min = min_certificate();
-  if (&certificate == &min) return;
-  if (!(certificate == min)) fail_protocol();
+  if (!audit_.coherent_with(certificate)) fail_protocol();
 }
 
 void ProtocolAgent::on_coherence_digest(std::uint64_t digest) {
@@ -124,33 +80,28 @@ void ProtocolAgent::on_coherence_digest(std::uint64_t digest) {
 }
 
 void ProtocolAgent::finalize(const sim::Context&) {
-  const Certificate& min = min_certificate();
-  const VerificationResult result =
-      verify_certificate(params_, min, collected_);
-  verification_failure_ = result.failure;
-  if (result.accepted()) {
-    decide(min.color);
+  if (audit_.verify(params_)) {
+    decide(min_certificate().color);
   } else {
     fail_protocol();
   }
 }
 
 std::uint64_t ProtocolAgent::local_memory_bits() const noexcept {
-  const std::uint64_t entry_bits =
-      params_.value_bits() + params_.label_bits();
-  std::uint64_t bits =
-      intention().size() * entry_bits;  // H_u.
+  const std::uint64_t entry_bits = params_.value_bits() + params_.label_bits();
+  std::uint64_t bits = audit_.intention().size() * entry_bits;  // H_u.
   // L_u: a peer label and a faulty flag per record, plus the intention of
   // each unmarked one, which is well-formed and so has exactly q entries.
-  bits += collected_.size() * (params_.label_bits() + 1);
-  for (const auto& [peer, record] : collected_) {
+  const CollectedIntentions& collected = audit_.collected_intentions();
+  bits += collected.size() * (params_.label_bits() + 1);
+  for (const auto& [peer, record] : collected) {
     if (!record.marked_faulty()) bits += params_.q * entry_bits;
   }
   const std::uint64_t vote_bits =
       params_.label_bits() + params_.round_bits() + params_.value_bits();
-  bits += received_votes().size() * vote_bits;  // W_u.
+  bits += audit_.received_votes().size() * vote_bits;  // W_u.
   if (has_own_certificate()) bits += own_certificate().bit_size(params_);
-  if (has_min_certificate_) bits += min_certificate().bit_size(params_);
+  if (has_min_certificate()) bits += min_certificate().bit_size(params_);
   return bits;
 }
 
@@ -179,13 +130,7 @@ sim::Action ProtocolAgent::on_round(const sim::Context& ctx) {
     }
     case Phase::kFindMin:
       if (ctx.round == params_.find_min_begin()) {
-        // Written once: CE_min starts as a pinned view of this box, and
-        // other agents adopt and serve that view.
-        assert(own_cert_payload_.empty());
-        own_cert_payload_ =
-            make_certificate_payload(build_own_certificate(ctx), params_);
-        min_cert_payload_ = own_cert_payload_.pinned();
-        has_min_certificate_ = true;
+        audit_.seal_own_certificate(params_, build_own_certificate(ctx));
       }
       return sim::Action::pull(ctx.random_peer());
     case Phase::kCoherence:
@@ -215,43 +160,12 @@ sim::Payload ProtocolAgent::serve_pull(const sim::Context& ctx,
   }
 }
 
-void ProtocolAgent::record_commitment_reply(sim::AgentId target,
-                                            const sim::Payload& reply) {
-  // First declaration wins: if we already hold a record for `target`
-  // (pulled it twice), the original stands.
-  if (collected_.contains(target)) return;
-  // L_u holds at most q records under the synchronous schedule.
-  if (collected_.empty()) collected_.reserve(params_.q);
-  // "Replies in an unexpected way" (footnote 4): no intention, wrong length
-  // or out-of-domain entries leave the peer marked faulty.  The box's
-  // stamped verdict stands in for the scan when it was computed for our
-  // parameters.
-  const IntentionBox* box = intention_box_in(reply);
-  const bool well_formed =
-      box != nullptr && (box->stamped_for(params_)
-                             ? box->well_formed
-                             : well_formed_intention(params_, box->intention));
-  if (!well_formed) {
-    collected_.append(target, nullptr);
-  } else if (reply.is_pinned()) {
-    // An honest peer's write-once H_u, which lives as long as the engine
-    // that holds both of us: view it, as the reply did.
-    collected_.append(target, box);
-  } else if (reply.is_arena_boxed()) {
-    // Dies at the round barrier: copy it once, verdict and summary too.
-    collected_.append_kept(target, std::make_shared<const IntentionBox>(*box));
-  } else {
-    collected_.append_kept(
-        target, reply.shared_as<IntentionBox>(kIntentionPayloadTag));
-  }
-}
-
 void ProtocolAgent::on_pull_reply(const sim::Context& ctx, sim::AgentId target,
                                   const sim::Payload& reply) {
   if (done()) return;
   switch (params_.phase_of_round(ctx.round)) {
     case Phase::kCommitment:
-      record_commitment_reply(target, reply);
+      audit_.file_commitment_reply(params_, target, reply);
       break;
     case Phase::kFindMin:
       if (const Certificate* cert = certificate_in(reply)) {
@@ -271,11 +185,8 @@ void ProtocolAgent::on_push(const sim::Context& ctx, sim::AgentId sender,
   switch (params_.phase_of_round(ctx.round)) {
     case Phase::kVoting:
       if (is_vote(payload)) {
-        // ~Poisson(q) votes: one reservation instead of doubling to 2q.
-        if (received_votes_.empty()) received_votes_.reserve(params_.q);
-        received_votes_.push_back(ReceivedVote{
-            sender, params_.round_in_phase(ctx.round),
-            vote_value_in(payload)});
+        audit_.record_vote(params_, {sender, params_.round_in_phase(ctx.round),
+                                     vote_value_in(payload)});
       }
       break;
     case Phase::kCoherence:

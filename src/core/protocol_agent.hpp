@@ -15,10 +15,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/certificate.hpp"
-#include "core/params.hpp"
-#include "core/types.hpp"
-#include "core/verification.hpp"
+#include "core/audit_state.hpp"
 #include "sim/agent.hpp"
 
 namespace rfc::core {
@@ -36,47 +33,27 @@ class ProtocolAgent : public sim::Agent {
     return decided_ && !failed_ ? final_color_ : kNoColor;
   }
   Color initial_color() const noexcept { return color_; }
-  VerificationFailure verification_failure() const noexcept {
-    return verification_failure_;
-  }
 
   // ---- Diagnostics read by the runner after execution ------------------
-  /// H_u, read through the box this agent serves (empty before on_start).
-  const VoteIntention& intention() const noexcept;
-  /// W_u.  The honest CE_u takes W_u over instead of copying it, so once
-  /// it is built this reads the certificate's votes.
-  const ReceivedVotes& received_votes() const noexcept {
-    return votes_in_own_certificate_ ? own_certificate().votes
-                                     : received_votes_;
-  }
+  /// H_u, W_u, L_u, CE_u and CE_min with their boxes (core/audit_state.hpp).
+  const AuditState& audit() const noexcept { return audit_; }
   const CollectedIntentions& collected_intentions() const noexcept {
-    return collected_;
-  }
-  /// The boxes holding this agent's only copies of H_u, CE_u and CE_min
-  /// (each empty until built or adopted).  H_u and CE_u own their heap
-  /// boxes; Commitment replies, the L_u records filed from them and CE_min
-  /// are views of them, so nothing else counts or copies the objects.
-  /// CE_min may instead be a view of, or handle to, an adopted arrival.
-  const sim::Payload& intention_payload() const noexcept {
-    return intention_payload_;
-  }
-  const sim::Payload& own_certificate_payload() const noexcept {
-    return own_cert_payload_;
+    return audit_.collected_intentions();
   }
   const sim::Payload& min_certificate_payload() const noexcept {
-    return min_cert_payload_;
+    return audit_.min_certificate_payload();
   }
   bool has_own_certificate() const noexcept {
-    return !own_cert_payload_.empty();
+    return audit_.has_own_certificate();
   }
-  /// CE_u; a default certificate before Find-Min begins.
   const Certificate& own_certificate() const noexcept {
-    return certificate_or_default(own_cert_payload_);
+    return audit_.own_certificate();
   }
-  bool has_min_certificate() const noexcept { return has_min_certificate_; }
-  /// CE_min; a default certificate until one is built or adopted.
+  /// Whether this agent built CE_u at find_min_begin; only then does it
+  /// serve CE_min (it may adopt one anyway, which finalize audits).
+  bool has_min_certificate() const noexcept { return has_own_certificate(); }
   const Certificate& min_certificate() const noexcept {
-    return certificate_or_default(min_cert_payload_);
+    return audit_.min_certificate();
   }
   /// Labels that pulled us during the Commitment phase (first pull only is
   /// binding, but we record all for the Def. 5 diagnostics).
@@ -140,9 +117,7 @@ class ProtocolAgent : public sim::Agent {
   /// The certificate entered into Find-Min (default: honest
   /// (k_u, W_u, c_u, u)).  The default moves W_u into the certificate, so
   /// an override that alters the votes must build from a copy of
-  /// received_votes_ instead of editing the default's result, and any
-  /// subclass code that may run once Find-Min begins must read W_u
-  /// through received_votes(), never received_votes_.
+  /// audit().received_votes() instead of editing the default's result.
   virtual Certificate build_own_certificate(const sim::Context& ctx);
 
   /// Find-Min adoption rule (default: keep the smaller of ours/theirs).
@@ -174,14 +149,11 @@ class ProtocolAgent : public sim::Agent {
     decided_ = true;
   }
 
-  /// The CE_min payload once Find-Min has begun for this agent, empty
-  /// before.  Serving Θ(log n) pulls per Find-Min round from one boxed
-  /// allocation keeps the simulator's constant factors down.  It starts as
-  /// a pinned view of CE_u; when the default consider_certificate adopts a
-  /// pinned or heap-boxed arrival, it is that view or box, so a converged
-  /// network serves one object, and serving a view counts no references.
+  /// The CE_min payload this agent serves: one box (usually a view) for
+  /// every pull, once has_min_certificate(); empty before.
   sim::Payload min_cert_payload() const {
-    return has_min_certificate_ ? min_cert_payload_ : sim::Payload{};
+    return has_min_certificate() ? audit_.min_certificate_payload()
+                                 : sim::Payload{};
   }
 
   void decide(Color c) noexcept {
@@ -192,56 +164,24 @@ class ProtocolAgent : public sim::Agent {
   // ---- Protocol state (visible to deviation subclasses) ----------------
   ProtocolParams params_;
   Color color_;                      ///< c_u, the initially supported color.
-  /// L_u.  A record filed from a pinned reply views the peer's write-once
-  /// H_u box and counts no reference; any other heap box is kept by a
-  /// counted handle, and an arena-boxed reply is copied once into a heap
-  /// box that keeps its verdict and summary.
-  CollectedIntentions collected_;
-  /// W_u, until the default build_own_certificate moves it into CE_u;
-  /// from then on read it through received_votes().
-  ReceivedVotes received_votes_;
-  /// Set when this agent builds CE_u at find_min_begin.  An agent a
-  /// scheduler did not activate in that round may still adopt a
-  /// certificate, which finalize audits, but it serves no CE_min.
-  bool has_min_certificate_ = false;
-  bool failed_ = false;
-  bool decided_ = false;
-  Color final_color_ = kNoColor;
-  VerificationFailure verification_failure_ = VerificationFailure::kNone;
-  std::vector<sim::AgentId> commitment_pullers_;
-  /// Phase observed at the last on_round (exposed through phase()).
-  sim::AgentPhase observed_phase_ = sim::AgentPhase::kCommit;
-  /// Round observed at the last on_round (exposed through progress()).
-  std::uint64_t observed_round_ = 0;
 
  private:
-  void record_commitment_reply(sim::AgentId target,
-                               const sim::Payload& reply);
-
-  /// The Find-Min reply being considered, if it is a heap box or a pinned
-  /// view holding exactly `certificate`; empty otherwise (arena boxes are
-  /// never kept).
-  sim::Payload arriving_box_of(const Certificate& certificate) const;
-
-  /// The certificate boxed in `payload`, or a default one if it is empty.
-  static const Certificate& certificate_or_default(
-      const sim::Payload& payload) noexcept;
-
-  /// Set by the default build_own_certificate: W_u lives in CE_u's box.
-  bool votes_in_own_certificate_ = false;
-  /// H_u, boxed once in on_start: the Commitment reply and the vote plan.
-  /// Never reassigned afterwards, since replies are pinned views of it.
-  sim::Payload intention_payload_;
-  /// CE_u, boxed once when Find-Min begins and never reassigned afterwards,
-  /// since CE_min payloads across the network are pinned views of it.
-  sim::Payload own_cert_payload_;
-  /// CE_min: a pinned view of the own box or of an arrival's, a shared
-  /// arriving heap box, or a private copy of an arrival that could not be
-  /// shared.
-  sim::Payload min_cert_payload_;
+  AuditState audit_;
+  std::vector<sim::AgentId> commitment_pullers_;
+  /// Round observed at the last on_round (exposed through progress()).
+  std::uint64_t observed_round_ = 0;
+  Color final_color_ = kNoColor;
   /// The Find-Min reply under consideration (set only for the duration of
   /// the consider_certificate call in on_pull_reply).
   const sim::Payload* arriving_cert_ = nullptr;
+  bool failed_ = false;
+  bool decided_ = false;
+  /// Phase observed at the last on_round (exposed through phase()).
+  sim::AgentPhase observed_phase_ = sim::AgentPhase::kCommit;
 };
+
+// protocol_mc builds 2048 agents per trial: the audit state must not grow
+// the agent.
+static_assert(sizeof(ProtocolAgent) <= 336);
 
 }  // namespace rfc::core

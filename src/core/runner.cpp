@@ -69,7 +69,7 @@ GoodExecutionEvents collect_events(const sim::Engine& engine,
     if (engine.is_faulty(v) || in_coalition[v]) continue;
     if (pulled_by_coalition.contains(v)) continue;
     const auto& voter = static_cast<const ProtocolAgent&>(engine.agent(v));
-    for (const VoteEntry& e : voter.intention()) {
+    for (const VoteEntry& e : voter.audit().intention()) {
       if (e.target < n) cleanly_voted[e.target] = true;
     }
   }
@@ -95,7 +95,7 @@ GoodExecutionEvents collect_events(const sim::Engine& engine,
     any_honest = true;
 
     const auto votes = static_cast<std::uint32_t>(
-        agent.received_votes().size());
+        agent.audit().received_votes().size());
     ev.min_votes = std::min(ev.min_votes, votes);
     ev.max_votes = std::max(ev.max_votes, votes);
 
@@ -166,9 +166,6 @@ RunResult run_protocol_on(sim::Engine& engine, const RunConfig& cfg) {
   std::vector<bool> in_coalition(cfg.n, false);
   for (sim::AgentId id : cfg.coalition) in_coalition.at(id) = true;
 
-  const std::vector<Color> colors =
-      cfg.colors.empty() ? leader_election_colors(cfg.n) : cfg.colors;
-
   std::uint64_t agreement_round = RunResult::kNotMeasured;
   if (cfg.measure_convergence) {
     engine.set_round_observer([&](const sim::Engine& e) {
@@ -202,6 +199,8 @@ RunResult run_protocol_on(sim::Engine& engine, const RunConfig& cfg) {
   engine.run(budget);
 
   RunResult result;
+  static_cast<HonestOutcome&>(result) =
+      tally_honest_outcome<ProtocolAgent>(engine, cfg.colors, in_coalition);
   result.rounds = engine.round();
   result.find_min_agreement_round = agreement_round;
   result.num_active = engine.num_active();
@@ -209,43 +208,9 @@ RunResult run_protocol_on(sim::Engine& engine, const RunConfig& cfg) {
   result.events = collect_events(engine, in_coalition);
   for (std::uint32_t i = 0; i < cfg.n; ++i) {
     if (engine.is_faulty(i)) continue;
-    ++result.active_colors[colors.at(i)];
     const auto& agent = static_cast<const ProtocolAgent&>(engine.agent(i));
     result.max_local_memory_bits =
         std::max(result.max_local_memory_bits, agent.local_memory_bits());
-  }
-
-  // Outcome f(execution): the common color of honest active agents, or ⊥ if
-  // any honest agent failed, is undecided, or disagrees.
-  bool have_color = false;
-  Color winner = kNoColor;
-  sim::AgentId winner_agent = sim::kNoAgent;
-  bool bottom = false;
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
-    if (engine.is_faulty(i) || in_coalition[i]) continue;
-    const auto& agent = static_cast<const ProtocolAgent&>(engine.agent(i));
-    if (agent.failed() || !agent.decided()) {
-      ++result.honest_failures;
-      const VerificationFailure cause = agent.verification_failure();
-      if (cause == VerificationFailure::kNone) {
-        ++result.failure_causes.coherence_or_undecided;
-      } else {
-        ++result.failure_causes.verification[static_cast<std::size_t>(cause)];
-      }
-      bottom = true;
-      continue;
-    }
-    if (!have_color) {
-      have_color = true;
-      winner = agent.decision();
-      winner_agent = agent.min_certificate().owner;
-    } else if (winner != agent.decision()) {
-      bottom = true;
-    }
-  }
-  if (!bottom && have_color) {
-    result.winner = winner;
-    result.winner_agent = winner_agent;
   }
   return result;
 }

@@ -10,10 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/params.hpp"
 #include "core/protocol_agent.hpp"
-#include "core/types.hpp"
-#include "core/verification.hpp"
 #include "sim/budget.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_model.hpp"
@@ -103,17 +100,62 @@ struct HonestFailureCauses {
   }
 };
 
-struct RunResult {
+/// The outcome f(execution) over honest active agents, as both Protocol P
+/// runners report it.
+struct HonestOutcome {
   /// The winning color, or kNoColor for the ⊥ outcome (some honest agent
-  /// failed, or honest agents disagree).
+  /// failed or never decided, or honest agents disagree).
   Color winner = kNoColor;
   bool failed() const noexcept { return winner == kNoColor; }
   /// Owner label of the accepted minimal certificate (kNoAgent on ⊥).
   sim::AgentId winner_agent = sim::kNoAgent;
-  std::uint64_t rounds = 0;
-  std::uint32_t num_active = 0;
   std::uint32_t honest_failures = 0;  ///< Honest agents that raised fail.
   HonestFailureCauses failure_causes;  ///< honest_failures, by cause.
+  /// Initial color histogram over *active* agents — the denominator of the
+  /// fairness property (Pr[c wins] = N(A,c)/|A|).
+  std::map<Color, std::uint32_t> active_colors;
+};
+
+/// Tallies a finished run whose agents are all `Agent`s (ProtocolAgent or
+/// AsyncProtocolAgent).  `colors` are the run's initial colors (empty:
+/// leader election); coalition labels count toward active_colors only.
+template <typename Agent>
+HonestOutcome tally_honest_outcome(const sim::Engine& engine,
+                                   const std::vector<Color>& colors,
+                                   const std::vector<bool>& in_coalition) {
+  HonestOutcome out;
+  const Agent* first = nullptr;  // The first honest agent that decided.
+  bool bottom = false;
+  for (std::uint32_t i = 0; i < engine.n(); ++i) {
+    if (engine.is_faulty(i)) continue;
+    ++out.active_colors[colors.empty() ? Color{i} : colors.at(i)];
+    if (!in_coalition.empty() && in_coalition[i]) continue;
+    const auto& agent = static_cast<const Agent&>(engine.agent(i));
+    if (agent.failed() || !agent.decided()) {
+      ++out.honest_failures;
+      const VerificationFailure cause = agent.audit().verification_failure();
+      if (cause == VerificationFailure::kNone) {
+        ++out.failure_causes.coherence_or_undecided;
+      } else {
+        ++out.failure_causes.verification[static_cast<std::size_t>(cause)];
+      }
+      bottom = true;
+    } else if (first == nullptr) {
+      first = &agent;
+    } else if (first->decision() != agent.decision()) {
+      bottom = true;
+    }
+  }
+  if (!bottom && first != nullptr) {
+    out.winner = first->decision();
+    out.winner_agent = first->audit().min_certificate().owner;
+  }
+  return out;
+}
+
+struct RunResult : HonestOutcome {
+  std::uint64_t rounds = 0;
+  std::uint32_t num_active = 0;
   /// Largest per-agent state footprint observed (bits) — the paper's
   /// polylog local-memory claim, measured.
   std::uint64_t max_local_memory_bits = 0;
@@ -125,9 +167,6 @@ struct RunResult {
   static constexpr std::uint64_t kNotMeasured = ~0ull;
   sim::Metrics metrics;
   GoodExecutionEvents events;
-  /// Initial color histogram over *active* agents — the denominator of the
-  /// fairness property (Pr[c wins] = N(A,c)/|A|).
-  std::map<Color, std::uint32_t> active_colors;
 };
 
 /// Builds the engine of a Protocol P run — params derived, fault plan

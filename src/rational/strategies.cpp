@@ -128,9 +128,10 @@ core::Certificate VoteDropAgent::build_own_certificate(
     return core::ProtocolAgent::build_own_certificate(ctx);
   }
   // Built from a copy: the default would move W_u into the certificate,
-  // and the votes dropped below must stay in received_votes().
+  // and the votes dropped below must stay in W_u.
   core::Certificate cert =
-      core::make_certificate(params_, ctx.self, color_, received_votes_);
+      core::make_certificate(params_, ctx.self, color_,
+                             audit().received_votes());
 
   // Search all ways of dropping up to two received votes and keep the
   // variant with the smallest key.  O(|W|^2) with |W| = Θ(log n).
@@ -262,10 +263,10 @@ void AdaptiveVoteAgent::on_push(const sim::Context& ctx, sim::AgentId sender,
                                 const sim::Payload& payload) {
   core::ProtocolAgent::on_push(ctx, sender, payload);
   if (ctx.self == coalition_->beneficiary()) {
-    // received_votes(), not the member: pushes go on arriving after
-    // Find-Min begins, when W_u has moved into CE_u.
+    // audit().received_votes(): pushes go on arriving after Find-Min
+    // begins, when W_u has moved into CE_u.
     coalition_->publish_beneficiary_vote_sum(
-        core::vote_sum(params_, received_votes()));
+        core::vote_sum(params_, audit().received_votes()));
   }
 }
 

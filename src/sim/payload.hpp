@@ -18,7 +18,7 @@
 //     reply consumed in this round's delivery hook) and consumers must copy
 //     the value out, never retain the payload across rounds.  Every shipped
 //     delivery hook copies arena objects it keeps; agents that cache a
-//     payload across rounds (ProtocolAgent's intention/certificate boxes)
+//     payload across rounds (core::AuditState's intention/certificate boxes)
 //     keep the shared_ptr form, and consumers retain a heap box by handle
 //     (`shared_as`), or a pinned one by its object pointer, rather than by
 //     copy;
@@ -30,11 +30,11 @@
 //     and `shared_as` turns it into a counted handle, so a consumer that
 //     keeps the object past the engine's lifetime still takes ownership.
 //     Lifetime rule: the owning Payload must be neither reassigned nor
-//     destroyed while any view of it can still be read.  ProtocolAgent's
-//     H_u and CE_u boxes are write-once members of an agent the engine
-//     owns, and every payload in flight dies with the engine.  So do the
-//     other views: an agent's CE_min and the L_u records it files from
-//     pinned Commitment replies (core/types.hpp), which keep only the
+//     destroyed while any view of it can still be read.  The H_u and CE_u
+//     boxes of core::AuditState are write-once members of an agent the
+//     engine owns, and every payload in flight dies with the engine.  So
+//     do the other views: an agent's CE_min and the L_u records it files
+//     from pinned Commitment replies (core/types.hpp), which keep only the
 //     object pointer (`boxed_as`) and live in agents the engine owns.
 //
 // This replaces the old virtual `Payload` class: the simulation hot path

@@ -42,7 +42,7 @@ TEST(ProtocolAgent, IntentionHasCorrectShape) {
   World w(64);
   w.engine.step();  // on_start runs before round 0.
   for (const auto* agent : w.agents) {
-    const VoteIntention& h = agent->intention();
+    const VoteIntention& h = agent->audit().intention();
     ASSERT_EQ(h.size(), w.params.q);
     for (const VoteEntry& e : h) {
       EXPECT_LT(e.value, w.params.m);
@@ -56,7 +56,7 @@ TEST(ProtocolAgent, IntentionsVaryAcrossAgents) {
   w.engine.step();
   std::set<std::uint64_t> first_values;
   for (const auto* agent : w.agents) {
-    first_values.insert(agent->intention().front().value);
+    first_values.insert(agent->audit().intention().front().value);
   }
   EXPECT_GT(first_values.size(), 30u);  // Collisions vanishingly unlikely.
 }
@@ -103,8 +103,8 @@ TEST(ProtocolAgent, VotesMatchDeclaredIntentions) {
   // Cross-check: every received vote (v, j, h) equals H_v[j] and targets
   // the receiver.
   for (std::uint32_t i = 0; i < 64; ++i) {
-    for (const ReceivedVote& vote : w.agents[i]->received_votes()) {
-      const VoteIntention& hv = w.agents[vote.voter]->intention();
+    for (const ReceivedVote& vote : w.agents[i]->audit().received_votes()) {
+      const VoteIntention& hv = w.agents[vote.voter]->audit().intention();
       EXPECT_EQ(hv.at(vote.round_index).value, vote.value);
       EXPECT_EQ(hv.at(vote.round_index).target, i);
     }
@@ -115,7 +115,9 @@ TEST(ProtocolAgent, TotalVotesEqualsActiveTimesQ) {
   World w(64);
   for (std::uint32_t r = 0; r < 2 * w.params.q; ++r) w.engine.step();
   std::size_t total = 0;
-  for (const auto* agent : w.agents) total += agent->received_votes().size();
+  for (const auto* agent : w.agents) {
+    total += agent->audit().received_votes().size();
+  }
   EXPECT_EQ(total, 64ull * w.params.q);
 }
 
@@ -130,7 +132,7 @@ TEST(ProtocolAgent, CertificateBuiltAtFindMinStart) {
     ASSERT_TRUE(agent->has_own_certificate());
     const Certificate& ce = agent->own_certificate();
     EXPECT_EQ(ce.k, ce.vote_sum(w.params));
-    EXPECT_EQ(ce.votes.size(), agent->received_votes().size());
+    EXPECT_EQ(ce.votes.size(), agent->audit().received_votes().size());
   }
 }
 
@@ -158,7 +160,8 @@ TEST(ProtocolAgent, FullRunDecidesUnanimously) {
     EXPECT_TRUE(agent->decided());
     EXPECT_FALSE(agent->failed());
     EXPECT_EQ(agent->decision(), winner);
-    EXPECT_EQ(agent->verification_failure(), VerificationFailure::kNone);
+    EXPECT_EQ(agent->audit().verification_failure(),
+              VerificationFailure::kNone);
   }
 }
 
@@ -180,7 +183,7 @@ TEST(ProtocolAgent, AuditRecordsShareThePeersReplyBox) {
   for (const auto* agent : w.agents) {
     for (const auto& [peer, record] : agent->collected_intentions()) {
       const VoteIntention* box =
-          intention_in(w.agents[peer]->intention_payload());
+          intention_in(w.agents[peer]->audit().intention_payload());
       ASSERT_NE(box, nullptr);
       EXPECT_EQ(&record.intention(), box);
       ++shared;
@@ -209,9 +212,10 @@ TEST(ProtocolAgent, IntentionAndOwnCertificateLiveOnlyInTheirBoxes) {
   for (std::uint32_t r = 0; r <= 2 * w.params.q; ++r) w.engine.step();
   for (const auto* agent : w.agents) {
     ASSERT_TRUE(agent->has_own_certificate());
-    EXPECT_EQ(&agent->intention(), intention_in(agent->intention_payload()));
+    EXPECT_EQ(&agent->audit().intention(),
+              intention_in(agent->audit().intention_payload()));
     EXPECT_EQ(&agent->own_certificate(),
-              certificate_in(agent->own_certificate_payload()));
+              certificate_in(agent->audit().own_certificate_payload()));
   }
 }
 
@@ -247,12 +251,12 @@ TEST(ProtocolAgent, ServedBoxesAreCountedOnlyByOwnersAndAuditRecords) {
   long named = 0;  // Records naming an owner's H_u box.
   for (const auto* agent : w.agents) {
     const auto certificate =
-        agent->own_certificate_payload().shared_as<Certificate>(
+        agent->audit().own_certificate_payload().shared_as<Certificate>(
             kCertificatePayloadTag);
     ASSERT_NE(certificate, nullptr);
     EXPECT_EQ(certificate.use_count() - 1, 1);
     const auto intention =
-        agent->intention_payload().shared_as<IntentionBox>(
+        agent->audit().intention_payload().shared_as<IntentionBox>(
             kIntentionPayloadTag);
     ASSERT_NE(intention, nullptr);
     EXPECT_EQ(intention.use_count() - 1, 1);

@@ -35,8 +35,8 @@ TEST(SelfishVotingWhitebox, DeclaresOnlyZeroVotesAtBeneficiary) {
   Harness h;
   SelfishVotingAgent agent(h.params, 1, h.coalition);
   agent.on_start(h.ctx(2));
-  ASSERT_EQ(agent.intention().size(), h.params.q);
-  for (const core::VoteEntry& e : agent.intention()) {
+  ASSERT_EQ(agent.audit().intention().size(), h.params.q);
+  for (const core::VoteEntry& e : agent.audit().intention()) {
     EXPECT_EQ(e.value, 0u);
     EXPECT_EQ(e.target, h.coalition->beneficiary());
   }
@@ -67,7 +67,8 @@ TEST(EquivocateWhitebox, FreshLiePerAuditor) {
   const auto& h1 = *core::intention_in(r1);
   const auto& h2 = *core::intention_in(r2);
   EXPECT_NE(h1, h2);  // Two lies; collision probability ~0.
-  EXPECT_NE(h1, agent.intention());  // And neither matches the real plan.
+  // And neither matches the real plan.
+  EXPECT_NE(h1, agent.audit().intention());
 }
 
 TEST(ForgedEmptyCertWhitebox, BeneficiaryForgesOthersHonest) {
@@ -191,7 +192,7 @@ TEST(AdaptiveVoteWhitebox, BeneficiaryPublishesItsVoteSumAfterFindMin) {
   beneficiary.on_push(h.ctx(3, 3ull * h.params.q), 11,
                       core::make_digest_payload(7));
   EXPECT_EQ(coalition->beneficiary_vote_sum(), 999u);
-  EXPECT_EQ(beneficiary.received_votes().size(), 1u);
+  EXPECT_EQ(beneficiary.audit().received_votes().size(), 1u);
 }
 
 TEST(SkipVerificationWhitebox, AcceptsAnyCertificateColor) {
