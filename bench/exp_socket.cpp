@@ -11,7 +11,8 @@
 // engine; any difference is printed and the process exits nonzero, which
 // is what makes the CTest socket_smoke_* entries real acceptance tests.
 // Loopback runs also print the transport counters (frames, payload
-// encodes/decodes and interner hits, resends) summed over the nodes.
+// encodes/decodes and interner hits, link-id definitions and references,
+// resends) summed over the nodes.
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -250,8 +251,8 @@ int main(int argc, char** argv) {
                                "rounds", "messages", "digest", "check"});
     rfc::support::Table transport_table(
         {"workload", "frames_sent", "frames_received", "payload_encodes",
-         "encode_hits", "payload_decodes", "decode_hits", "resend_requests",
-         "resends_answered"});
+         "encode_hits", "payload_decodes", "decode_hits", "link_defs",
+         "link_refs", "resend_requests", "resends_answered"});
     bool have_transport = false;
     bool ok = true;
     std::uint16_t next_ports = port_base;
@@ -287,6 +288,8 @@ int main(int argc, char** argv) {
              std::to_string(t->payloads.encode_hits),
              std::to_string(t->payloads.decodes),
              std::to_string(t->payloads.decode_hits),
+             std::to_string(t->link_definitions),
+             std::to_string(t->link_references),
              std::to_string(t->resend_requests_sent),
              std::to_string(t->resend_requests_answered)});
       }

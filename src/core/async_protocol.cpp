@@ -1,7 +1,5 @@
 #include "core/async_protocol.hpp"
 
-#include <utility>
-
 #include "core/payloads.hpp"
 
 namespace rfc::core {
@@ -103,12 +101,7 @@ AsyncProtocolAgent::AsyncProtocolAgent(const ProtocolParams& params,
     : params_(params), schedule_(schedule), color_(color) {}
 
 void AsyncProtocolAgent::on_start(const sim::Context& ctx) {
-  VoteIntention intention(params_.q);
-  for (VoteEntry& e : intention) {
-    e.value = ctx.rng->below(params_.m);
-    e.target = ctx.random_peer();
-  }
-  audit_.write_intention(params_, std::move(intention));
+  audit_.write_intention(params_, draw_intention(params_, ctx));
 }
 
 sim::Action AsyncProtocolAgent::on_round(const sim::Context& ctx) {

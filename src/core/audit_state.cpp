@@ -11,6 +11,16 @@ const VoteIntention& AuditState::intention() const noexcept {
   return h != nullptr ? *h : kNone;
 }
 
+VoteIntention draw_intention(const ProtocolParams& params,
+                             const sim::Context& ctx) {
+  VoteIntention h(params.q);
+  for (VoteEntry& e : h) {
+    e.value = ctx.rng->below(params.m);
+    e.target = ctx.random_peer();
+  }
+  return h;
+}
+
 void AuditState::write_intention(const ProtocolParams& params,
                                  VoteIntention intention) {
   assert(intention_.empty());

@@ -13,8 +13,16 @@
 #include "core/certificate.hpp"
 #include "core/payloads.hpp"
 #include "core/verification.hpp"
+#include "sim/agent.hpp"
 
 namespace rfc::core {
+
+/// Voting-Intention's honest H_u: q entries, each a value u.a.r. in [m] and
+/// a target ctx.random_peer(), drawn in that order from ctx.rng.  On the
+/// complete graph the target is a label u.a.r. in [n], per Algorithm 1; on
+/// other topologies a vote can only be pushed to a neighbor.
+VoteIntention draw_intention(const ProtocolParams& params,
+                             const sim::Context& ctx);
 
 class AuditState {
  public:

@@ -26,14 +26,7 @@ void ProtocolAgent::on_start(const sim::Context& ctx) {
 }
 
 VoteIntention ProtocolAgent::choose_intention(const sim::Context& ctx) {
-  VoteIntention h(params_.q);
-  for (VoteEntry& e : h) {
-    e.value = ctx.rng->below(params_.m);
-    // On the complete graph this is a label u.a.r. in [n], per Algorithm 1;
-    // on other topologies a vote can only be pushed to a neighbor.
-    e.target = ctx.random_peer();
-  }
-  return h;
+  return draw_intention(params_, ctx);
 }
 
 sim::Action ProtocolAgent::commitment_action(const sim::Context& ctx) {

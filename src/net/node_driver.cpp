@@ -31,6 +31,11 @@ sim::LabelRange block_for(const Workload& workload,
                                       options.node_id + 1)};
 }
 
+/// The link id a nonzero data-frame count defines or names.
+std::uint32_t link_id(std::uint32_t count) noexcept {
+  return (count & kRef) != 0 ? count & ~kRef : count - 1;
+}
+
 [[noreturn]] void protocol_violation(const char* what, NodeId from,
                                      const Frame& frame) {
   throw std::runtime_error(
@@ -77,10 +82,7 @@ NodeDriver::NodeDriver(const Workload& workload, const NodeOptions& options,
                                 "' is not round-based");
   }
 
-  peer_down_.assign(options_.num_nodes, false);
-  marks_.resize(options_.num_nodes);
-  unmarked_.assign(options_.num_nodes, 0);
-  for (SentSlot& slot : sent_) slot.to.resize(options_.num_nodes);
+  peers_.resize(options_.num_nodes);
   stamp_.assign(workload_->n, kNone);
 }
 
@@ -113,45 +115,83 @@ std::uint64_t NodeDriver::local_digest() const {
 }
 
 void NodeDriver::begin_round() {
-  for (PeerMarks& m : marks_) m.actions = m.replies = PeerMarks::Tally{};
   for_each_inbound_lane([](NodeId, Lane& lane) {
     lane.pulls.clear();
     lane.pushes.clear();
   });
-  replies_.clear();
-  pushes_.clear();
-  sections_.clear();
-  SentSlot& slot = sent_[round_ & 1];
-  slot.round = round_;
-  for (auto& frames : slot.to) frames.clear();
+  for (Peer& peer : peers_) {
+    peer.actions = peer.replies = Peer::Tally{};
+    peer.in_replies.clear();
+    peer.in_pushes.clear();
+    peer.sections.clear();
+    SentSlot& slot = peer.sent[round_ & 1];
+    slot.round = round_;
+    slot.bytes.clear();
+    slot.ends.clear();
+    // Both ends hold the same ids here: every definition of the last round
+    // arrived before it ended.
+    if (peer.out_boxes.size() >= workload_->n) {
+      peer.out_ids.clear();
+      peer.out_boxes.clear();
+    }
+    if (peer.in_boxes.size() >= workload_->n) peer.in_boxes.clear();
+  }
 }
 
-void NodeDriver::send_frame(NodeId to, const Frame& frame) {
-  std::vector<std::uint8_t> bytes = interner_.encode(frame);
-  client_->send(to, bytes.data(), bytes.size());
+void NodeDriver::send_frame(NodeId to, Frame header,
+                            const sim::Payload& payload) {
   ++counters_.frames_sent;
-  if (frame.kind == FrameKind::kResendRequest) {
+  if (header.kind == FrameKind::kResendRequest) {
+    // Not kept: a lost request is simply repeated.
+    const std::vector<std::uint8_t> bytes = interner_.codec().encode(header);
+    client_->send(to, bytes.data(), bytes.size());
     ++counters_.resend_requests_sent;
-    return;  // Not kept: a lost request is simply repeated.
+    return;
   }
-  if (frame.kind == FrameKind::kPullRequest || carries_payload(frame.kind)) {
-    ++unmarked_[to];  // A data frame, counted by the next mark.
+  Peer& peer = peers_[to];
+  // Heap boxes only: an arena box dies at the round's end, and an inline
+  // or empty payload is a value, with no address to key it by.
+  const void* box = payload.is_arena_boxed()
+                        ? nullptr
+                        : payload.boxed_as<void>(payload.tag());
+  if (box != nullptr) {
+    const auto id = static_cast<std::uint32_t>(peer.out_boxes.size());
+    const auto [it, fresh] = peer.out_ids.try_emplace(box, id);
+    if (fresh) {
+      peer.out_boxes.push_back(payload);
+      header.count = id + 1;
+    } else {
+      header.count = kRef | it->second;
+    }
   }
-  sent_[frame.round & 1].to[to].push_back(std::move(bytes));
+  SentSlot& slot = peer.sent[round_ & 1];
+  const std::size_t begin = slot.bytes.size();
+  interner_.codec().encode_header(header, slot.bytes);
+  if (has_section(header.kind, header.count)) {
+    interner_.append_section(payload, slot.bytes);
+  }
+  slot.ends.push_back(static_cast<std::uint32_t>(slot.bytes.size()));
+  client_->send(to, slot.bytes.data() + begin, slot.bytes.size() - begin);
+  if (header.kind == FrameKind::kPullRequest ||
+      carries_payload(header.kind)) {
+    ++peer.unmarked;  // A data frame, counted by the next mark.
+  }
 }
 
 void NodeDriver::answer_resend(NodeId to, std::uint64_t round) {
   ++counters_.resend_requests_answered;
-  const SentSlot& slot = sent_[round & 1];
+  const SentSlot& slot = peers_[to].sent[round & 1];
   if (slot.round != round) return;
-  for (const std::vector<std::uint8_t>& bytes : slot.to[to]) {
-    client_->send(to, bytes.data(), bytes.size());
+  std::uint32_t begin = 0;
+  for (const std::uint32_t end : slot.ends) {
+    client_->send(to, slot.bytes.data() + begin, end - begin);
     ++counters_.frames_sent;
+    begin = end;
   }
 }
 
 void NodeDriver::on_peer_state(NodeId peer, bool connected) {
-  if (peer < peer_down_.size() && !connected) peer_down_[peer] = true;
+  if (peer < peers_.size() && !connected) peers_[peer].down = true;
 }
 
 void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
@@ -163,7 +203,7 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
   ++counters_.frames_received;
   auto header = interner_.decode_header(data, size);
   if (!header.ok()) bad_frame(from, header.error);
-  Frame& frame = *header.value;
+  const Frame& frame = *header.value;
   // Resend requests are answered regardless of round skew: the requester
   // may lag (waiting for frames we already sent) or lead (waiting at the
   // next status barrier for a broadcast we lost).
@@ -183,17 +223,17 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
     protocol_violation("data or mark frame for the next round", from, frame);
   }
 
-  PeerMarks& marks = marks_[from];
+  Peer& peer = peers_[from];
   switch (frame.kind) {
     case FrameKind::kRoundStatus:
-      marks.status_round = frame.round;
-      marks.complete = frame.complete;
+      peer.status_round = frame.round;
+      peer.complete = frame.complete;
       return;
     case FrameKind::kActionsDone:
-      marks.actions.announced = frame.count;
+      peer.actions.announced = frame.count;
       return;
     case FrameKind::kRepliesDone:
-      marks.replies.announced = frame.count;
+      peer.replies.announced = frame.count;
       return;
     default:
       break;  // A data frame.
@@ -207,36 +247,68 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
       (!reply && workload_->fault_plan[frame.target])) {
     protocol_violation("misrouted frame", from, frame);
   }
+  if (frame.kind != FrameKind::kPullRequest && frame.count != 0 &&
+      link_id(frame.count) >= 2 * std::uint64_t{workload_->n}) {
+    protocol_violation("link id out of range", from, frame);
+  }
   if (std::exchange(stamp_[frame.agent], round_) == round_) return;  // Dup.
-  ++(reply ? marks.replies : marks.actions).received;
+  ++(reply ? peer.replies : peer.actions).received;
   if (frame.kind == FrameKind::kPullRequest) {
     exec_.lane(from, exec_.unit_of(self, frame.target))
         .pulls.push_back({frame.agent, frame.target});
     return;
   }
-  (reply ? replies_ : pushes_)
-      .push_back({from, std::move(frame), sections_.size(),
-                  size - FrameCodec::kHeaderBytes});
-  sections_.insert(sections_.end(), data + FrameCodec::kHeaderBytes,
-                   data + size);
+  const std::size_t section = size - FrameCodec::kHeaderBytes;
+  (reply ? peer.in_replies : peer.in_pushes)
+      .push_back({frame.agent, frame.target, frame.count,
+                  static_cast<std::uint32_t>(peer.sections.size()),
+                  static_cast<std::uint32_t>(section)});
+  peer.sections.insert(peer.sections.end(), data + FrameCodec::kHeaderBytes,
+                       data + size);
 }
 
-void NodeDriver::decode_filed(std::vector<Filed>& filed) {
-  std::sort(filed.begin(), filed.end(), [](const Filed& a, const Filed& b) {
-    return a.frame.agent < b.frame.agent;
-  });
-  for (Filed& f : filed) {
-    auto payload = interner_.decode_section(sections_.data() + f.section,
-                                            f.size);
-    if (!payload.ok()) bad_frame(f.from, payload.error);
-    f.frame.payload = std::move(*payload.value);
+Frame NodeDriver::arrival_frame(FrameKind kind, const Arrival& a) const {
+  return {.kind = kind, .round = round_, .agent = a.agent,
+          .target = a.target, .count = a.link};
+}
+
+void NodeDriver::define(NodeId p, const Arrival& a, FrameKind kind) {
+  if (a.link == 0 || (a.link & kRef) != 0) return;
+  Peer& peer = peers_[p];
+  const std::uint32_t id = link_id(a.link);
+  if (id >= peer.in_boxes.size()) peer.in_boxes.resize(id + 1);
+  if (!peer.in_boxes[id].empty()) {
+    protocol_violation("link id defined twice", p, arrival_frame(kind, a));
   }
+  auto payload =
+      interner_.decode_section(peer.sections.data() + a.section, a.size);
+  if (!payload.ok()) bad_frame(p, payload.error);
+  peer.in_boxes[id] = std::move(*payload.value);
+  ++counters_.link_definitions;
+}
+
+sim::Payload NodeDriver::payload_of(NodeId p, const Arrival& a,
+                                    FrameKind kind) {
+  Peer& peer = peers_[p];
+  if (a.link == 0) {
+    auto payload =
+        interner_.decode_section(peer.sections.data() + a.section, a.size);
+    if (!payload.ok()) bad_frame(p, payload.error);
+    return std::move(*payload.value);
+  }
+  const std::uint32_t id = link_id(a.link);
+  if (id >= peer.in_boxes.size() || peer.in_boxes[id].empty()) {
+    protocol_violation("reference to an undefined link id", p,
+                       arrival_frame(kind, a));
+  }
+  if ((a.link & kRef) != 0) ++counters_.link_references;
+  return peer.in_boxes[id];
 }
 
 bool NodeDriver::marked(NodeId p, FrameKind kind) const {
-  const PeerMarks& m = marks_[p];
+  const Peer& m = peers_[p];
   if (kind == FrameKind::kRoundStatus) return m.status_round == round_;
-  const PeerMarks::Tally& t =
+  const Peer::Tally& t =
       kind == FrameKind::kActionsDone ? m.actions : m.replies;
   return t.announced != kNone && t.received >= t.announced;
 }
@@ -246,7 +318,7 @@ void NodeDriver::sync(FrameKind kind, bool complete) {
   Frame mark{.kind = kind, .round = round_, .complete = complete};
   for (NodeId p = 0; p < options_.num_nodes; ++p) {
     if (p == self) continue;
-    mark.count = std::exchange(unmarked_[p], 0);
+    mark.count = std::exchange(peers_[p].unmarked, 0);
     send_frame(p, mark);
   }
 
@@ -272,7 +344,7 @@ void NodeDriver::sync(FrameKind kind, bool complete) {
       // Fatal only while p's contribution is outstanding: a peer that
       // finished the run closes its connections, but everything it owed
       // this barrier was delivered before its EOF (ordered transport).
-      if (peer_down_[p]) {
+      if (peers_[p].down) {
         throw SyncPointError(
             "NodeDriver: peer " + std::to_string(p) +
             " disconnected while waiting for " + to_string(kind) +
@@ -300,7 +372,7 @@ bool NodeDriver::exchange_status(bool local_complete) {
   sync(FrameKind::kRoundStatus, local_complete);
   bool complete = local_complete;
   for (NodeId p = 0; p < options_.num_nodes; ++p) {
-    if (p != options_.node_id) complete &= marks_[p].complete;
+    if (p != options_.node_id) complete &= peers_[p].complete;
   }
   return complete;
 }
@@ -324,16 +396,8 @@ void NodeDriver::execute_round() {
   exec_.serve_pulls(core_, self);
   send_replies();
   sync(FrameKind::kRepliesDone);
-  // Nothing more arrives this round: decode the payloads phases C and D
-  // deliver, in label order.
-  decode_filed(replies_);
-  decode_filed(pushes_);
-  file_replies();
-  for (Filed& f : pushes_) {
-    exec_.lane(f.from, exec_.unit_of(self, f.frame.target))
-        .pushes.push_back(
-            {std::move(f.frame.payload), f.frame.agent, f.frame.target});
-  }
+  // Nothing more arrives this round: file what phases C and D deliver.
+  file_arrivals();
   exec_.deliver_replies(core_, self);
   exec_.deliver_pushes(core_, self);
   exec_.close_round(core_);
@@ -359,9 +423,10 @@ void NodeDriver::send_actions() {
           metrics.note_message(push.payload.bit_size());
           continue;
         }
-        send_frame(p, {.kind = FrameKind::kPush, .round = round_,
-                       .agent = push.sender, .target = push.target,
-                       .payload = push.payload});
+        send_frame(p,
+                   {.kind = FrameKind::kPush, .round = round_,
+                    .agent = push.sender, .target = push.target},
+                   push.payload);
       }
     }
   }
@@ -370,37 +435,76 @@ void NodeDriver::send_actions() {
 void NodeDriver::send_replies() {
   for_each_inbound_lane([&](NodeId p, Lane& lane) {
     for (const auto& pull : lane.pulls) {
-      send_frame(p, {.kind = FrameKind::kPullReply, .round = round_,
-                     .agent = pull.requester, .target = pull.server,
-                     .payload = std::exchange(core_.pull_reply(pull.requester),
-                                              {})});
+      sim::Payload& reply = core_.pull_reply(pull.requester);
+      send_frame(p,
+                 {.kind = FrameKind::kPullReply, .round = round_,
+                  .agent = pull.requester, .target = pull.server},
+                 reply);
+      reply = {};
     }
   });
 }
 
-void NodeDriver::file_replies() {
-  // Both lists are in requester order, so one merge pass matches them.
+void NodeDriver::file_arrivals() {
   const NodeId self = options_.node_id;
-  auto reply = replies_.begin();
+  const auto by_agent = [](const Arrival& a, const Arrival& b) {
+    return a.agent < b.agent;
+  };
+  for (NodeId p = 0; p < options_.num_nodes; ++p) {
+    if (p == self) continue;
+    Peer& peer = peers_[p];
+    for (std::vector<Arrival>* list : {&peer.in_pushes, &peer.in_replies}) {
+      if (!std::is_sorted(list->begin(), list->end(), by_agent)) {
+        std::sort(list->begin(), list->end(), by_agent);
+      }
+    }
+    for (const Arrival& a : peer.in_pushes) define(p, a, FrameKind::kPush);
+    for (const Arrival& a : peer.in_replies) {
+      define(p, a, FrameKind::kPullReply);
+    }
+  }
+  file_replies();
+  for (NodeId p = 0; p < options_.num_nodes; ++p) {
+    if (p == self) continue;
+    for (const Arrival& a : peers_[p].in_pushes) {
+      exec_.lane(p, exec_.unit_of(self, a.target))
+          .pushes.push_back(
+              {payload_of(p, a, FrameKind::kPush), a.agent, a.target});
+    }
+  }
+}
+
+void NodeDriver::file_replies() {
+  // The pullers and each peer's replies are in requester order, so one
+  // pass with a cursor per peer matches them.
+  const NodeId self = options_.node_id;
+  std::vector<std::size_t> next(options_.num_nodes, 0);
   for (const auto& pull : exec_.pullers(self)) {
-    if (block_of(pull.server) == self || workload_->fault_plan[pull.server]) {
-      continue;
-    }
-    if (reply != replies_.end() && reply->frame.agent == pull.requester &&
-        reply->frame.target == pull.server) {
-      core_.pull_reply(pull.requester) = std::move(reply->frame.payload);
-      ++reply;
-      continue;
-    }
-    if (reply != replies_.end() && reply->frame.agent <= pull.requester) {
-      break;  // A reply no pull asked for.
+    const NodeId p = block_of(pull.server);
+    if (p == self || workload_->fault_plan[pull.server]) continue;
+    const std::vector<Arrival>& replies = peers_[p].in_replies;
+    if (next[p] < replies.size()) {
+      const Arrival& a = replies[next[p]];
+      if (a.agent == pull.requester && a.target == pull.server) {
+        core_.pull_reply(pull.requester) =
+            payload_of(p, a, FrameKind::kPullReply);
+        ++next[p];
+        continue;
+      }
+      if (a.agent <= pull.requester) {  // A reply no pull asked for.
+        protocol_violation("unsolicited pull reply", p,
+                           arrival_frame(FrameKind::kPullReply, a));
+      }
     }
     throw std::runtime_error("NodeDriver: no reply reached agent " +
                              std::to_string(pull.requester) + " in round " +
                              std::to_string(round_));
   }
-  if (reply != replies_.end()) {
-    protocol_violation("unsolicited pull reply", reply->from, reply->frame);
+  for (NodeId p = 0; p < options_.num_nodes; ++p) {
+    if (p == self || next[p] == peers_[p].in_replies.size()) continue;
+    protocol_violation("unsolicited pull reply", p,
+                       arrival_frame(FrameKind::kPullReply,
+                                     peers_[p].in_replies[next[p]]));
   }
 }
 

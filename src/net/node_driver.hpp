@@ -33,26 +33,49 @@
 // round r.  So every data or mark frame that is not stale is for the
 // current round; only a round-status can be for the next one, and nothing
 // for a later one.  on_message rejects anything else as a protocol
-// violation, so the round state is fixed-size: marks per peer (the status
-// stamped with its round), the lanes, one frame list per payload kind, and
-// a per-label round stamp.  An agent acts at most once per round, so its
+// violation, so the round state is fixed-size: per peer its marks, the
+// replies and pushes it sent, and their payload sections; the lanes; and a
+// per-label round stamp.  An agent acts at most once per round, so its
 // label keys its data frame and the stamp drops a second copy.
 //
-// Loss recovery: on a lossy transport (UDP) any frame can vanish.  Every
-// sent frame is kept encoded in a two-slot send buffer (slot round & 1,
-// tagged with its round).  A sync point still unsatisfied after
+// Send buffer: every frame sent to a peer, marks included, is encoded
+// straight into that peer's byte buffer for the round's slot (round & 1),
+// which records where each frame ends and is reused two rounds later.
+// Loss recovery replays from it: a sync point still unsatisfied after
 // resend_interval_ms sends kResendRequest marks to the outstanding peers,
 // which replay that round's frames if their slot still holds it.  Copies
 // are dropped by the stamps, and frames for finished rounds silently, so
 // retransmission changes nothing about the execution.
 //
-// Wire boundary: every frame passes through a PayloadInterner
-// (net/payload_interner.hpp), which encodes each boxed payload once and
-// decodes each distinct intention or certificate once, so local receivers
-// of one payload share one box.  An arriving frame's round, route and dedup
-// checks run on its header alone; a filed frame's payload section is
-// decoded after the last sync point, in label order, so the
-// TransportCounters do not depend on the order in which frames arrive.
+// Link ids: a heap box (an honest agent's pinned H_u or CE_u view, or a
+// box decoded from the wire) crosses each link once.  The first frame that
+// carries it to a peer defines an id for it on that link (count = id + 1,
+// with the section), and every later one names the id (count = kRef | id,
+// header only; see net/wire_frame.hpp).  Ids are handed out 0, 1, 2, ...
+// per link.  The sender keeps every box with an id, by handle or pinned
+// view, so no other box can reuse its address.  Both ends start a new
+// epoch (an empty table) at the first round boundary at which the link
+// holds >= n ids.  A round adds at most n ids to a link (an agent sends at
+// most one frame per round), so every id is < 2n.  The receiver rejects an
+// id >= 2n, a reference with a section and a definition without one on
+// arrival, and a reference to an undefined id or an id defined twice when
+// it files the round's frames, each in an error that names the peer.
+//
+// Wire boundary: every section passes through a PayloadInterner
+// (net/payload_interner.hpp), which encodes each heap box once per node
+// and decodes each distinct intention or certificate once, so local
+// receivers of one payload share one box.  An arriving frame's round,
+// route, link-id bound and dedup checks run on its header alone, and its
+// section (if any) waits in its peer's buffer.  After the last sync point
+// the round's frames are decoded per peer, peers in label order: first the
+// definitions, its pushes then its replies, each in label order; then the
+// replies, matched against this shard's pullers in requester order, go
+// into the core's reply slots, and the pushes into the lanes.  A peer
+// sends its pushes and replies lane by lane, so over an ordered transport
+// (TCP, loopback) they arrive in label order when this node's block is one
+// delivery unit; a peer whose frames arrived in any other order (blocks of
+// several units, UDP, resends) is sorted first.  So the TransportCounters
+// do not depend on the order in which frames arrive.
 //
 // Determinism: RNG streams, the fault plan and the partial-async mask (one
 // Bernoulli per label per round, drawn for all n on every node) are derived
@@ -66,6 +89,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "net/comm_client.hpp"
@@ -118,6 +142,10 @@ struct TransportCounters {
   std::uint64_t resend_requests_sent = 0;
   std::uint64_t resend_requests_answered = 0;  ///< Received and replayed
                                                ///< (possibly with nothing).
+  std::uint64_t link_definitions = 0;  ///< Filed frames that defined a
+                                       ///< link id.
+  std::uint64_t link_references = 0;   ///< Filed header-only frames that
+                                       ///< named one.
   InternerCounters payloads;          ///< Section encodes/decodes and hits.
 
   TransportCounters& operator+=(const TransportCounters& other) noexcept {
@@ -125,6 +153,8 @@ struct TransportCounters {
     frames_received += other.frames_received;
     resend_requests_sent += other.resend_requests_sent;
     resend_requests_answered += other.resend_requests_answered;
+    link_definitions += other.link_definitions;
+    link_references += other.link_references;
     payloads += other.payloads;
     return *this;
   }
@@ -164,34 +194,51 @@ class NodeDriver final : public CommClientCallback {
  private:
   static constexpr std::uint64_t kNone = ~std::uint64_t{0};
 
-  /// One peer's marks: its round-status (for round_ or round_ + 1) and, for
-  /// round_, what its actions-done and replies-done announced against the
-  /// data frames filed so far.
-  struct PeerMarks {
+  /// A pull reply or push filed this round, by its header.  A plain or
+  /// defining frame's section waits in its peer's `sections`.
+  struct Arrival {
+    sim::AgentId agent = 0;
+    sim::AgentId target = 0;
+    std::uint32_t link = 0;     ///< The header's count (net/wire_frame.hpp).
+    std::uint32_t section = 0;  ///< Offset in Peer::sections.
+    std::uint32_t size = 0;     ///< Section bytes; 0 on a reference.
+  };
+
+  /// Everything sent to a peer for one round: the frames' bytes back to
+  /// back, and where each ends.
+  struct SentSlot {
+    std::uint64_t round = kNone;
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint32_t> ends;
+  };
+
+  /// Both directions of the link to one peer.
+  struct Peer {
     struct Tally {
       std::uint64_t announced = kNone;  ///< Until the mark arrives.
       std::uint32_t received = 0;
     };
+    // Its marks: the round-status (for round_ or round_ + 1) and, for
+    // round_, what its actions-done and replies-done announced against the
+    // data frames filed so far.
     std::uint64_t status_round = kNone;  ///< Round `complete` is for.
     bool complete = false;
-    Tally actions;  ///< Pull requests + pushes, then actions-done.
-    Tally replies;  ///< Pull replies, then replies-done.
-  };
+    bool down = false;  ///< tcp disconnect, fail-fast.
+    Tally actions;      ///< Pull requests + pushes, then actions-done.
+    Tally replies;      ///< Pull replies, then replies-done.
 
-  /// A filed pull reply or push.  Its payload section waits in sections_
-  /// until decode_filed, which runs in label order.
-  struct Filed {
-    NodeId from = 0;
-    Frame frame;              ///< Payload set by decode_filed.
-    std::size_t section = 0;  ///< Offset in sections_.
-    std::size_t size = 0;
-  };
+    // Outgoing: the send buffer, and the link ids of the boxes sent.
+    std::uint32_t unmarked = 0;  ///< Data frames sent since the last mark.
+    SentSlot sent[2];            ///< By round & 1.
+    std::unordered_map<const void*, std::uint32_t> out_ids;  ///< By box.
+    std::vector<sim::Payload> out_boxes;  ///< By id; keeps each box alive.
 
-  /// The send buffer's slot for one round: every frame sent to each peer,
-  /// encoded, for replay on a resend request.
-  struct SentSlot {
-    std::uint64_t round = kNone;
-    std::vector<std::vector<std::vector<std::uint8_t>>> to;  ///< By peer.
+    // Incoming: this round's replies and pushes in arrival order, and the
+    // link's boxes.
+    std::vector<Arrival> in_replies;
+    std::vector<Arrival> in_pushes;
+    std::vector<std::uint8_t> sections;   ///< Their payload sections.
+    std::vector<sim::Payload> in_boxes;   ///< By id; empty = undefined.
   };
 
   using Lane = sim::ShardedRoundExecutor::Lane;
@@ -206,11 +253,17 @@ class NodeDriver final : public CommClientCallback {
   bool block_complete() const;
   std::uint64_t local_digest() const;
 
-  /// Resets the marks' tallies, the inbound lanes, the frame lists, and the
+  /// Resets the marks' tallies, the inbound lanes, the arrivals, and the
   /// send-buffer slot round_ reuses (it held round_ - 2, which no peer can
-  /// still ask for).
+  /// still ask for), and starts a new link-id epoch on every link that
+  /// holds >= n ids.
   void begin_round();
-  void send_frame(NodeId to, const Frame& frame);
+  /// Encodes `header` into `to`'s send buffer for round_ and sends it.  A
+  /// pull reply or push carries `payload`, a heap box as a link definition
+  /// the first time and as a reference after.  A resend request is sent
+  /// but not kept.
+  void send_frame(NodeId to, Frame header,
+                  const sim::Payload& payload = {});
   /// Replays everything already sent to `to` for `round` from the send
   /// buffer (a no-op for pruned or not-yet-reached rounds).
   void answer_resend(NodeId to, std::uint64_t round);
@@ -222,8 +275,13 @@ class NodeDriver final : public CommClientCallback {
   /// and polls until every peer is marked().  Throws after
   /// sync_timeout_ms, or once a peer it still waits for has disconnected.
   void sync(FrameKind kind, bool complete = false);
-  /// Sorts `filed` by agent label and decodes each payload section.
-  void decode_filed(std::vector<Filed>& filed);
+  /// A filed arrival as a header, for error messages.
+  Frame arrival_frame(FrameKind kind, const Arrival& a) const;
+  /// Decodes peer p's definition `a`, if it is one, into p's link table.
+  void define(NodeId p, const Arrival& a, FrameKind kind);
+  /// The payload of p's arrival `a`: its section decoded, or its link
+  /// id's box.
+  sim::Payload payload_of(NodeId p, const Arrival& a, FrameKind kind);
 
   /// Broadcasts this node's completion flag, waits for every peer's, and
   /// returns their conjunction: true when every agent in the cluster is
@@ -234,8 +292,11 @@ class NodeDriver final : public CommClientCallback {
   void send_actions();
   /// After phase B: sends the replies served to remote requesters.
   void send_replies();
-  /// Before phase C: moves each remote pullee's reply into the core's slot
-  /// for its requester, one per pull of a non-faulty remote pullee.
+  /// After the last sync point: decodes every peer's definitions, then
+  /// files the replies and pushes (see the header comment).
+  void file_arrivals();
+  /// Puts each remote pullee's reply into the core's slot for its
+  /// requester, one per pull of a non-faulty remote pullee.
   void file_replies();
 
   const Workload* workload_;
@@ -252,21 +313,12 @@ class NodeDriver final : public CommClientCallback {
 
   std::uint64_t round_ = 0;
   TransportCounters counters_;  ///< All but `payloads` (see interner_).
-  std::vector<bool> peer_down_;           ///< tcp disconnects, fail-fast.
-  std::vector<PeerMarks> marks_;          ///< By peer.
-  std::vector<std::uint32_t> unmarked_;   ///< Data frames sent to each peer
-                                          ///< since the last mark.
-  SentSlot sent_[2];                      ///< By round & 1.
-
-  // This round's filed replies and pushes (requests go straight to the
-  // lanes), and the round each label last had a frame filed in.  An agent
-  // acts at most once per round, so a label stamped with round_ marks a
-  // duplicate: a request or push by its remote sender, or a reply by its
-  // local requester, so the two never share a label.
-  std::vector<Filed> replies_;
-  std::vector<Filed> pushes_;
-  std::vector<std::uint8_t> sections_;  ///< Filed frames' payload bytes.
-  std::vector<std::uint64_t> stamp_;    ///< By label, over [0, n).
+  std::vector<Peer> peers_;     ///< By node id; this node's entry unused.
+  /// The round each label last had a frame filed in.  An agent acts at
+  /// most once per round, so a label stamped with round_ marks a duplicate:
+  /// a request or push by its remote sender, or a reply by its local
+  /// requester, so the two never share a label.
+  std::vector<std::uint64_t> stamp_;  ///< By label, over [0, n).
 };
 
 }  // namespace rfc::net

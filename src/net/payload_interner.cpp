@@ -29,14 +29,23 @@ PayloadInterner::PayloadInterner(const FrameCodec& codec)
 }
 
 std::vector<std::uint8_t> PayloadInterner::encode(const Frame& frame) {
-  if (!carries_payload(frame.kind)) return codec_.encode(frame);
-  const sim::Payload& payload = frame.payload;
+  std::vector<std::uint8_t> bytes;
+  codec_.encode_header(frame, bytes);
+  if (has_section(frame.kind, frame.count)) {
+    append_section(frame.payload, bytes);
+  }
+  return bytes;
+}
+
+void PayloadInterner::append_section(const sim::Payload& payload,
+                                     std::vector<std::uint8_t>& out) {
   const void* box = payload.is_arena_boxed()
                         ? nullptr
                         : payload.boxed_as<void>(payload.tag());
   if (box == nullptr) {
     ++counters_.encodes;
-    return codec_.encode(frame);
+    codec_.encode_section(payload, out);
+    return;
   }
 
   auto it = encoded_.find(box);
@@ -51,17 +60,15 @@ std::vector<std::uint8_t> PayloadInterner::encode(const Frame& frame) {
     ++counters_.encode_hits;
   }
   const std::vector<std::uint8_t>& section = it->second.section;
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(FrameCodec::kHeaderBytes + section.size());
-  codec_.encode_header(frame, bytes);
-  bytes.insert(bytes.end(), section.begin(), section.end());
-  return bytes;
+  out.insert(out.end(), section.begin(), section.end());
 }
 
 core::WireResult<Frame> PayloadInterner::decode(const std::uint8_t* data,
                                                 std::size_t size) {
   auto frame = codec_.decode_header(data, size);
-  if (!frame.ok() || !carries_payload(frame.value->kind)) return frame;
+  if (!frame.ok() || !has_section(frame.value->kind, frame.value->count)) {
+    return frame;
+  }
   auto payload = decode_section(data + FrameCodec::kHeaderBytes,
                                 size - FrameCodec::kHeaderBytes);
   if (!payload.ok()) return core::WireResult<Frame>::failure(payload.error);

@@ -77,6 +77,10 @@ class PayloadInterner {
 
   /// The bytes codec.encode(frame) produces (and its throws).
   std::vector<std::uint8_t> encode(const Frame& frame);
+  /// Appends `payload`'s section, as codec.encode_section does (and its
+  /// throws), copying a heap box's from the cache.
+  void append_section(const sim::Payload& payload,
+                      std::vector<std::uint8_t>& out);
   /// What codec.decode(data, size) returns, except that an intention or
   /// certificate payload may share its box with earlier decodes.
   core::WireResult<Frame> decode(const std::uint8_t* data, std::size_t size);
@@ -91,6 +95,7 @@ class PayloadInterner {
   core::WireResult<sim::Payload> decode_section(const std::uint8_t* data,
                                                 std::size_t size);
 
+  const FrameCodec& codec() const noexcept { return codec_; }
   const InternerCounters& counters() const noexcept { return counters_; }
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t encoded_entries() const noexcept { return encoded_.size(); }

@@ -146,7 +146,7 @@ core::WireResult<sim::Payload> decode_payload(
 }
 
 std::vector<std::uint8_t> FrameCodec::encode(const Frame& frame) const {
-  const bool section = carries_payload(frame.kind);
+  const bool section = has_section(frame.kind, frame.count);
   std::vector<std::uint8_t> bytes;
   // Allocate once: the header, then the section's bound.
   bytes.reserve(kHeaderBytes +
@@ -161,11 +161,14 @@ void FrameCodec::encode_header(const Frame& frame,
   if (frame.round > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("FrameCodec: round overflows the u32 header");
   }
-  // Every field is whole bytes, written big-endian (the bit order BitWriter
-  // would produce).
-  const auto put = [&out](std::uint64_t value, int bytes) {
+  // Every field is whole bytes at a fixed offset, written big-endian (the
+  // bit order BitWriter would produce).
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderBytes);
+  std::uint8_t* p = out.data() + at;
+  const auto put = [&p](std::uint64_t value, int bytes) {
     for (int i = bytes - 1; i >= 0; --i) {
-      out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+      *p++ = static_cast<std::uint8_t>(value >> (8 * i));
     }
   };
   put(kFrameMagic, 1);
@@ -188,7 +191,9 @@ void FrameCodec::encode_section(const sim::Payload& payload,
 core::WireResult<Frame> FrameCodec::decode(const std::uint8_t* data,
                                            std::size_t size) const {
   auto frame = decode_header(data, size);
-  if (!frame.ok() || !carries_payload(frame.value->kind)) return frame;
+  if (!frame.ok() || !has_section(frame.value->kind, frame.value->count)) {
+    return frame;
+  }
   auto payload =
       decode_section(data + kHeaderBytes, size - kHeaderBytes);
   if (!payload.ok()) return core::WireResult<Frame>::failure(payload.error);
@@ -223,9 +228,13 @@ core::WireResult<Frame> FrameCodec::decode_header(const std::uint8_t* data,
       (frame.agent >= n || frame.target >= n)) {
     return R::failure(core::WireError::kRangeViolation);
   }
-  // Only a payload section may follow the header; extra bytes after a mark
-  // or a pull request mean a framing slip (or a hostile overlong buffer).
-  if (!carries_payload(frame.kind) && size > kHeaderBytes) {
+  // Only a payload section may follow the header; extra bytes after a
+  // mark, a pull request or a link reference mean a framing slip (or a
+  // hostile overlong buffer), and a frame that owes a section and ends at
+  // the header is cut short.
+  if (has_section(frame.kind, frame.count)) {
+    if (size == kHeaderBytes) return R::failure(core::WireError::kTruncated);
+  } else if (size > kHeaderBytes) {
     return R::failure(core::WireError::kBadFrame);
   }
   return R::success(std::move(frame));

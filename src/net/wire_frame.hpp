@@ -17,11 +17,27 @@
 //   count     u32  kActionsDone / kRepliesDone: data frames the sender put
 //                  on the wire to *this* destination this round — the
 //                  receiver waits until that many arrived, which makes the
-//                  sync points exact even over a reordering transport (UDP)
+//                  sync points exact even over a reordering transport (UDP).
+//                  kPullReply / kPush: the payload's link id (below)
 //   payload        kPullReply / kPush: see below
 //
 // The header is 152 bits, exactly FrameCodec::kHeaderBytes (19) bytes, so
 // the payload section always starts on a byte boundary.
+//
+// Link ids: a sender numbers the heap boxes it sends over one link (one
+// ordered pair of nodes), so a box crosses each link once.  On a pull
+// reply or push, `count` is
+//
+//   0          a plain frame: the section follows (inline, empty and
+//              arena-boxed payloads, and any frame that names no link id);
+//   id + 1     a definition: the section follows, and gives link id `id`
+//              the payload it decodes to;
+//   kRef | id  a reference: header only, the payload is the one link id
+//              `id` was defined with.
+//
+// The codec checks the shape only: a reference with trailing bytes is
+// kBadFrame, a plain frame or definition without a section kTruncated.
+// What an id means, and its bounds, are net::NodeDriver's (see there).
 //
 // Payload encoding: a 16-bit tag, then tag-dependent content.  Tag 0 is the
 // empty payload (a silent pull reply).  The boxed core tags (0x22 vote
@@ -61,6 +77,9 @@ enum class FrameKind : std::uint8_t {
 
 const char* to_string(FrameKind kind) noexcept;
 
+/// The reference bit of a pull reply's or push's `count` (see the layout).
+inline constexpr std::uint32_t kRef = 0x8000'0000u;
+
 struct Frame {
   FrameKind kind = FrameKind::kRoundStatus;
   std::uint64_t round = 0;
@@ -82,30 +101,37 @@ void encode_payload(core::BitWriter& w, const sim::Payload& payload,
 core::WireResult<sim::Payload> decode_payload(
     core::BitReader& r, const core::ProtocolParams* params);
 
-/// True for the frame kinds that carry a payload section (pull replies and
-/// pushes).
+/// True for the frame kinds that carry a payload (pull replies and pushes).
 bool carries_payload(FrameKind kind) noexcept;
+
+/// True when a frame of `kind` with this `count` is followed by a payload
+/// section: a payload-carrying kind that is not a link reference.
+inline bool has_section(FrameKind kind, std::uint32_t count) noexcept {
+  return carries_payload(kind) && (count & kRef) == 0;
+}
 
 /// Frame codec bound to one run's geometry: `n` validates agent labels
 /// (0 = unknown, labels pass unchecked) and `params` enables the boxed
 /// protocol payloads.
 ///
 /// A frame is a fixed kHeaderBytes header, followed on payload-carrying
-/// kinds by a payload section (the 16-bit tag and its body, zero-padded to
-/// a byte).  The header is byte-aligned, so the two halves encode and
-/// decode independently: encode/decode are exactly the header functions
-/// followed by the section functions, and net::PayloadInterner reuses the
-/// section functions to encode a boxed payload once for every frame that
-/// carries it.
+/// kinds, link references excepted, by a payload section (the 16-bit tag
+/// and its body, zero-padded to a byte).  The header is byte-aligned, so
+/// the two halves encode and decode independently: encode/decode are
+/// exactly the header functions followed by the section functions, and
+/// net::PayloadInterner reuses the section functions to encode a boxed
+/// payload once for every frame that carries it.
 struct FrameCodec {
   static constexpr std::size_t kHeaderBytes = 19;
 
   std::uint32_t n = 0;
   const core::ProtocolParams* params = nullptr;
 
+  /// A link reference's payload is not encoded: it travels header-only.
   std::vector<std::uint8_t> encode(const Frame& frame) const;
   /// Parses `data` in place, without copying it; the returned Frame owns
   /// everything it holds, so `data` may be reused as soon as this returns.
+  /// A link reference decodes with an empty payload.
   core::WireResult<Frame> decode(const std::uint8_t* data,
                                  std::size_t size) const;
 
@@ -118,9 +144,9 @@ struct FrameCodec {
                       std::vector<std::uint8_t>& out) const;
 
   /// Parses and validates the header at the front of `data`: magic, kind,
-  /// and (on label-carrying kinds) agent labels.  The returned frame has an
-  /// empty payload; the section, if the kind carries one, starts at
-  /// data + kHeaderBytes.  A kind without a section must end at the header.
+  /// (on label-carrying kinds) agent labels, and whether a section follows
+  /// exactly when has_section says one does.  The returned frame has an
+  /// empty payload; the section, if any, starts at data + kHeaderBytes.
   core::WireResult<Frame> decode_header(const std::uint8_t* data,
                                         std::size_t size) const;
   /// Parses a whole section; only byte-boundary padding may trail it.

@@ -210,6 +210,90 @@ TEST(LoopbackCluster, ProtocolNodesShareDecodedBoxes) {
             "");
 }
 
+namespace {
+
+/// Counts, per destination node, the outgoing pull replies and pushes that
+/// carry a heap box: link definitions and references, and plain frames
+/// whose section holds an intention or certificate.
+class BoxTallyingClient final : public CommClient {
+ public:
+  struct Tally {
+    std::vector<std::uint64_t> box_frames;  ///< By destination.
+    std::uint64_t plain_boxes = 0;  ///< Boxed tags sent without a link id.
+  };
+
+  BoxTallyingClient(CommClientPtr inner, Tally& tally)
+      : inner_(std::move(inner)), tally_(tally) {}
+
+  const char* name() const noexcept override { return inner_->name(); }
+  void start(NodeId self, const std::vector<PeerEndpoint>& peers,
+             CommClientCallback& callback) override {
+    tally_.box_frames.assign(peers.size(), 0);
+    inner_->start(self, peers, callback);
+  }
+  void stop() override { inner_->stop(); }
+  std::size_t poll(int timeout_ms) override {
+    return inner_->poll(timeout_ms);
+  }
+
+  void send(NodeId to, const std::uint8_t* data, std::size_t size) override {
+    inner_->send(to, data, size);
+    const auto kind = static_cast<FrameKind>(data[1]);
+    if (!carries_payload(kind)) return;
+    const std::uint32_t count =
+        std::uint32_t{data[15]} << 24 | std::uint32_t{data[16]} << 16 |
+        std::uint32_t{data[17]} << 8 | data[18];
+    const std::size_t at = FrameCodec::kHeaderBytes;
+    const bool boxed_tag =
+        size >= at + 2 && (data[at] << 8 | data[at + 1]) >= 0x22 &&
+        (data[at] << 8 | data[at + 1]) <= 0x23;
+    if (count != 0 || boxed_tag) ++tally_.box_frames[to];
+    if (count == 0 && boxed_tag) ++tally_.plain_boxes;
+  }
+
+ private:
+  CommClientPtr inner_;
+  Tally& tally_;
+};
+
+}  // namespace
+
+TEST(LoopbackCluster, BoxesCrossEachLinkOnce) {
+  // Every frame that carries an intention or certificate defines a link id
+  // or names one, and most name one: a box's bytes cross each link once.
+  // What each node filed as definitions and references is exactly what its
+  // peers sent it.
+  const ClusterSpec spec = protocol_spec(3, 0);
+  LoopbackHub hub(spec.num_nodes);
+  std::vector<BoxTallyingClient::Tally> tallies(spec.num_nodes);
+  const std::vector<NodeReport> reports =
+      run_local_cluster(spec, [&](NodeId id) {
+        return CommClientPtr(std::make_unique<BoxTallyingClient>(
+            make_comm_client(TransportKind::kLoopback, &hub), tallies[id]));
+      });
+  ASSERT_EQ(reports.size(), spec.num_nodes);
+  std::uint64_t definitions = 0;
+  std::uint64_t references = 0;
+  for (NodeId to = 0; to < spec.num_nodes; ++to) {
+    std::uint64_t box_frames = 0;
+    for (const BoxTallyingClient::Tally& t : tallies) {
+      box_frames += t.box_frames[to];
+    }
+    const TransportCounters& c = reports[to].transport;
+    EXPECT_EQ(c.link_definitions + c.link_references, box_frames)
+        << "node " << to;
+    definitions += c.link_definitions;
+    references += c.link_references;
+  }
+  for (const BoxTallyingClient::Tally& t : tallies) {
+    EXPECT_EQ(t.plain_boxes, 0u);
+  }
+  EXPECT_GT(references, definitions);
+  EXPECT_EQ(cross_check(merge_reports(make_cluster_workload(spec), reports),
+                        reference_result(spec)),
+            "");
+}
+
 // --------------------------------------------------------------------------
 // Loss regression: before the resend protocol, ONE lost sync frame hung the
 // cluster until the sync timeout (the bug src/net/socket_client.hpp used to
@@ -292,6 +376,30 @@ TEST(LossyCluster, SeededRandomLossStaysBitIdentical) {
         make_comm_client(TransportKind::kLoopback, &hub), 0.10,
         rfc::support::derive_seed(4242, id));
   });
+  EXPECT_EQ(cross_check(merge_reports(wl, reports), reference_result(spec)),
+            "");
+}
+
+TEST(LossyCluster, SeededRandomLossWithBoxesStaysBitIdentical) {
+  // The seeded loss above on Protocol P, whose intentions and certificates
+  // travel as link definitions and references: a lost definition is
+  // replayed within its round, and frames that arrive out of label order
+  // are sorted before they are filed.
+  ClusterSpec spec = protocol_spec(3, 0);
+  spec.sync_timeout_ms = 20000;
+  spec.resend_interval_ms = 25;
+  spec.linger_ms = 500;
+  const Workload wl = make_cluster_workload(spec);
+  LoopbackHub hub(spec.num_nodes);
+  const auto reports = run_local_cluster(spec, [&](NodeId id) {
+    return make_lossy_client(
+        make_comm_client(TransportKind::kLoopback, &hub), 0.10,
+        rfc::support::derive_seed(4242, id));
+  });
+  TransportCounters sum;
+  for (const NodeReport& r : reports) sum += r.transport;
+  EXPECT_GT(sum.resend_requests_sent, 0u);
+  EXPECT_GT(sum.link_references, 0u);
   EXPECT_EQ(cross_check(merge_reports(wl, reports), reference_result(spec)),
             "");
 }
@@ -461,6 +569,121 @@ TEST(NodeDriverInbox, DuplicateFloodCostsNoSectionDecodes) {
   EXPECT_EQ(cross_check(merge_reports(make_cluster_workload(spec), flooded),
                         reference_result(spec)),
             "");
+}
+
+// --------------------------------------------------------------------------
+// Link table: a frame whose link id is out of bounds, undefined or of the
+// wrong shape ends the run in an error that names the peer, promptly.
+// --------------------------------------------------------------------------
+
+namespace {
+
+/// Rewrites node 1's first outgoing frame of kind `trigger` with `rewrite`
+/// before it is sent.
+class RewritingClient final : public CommClient {
+ public:
+  RewritingClient(CommClientPtr inner, FrameKind trigger,
+                  std::function<void(std::vector<std::uint8_t>&)> rewrite)
+      : inner_(std::move(inner)),
+        trigger_(trigger),
+        rewrite_(std::move(rewrite)) {}
+
+  const char* name() const noexcept override { return inner_->name(); }
+  void start(NodeId self, const std::vector<PeerEndpoint>& peers,
+             CommClientCallback& callback) override {
+    inner_->start(self, peers, callback);
+  }
+  void stop() override { inner_->stop(); }
+  std::size_t poll(int timeout_ms) override {
+    return inner_->poll(timeout_ms);
+  }
+
+  void send(NodeId to, const std::uint8_t* data, std::size_t size) override {
+    if (done_ || size < 2 || data[1] != static_cast<std::uint8_t>(trigger_)) {
+      inner_->send(to, data, size);
+      return;
+    }
+    done_ = true;
+    std::vector<std::uint8_t> bytes(data, data + size);
+    rewrite_(bytes);
+    inner_->send(to, bytes.data(), bytes.size());
+  }
+
+ private:
+  CommClientPtr inner_;
+  FrameKind trigger_;
+  std::function<void(std::vector<std::uint8_t>&)> rewrite_;
+  bool done_ = false;
+};
+
+/// Sets a frame's count field (big-endian at bytes 15-18) to `count`, and
+/// cuts it to its header when `header_only`.
+std::function<void(std::vector<std::uint8_t>&)> set_link(std::uint32_t count,
+                                                         bool header_only) {
+  return [count, header_only](std::vector<std::uint8_t>& bytes) {
+    for (int i = 0; i < 4; ++i) {
+      bytes[15 + i] = static_cast<std::uint8_t>(count >> (8 * (3 - i)));
+    }
+    if (header_only) bytes.resize(FrameCodec::kHeaderBytes);
+  };
+}
+
+/// Runs a 2-node rumor cluster whose node 1 rewrites its first push, and
+/// returns node 0's error.  Fails the test if the run completes, or if the
+/// error takes more than 5 s of the 20 s sync timeout.
+std::string rewritten_push_error(
+    std::function<void(std::vector<std::uint8_t>&)> rewrite) {
+  ClusterSpec spec = rumor_spec(2, 0);
+  spec.sync_timeout_ms = 20000;
+  LoopbackHub hub(spec.num_nodes);
+  const auto begin = std::chrono::steady_clock::now();
+  std::string what;
+  try {
+    run_local_cluster(spec, [&](NodeId id) {
+      CommClientPtr inner = make_comm_client(TransportKind::kLoopback, &hub);
+      if (id != 1) return inner;
+      return CommClientPtr(std::make_unique<RewritingClient>(
+          std::move(inner), FrameKind::kPush, rewrite));
+    });
+    ADD_FAILURE() << "the rewritten push was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(dynamic_cast<const SyncPointError*>(&e), nullptr) << e.what();
+    what = e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, std::chrono::seconds(5));
+  EXPECT_NE(what.find("peer 1"), std::string::npos) << what;
+  return what;
+}
+
+}  // namespace
+
+TEST(NodeDriverInbox, RejectsReferenceToAnUndefinedLinkId) {
+  // Rumor payloads are inline, so no id is ever defined on any link.
+  const std::string what = rewritten_push_error(set_link(kRef | 3, true));
+  EXPECT_NE(what.find("reference to an undefined link id"), std::string::npos)
+      << what;
+}
+
+TEST(NodeDriverInbox, RejectsLinkIdAtTheBound) {
+  // n = 48, so every id on a link is below 96: a reference to id 96 and a
+  // definition of it are both refused on arrival.
+  for (const bool reference : {true, false}) {
+    const std::string what = rewritten_push_error(
+        reference ? set_link(kRef | 96, true) : set_link(96 + 1, false));
+    EXPECT_NE(what.find("link id out of range"), std::string::npos) << what;
+  }
+}
+
+TEST(NodeDriverInbox, RejectsReferenceFollowedBySectionBytes) {
+  // The push keeps its section, so the header-only reference has bytes
+  // after it.
+  const std::string what = rewritten_push_error(set_link(kRef | 0, false));
+  EXPECT_NE(what.find("bad-frame"), std::string::npos) << what;
+}
+
+TEST(NodeDriverInbox, RejectsDefinitionWithoutASection) {
+  const std::string what = rewritten_push_error(set_link(1, true));
+  EXPECT_NE(what.find("truncated"), std::string::npos) << what;
 }
 
 // --------------------------------------------------------------------------

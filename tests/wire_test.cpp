@@ -583,5 +583,58 @@ TEST(PayloadInterner, DistinctPayloadsNeverGrowAMapPastItsBound) {
   EXPECT_EQ(interner.counters().decodes, 3u * p.n);
 }
 
+TEST(FrameCodec, LinkReferenceIsHeaderOnly) {
+  // A pull reply or push whose count has the kRef bit names a link id and
+  // carries no section; its payload is not encoded and decodes empty.
+  const auto p = params();
+  const FrameCodec codec{p.n, &p};
+  PayloadInterner interner(codec);
+  const sim::Payload box =
+      core::make_certificate_payload(sample_certificate(p, 6), p);
+  for (const FrameKind kind : {FrameKind::kPullReply, FrameKind::kPush}) {
+    Frame reference = push_of(box);
+    reference.kind = kind;
+    reference.count = kRef | 41;
+    EXPECT_FALSE(has_section(kind, reference.count));
+    const std::vector<std::uint8_t> bytes = codec.encode(reference);
+    EXPECT_EQ(bytes.size(), FrameCodec::kHeaderBytes);
+    EXPECT_EQ(interner.encode(reference), bytes);
+    for (const auto& decoded : {codec.decode(bytes.data(), bytes.size()),
+                                interner.decode(bytes.data(), bytes.size())}) {
+      ASSERT_TRUE(decoded.ok()) << core::to_string(decoded.error);
+      EXPECT_EQ(decoded.value->count, kRef | 41u);
+      EXPECT_TRUE(decoded.value->payload.empty());
+    }
+    // Section bytes after a reference are a framing slip.
+    std::vector<std::uint8_t> trailing = bytes;
+    trailing.push_back(0);
+    EXPECT_EQ(codec.decode(trailing.data(), trailing.size()).error,
+              core::WireError::kBadFrame);
+  }
+  // A reference touches neither cache.
+  EXPECT_EQ(interner.counters(), InternerCounters{});
+}
+
+TEST(FrameCodec, DefinitionsAndPlainFramesOweASection) {
+  // count = id + 1 defines a link id and, like a plain frame (count = 0),
+  // is followed by the payload's section; cut to its header it is
+  // truncated.
+  const auto p = params();
+  const FrameCodec codec{p.n, &p};
+  for (const std::uint32_t count : {0u, 1u, 2u * p.n}) {
+    Frame frame =
+        push_of(core::make_intention_payload(sample_intention(p, 8), p));
+    frame.count = count;
+    EXPECT_TRUE(has_section(frame.kind, count));
+    const std::vector<std::uint8_t> bytes = codec.encode(frame);
+    const auto decoded = codec.decode(bytes.data(), bytes.size());
+    ASSERT_TRUE(decoded.ok()) << core::to_string(decoded.error);
+    expect_same_frame(*decoded.value, frame);
+    EXPECT_EQ(codec.decode(bytes.data(), FrameCodec::kHeaderBytes).error,
+              core::WireError::kTruncated)
+        << "count " << count;
+  }
+}
+
 }  // namespace
 }  // namespace rfc::net
