@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -364,7 +365,11 @@ void NodeDriver::sync(FrameKind kind, bool complete) {
                                std::string(to_string(kind)) + " (round " +
                                std::to_string(round_) + ")");
     }
-    client_->poll(50);
+    // Wait until the next resend request or the deadline, whichever comes
+    // first; an arriving frame ends the wait sooner.
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        std::min(next_resend, deadline) - Clock::now());
+    client_->poll(static_cast<int>(std::max<std::int64_t>(wait.count(), 0)));
   }
 }
 

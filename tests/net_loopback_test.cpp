@@ -404,6 +404,64 @@ TEST(LossyCluster, SeededRandomLossWithBoxesStaysBitIdentical) {
             "");
 }
 
+namespace {
+
+/// Passes everything through and keeps the longest poll() timeout asked for.
+class PollRecordingClient final : public CommClient {
+ public:
+  PollRecordingClient(CommClientPtr inner, std::atomic<int>& longest)
+      : inner_(std::move(inner)), longest_(&longest) {}
+
+  const char* name() const noexcept override { return inner_->name(); }
+  void start(NodeId self, const std::vector<PeerEndpoint>& peers,
+             CommClientCallback& callback) override {
+    inner_->start(self, peers, callback);
+  }
+  void stop() override { inner_->stop(); }
+  void send(NodeId to, const std::uint8_t* data, std::size_t size) override {
+    inner_->send(to, data, size);
+  }
+  std::size_t poll(int timeout_ms) override {
+    int seen = longest_->load();
+    while (timeout_ms > seen &&
+           !longest_->compare_exchange_weak(seen, timeout_ms)) {
+    }
+    return inner_->poll(timeout_ms);
+  }
+
+ private:
+  CommClientPtr inner_;
+  std::atomic<int>* longest_;
+};
+
+}  // namespace
+
+TEST(LossyCluster, SyncPointWaitsNoLongerThanTheResendInterval) {
+  // A lost actions-done mark makes every peer of node 0 wait at the sync
+  // point until a resend request recovers it.  No single wait may outlast
+  // the resend interval, or the request goes out late and a short interval
+  // acts as a long one.
+  ClusterSpec spec = rumor_spec(3, 0);
+  spec.sync_timeout_ms = 20000;
+  spec.resend_interval_ms = 10;
+  const Workload wl = make_cluster_workload(spec);
+  LoopbackHub hub(spec.num_nodes);
+  std::atomic<int> longest{0};
+  const LossyCommClient::DropFn drop = drop_first(FrameKind::kActionsDone);
+  const auto reports = run_local_cluster(spec, [&](NodeId id) {
+    CommClientPtr client = make_comm_client(TransportKind::kLoopback, &hub);
+    if (id == 0) {
+      client = std::make_unique<LossyCommClient>(std::move(client), drop);
+    }
+    return CommClientPtr(
+        std::make_unique<PollRecordingClient>(std::move(client), longest));
+  });
+  EXPECT_EQ(cross_check(merge_reports(wl, reports), reference_result(spec)),
+            "");
+  EXPECT_GT(longest.load(), 0);
+  EXPECT_LE(longest.load(), spec.resend_interval_ms);
+}
+
 // --------------------------------------------------------------------------
 // Round bound: a correct peer leads by at most one round, and for the next
 // round sends only its round-status, so any other frame ahead of the
