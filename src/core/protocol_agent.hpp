@@ -79,10 +79,6 @@ class ProtocolAgent : public sim::Agent {
   /// Final, so the agent's own checks are direct calls.
   bool done() const final { return decided_ || failed_; }
 
-  // All observations move only inside this agent's own callbacks, so the
-  // engine may mirror them into its SoA caches (sim/agent.hpp).
-  bool cacheable_observations() const noexcept override { return true; }
-
   /// Audit-pipeline stage for adaptive schedulers (sim::EngineView): the
   /// schedule reads the *global* clock, so this reflects the phase of the
   /// agent's last activation — exact under the synchronous model, possibly

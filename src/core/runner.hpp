@@ -89,11 +89,17 @@ struct GoodExecutionEvents {
 /// Why honest agents ended at ⊥: each honest failure counted once, under
 /// the Verification failure that rejected its CE_min, or under
 /// coherence_or_undecided when it failed before Verification (a Coherence
-/// mismatch) or never decided.  The counts sum to honest_failures.
+/// mismatch) or never decided.  These counts sum to honest_failures.
 struct HonestFailureCauses {
   /// Indexed by VerificationFailure; the kNone slot stays 0.
   std::array<std::uint32_t, kVerificationFailureCount> verification{};
   std::uint32_t coherence_or_undecided = 0;
+  /// Honest agents that decided kNoColor without failing — not counted in
+  /// honest_failures.  Under activation-based schedulers a synchronous
+  /// ProtocolAgent not woken in round find_min_begin never builds CE_u,
+  /// adopts only k = 0 certificates, and Verification accepts the empty
+  /// default it keeps, so the run ends ⊥ with no failure to blame.
+  std::uint32_t no_own_certificate = 0;
 
   std::uint32_t of(VerificationFailure f) const noexcept {
     return verification[static_cast<std::size_t>(f)];
@@ -140,7 +146,10 @@ HonestOutcome tally_honest_outcome(const sim::Engine& engine,
         ++out.failure_causes.verification[static_cast<std::size_t>(cause)];
       }
       bottom = true;
-    } else if (first == nullptr) {
+      continue;
+    }
+    if (agent.decision() == kNoColor) ++out.failure_causes.no_own_certificate;
+    if (first == nullptr) {
       first = &agent;
     } else if (first->decision() != agent.decision()) {
       bottom = true;

@@ -55,24 +55,6 @@ WireResult<VoteIntention> decode_intention_checked(
   return WireResult<VoteIntention>::success(std::move(intention));
 }
 
-std::optional<VoteIntention> decode_intention(BitReader& r,
-                                              const ProtocolParams& params) {
-  // The legacy lenient decoder, kept for in-memory call sites: any
-  // structured failure collapses to nullopt.  Note this path historically
-  // accepted out-of-range vote targets (they cost their target a vote and
-  // nothing else); the checked variant rejects them because transport input
-  // is hostile by assumption.
-  VoteIntention intention(params.q);
-  for (VoteEntry& e : intention) {
-    const auto value = r.read(params.value_bits());
-    const auto target = r.read(params.label_bits());
-    if (!value || !target) return std::nullopt;
-    e.value = *value;
-    e.target = static_cast<sim::AgentId>(*target);
-  }
-  return intention;
-}
-
 void encode_vote(BitWriter& w, const ProtocolParams& params,
                  std::uint64_t value) {
   w.write(value, params.value_bits());
@@ -147,13 +129,6 @@ WireResult<Certificate> decode_certificate_checked(
   c.color = static_cast<Color>(*color);
   c.owner = static_cast<sim::AgentId>(*owner);
   return R::success(std::move(c));
-}
-
-std::optional<Certificate> decode_certificate(BitReader& r,
-                                              const ProtocolParams& params) {
-  auto result = decode_certificate_checked(r, params);
-  if (!result.ok()) return std::nullopt;
-  return std::move(result.value);
 }
 
 std::uint64_t encoded_certificate_bits(const ProtocolParams& params,

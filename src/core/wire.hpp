@@ -11,14 +11,12 @@
 // transmitted; the certificate's variable-length W is prefixed by a vote
 // count of ceil(log2 (n q)) bits, which is included in bit_size().
 //
-// Parse errors.  Decoders come in two flavors: the original optional-based
-// ones (nullopt on any failure — what the in-memory simulator ever needed)
-// and _checked variants returning a WireResult with a structured WireError.
-// The checked variants exist because the transport layer (src/net) feeds
-// these decoders bytes from the network: a truncated stream, an overlong
-// vote count (a 2^30 reserve bomb), or an out-of-range label must each be
-// rejected with a diagnosable reason instead of a crash, an assert, or an
-// unbounded allocation.
+// Parse errors.  The intention and certificate decoders (_checked) return a
+// WireResult with a structured WireError, because the transport layer
+// (src/net) feeds them bytes from the network: a truncated stream, an
+// overlong vote count (a 2^30 reserve bomb), or an out-of-range label must
+// each be rejected with a diagnosable reason instead of a crash, an assert,
+// or an unbounded allocation.
 #pragma once
 
 #include <cstdint>
@@ -182,10 +180,8 @@ inline std::optional<std::uint64_t> BitReader::read(std::uint32_t bits) {
 /// Vote intention H_u: q * (value_bits + label_bits) bits.
 void encode_intention(BitWriter& w, const ProtocolParams& params,
                       const VoteIntention& intention);
-std::optional<VoteIntention> decode_intention(BitReader& r,
-                                              const ProtocolParams& params);
-/// Checked variant: kTruncated on a short stream, kRangeViolation on a
-/// vote target >= n (labels must name real agents).
+/// kTruncated on a short stream, kRangeViolation on a vote target >= n
+/// (labels must name real agents).
 WireResult<VoteIntention> decode_intention_checked(
     BitReader& r, const ProtocolParams& params);
 
@@ -198,11 +194,9 @@ std::optional<std::uint64_t> decode_vote(BitReader& r,
 /// Certificate (k, W, c, owner) with a |W| count prefix.
 void encode_certificate(BitWriter& w, const ProtocolParams& params,
                         const Certificate& certificate);
-std::optional<Certificate> decode_certificate(BitReader& r,
-                                              const ProtocolParams& params);
-/// Checked variant: kTruncated on a short stream, kCountOverflow when the
-/// vote-count prefix exceeds n*q (the domain bound — guards the reserve),
-/// kRangeViolation on a voter/owner label >= n or a voting round >= q.
+/// kTruncated on a short stream, kCountOverflow when the vote-count prefix
+/// exceeds n*q (the domain bound — guards the reserve), kRangeViolation on
+/// a voter/owner label >= n or a voting round >= q.
 WireResult<Certificate> decode_certificate_checked(
     BitReader& r, const ProtocolParams& params);
 

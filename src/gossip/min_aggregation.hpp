@@ -33,10 +33,6 @@ class MinAggregationAgent final : public sim::Agent {
                      const sim::Payload& reply) override;
   bool done() const override { return rounds_left_ == 0; }
 
-  // All observations move only inside this agent's own callbacks, so the
-  // engine may mirror them into its SoA caches (sim/agent.hpp).
-  bool cacheable_observations() const noexcept override { return true; }
-
   /// One-stage pipeline: the fraction of the pull budget spent.
   double progress() const noexcept override {
     return budget_ == 0 ? 1.0

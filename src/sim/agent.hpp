@@ -127,13 +127,20 @@ class Agent {
                        const Payload& /*payload*/) {}
 
   /// True once the agent has reached a final state.  The engine stops when
-  /// every non-faulty agent is done.
+  /// every non-faulty agent is done.  Contract: done() may change only
+  /// inside this agent's own callbacks (on_start, on_round, serve_pull,
+  /// on_pull_reply, on_push) — in the GOSSIP model an agent's state moves
+  /// only through its own operations and the messages it receives.  The
+  /// engine caches the report after each callback and reads the cache, so
+  /// state mutated from outside those callbacks after the first step is
+  /// never seen.
   virtual bool done() const = 0;
 
   /// Observation hook for adaptive schedulers (read through
   /// sim::EngineView): the coarse pipeline stage this agent is in.  The
   /// default kUnknown means "no phase information"; protocol agents
-  /// override it to expose their audit-pipeline stage.  For agents whose
+  /// override it to expose their audit-pipeline stage.  Read live (a
+  /// virtual call per observation, never cached).  For agents whose
   /// schedule reads a global clock the observation reflects their *last
   /// activation* (a starved agent's report can be stale); agents counting
   /// their own activations report the phase of their next wake-up exactly.
@@ -148,8 +155,8 @@ class Agent {
   /// adversary needs: `adversarial:target=min-cert` starves the agent whose
   /// report is currently minimal (the weakest certificate/progress holder),
   /// `target=quorum-edge` the agents whose fractional part is largest (just
-  /// about to complete their phase).  The same staleness caveat as phase()
-  /// applies.  Agents without a pipeline report 0 forever.
+  /// about to complete their phase).  Read live, with the same staleness
+  /// caveat as phase().  Agents without a pipeline report 0 forever.
   virtual double progress() const noexcept { return 0.0; }
 
   /// True when this agent's callbacks touch only its own state and the
@@ -158,16 +165,6 @@ class Agent {
   /// coalition blackboard) override to false; the sharded executor then
   /// refuses to run them instead of silently racing.
   virtual bool shard_safe() const noexcept { return true; }
-
-  /// True when done()/phase()/progress() can only change inside this
-  /// agent's own callbacks — never through state mutated from outside the
-  /// engine (a test fixture poking shared memory, a wall clock, ...).  When
-  /// every installed agent returns true (and is shard_safe), the engine
-  /// mirrors these observations into structure-of-arrays caches refreshed
-  /// at activation time instead of virtual-calling per read; agents backed
-  /// by externally mutable state must keep the default so observers always
-  /// see the live value.  The provided protocol/gossip agents opt in.
-  virtual bool cacheable_observations() const noexcept { return false; }
 };
 
 }  // namespace rfc::sim

@@ -92,8 +92,7 @@ class Engine {
   /// Runs until every non-faulty agent reports done() or the budget is
   /// exhausted (events and/or virtual-time horizon, whichever trips first);
   /// returns the number of events executed in total.  The completion check
-  /// is all_done(), O(1) per event when every agent sets
-  /// cacheable_observations() and an O(n) scan otherwise.
+  /// is all_done(), O(1) per event off the core's done() counter.
   std::uint64_t run(const Budget& budget);
 
   /// Runs until virtual_time() reaches `virtual_horizon` (or all agents are
@@ -106,8 +105,8 @@ class Engine {
     return run(Budget::until(virtual_horizon));
   }
 
-  /// True when every non-faulty agent reports done() (see
-  /// EngineCore::all_done for when this is O(1)).
+  /// True when every non-faulty agent reports done() (O(1) once started;
+  /// see EngineCore::all_done).
   bool all_done() const { return core_.all_done(); }
 
   Agent& agent(AgentId id) { return core_.agent(id); }

@@ -168,32 +168,11 @@ void EngineCore::deliver_held() {
 }
 
 bool EngineCore::all_done() const {
-  if (obs_cache_enabled_ && started_) return num_done_ == num_owned_active_;
-  // Without the caches, a fresh scan every call: completion can arrive
-  // outside the agent's own callbacks (coalition blackboard), so nothing
-  // cheaper is sound.
+  if (started_) return num_done_ == num_owned_active_;
   for (std::uint32_t i = owned_.begin; i < owned_.end; ++i) {
     if (faulty_[i] == 0 && !agents_[i]->done()) return false;
   }
   return true;
-}
-
-AgentPhase EngineCore::agent_phase(AgentId id) const {
-  if (!obs_cache_enabled_) return agents_[id]->phase();
-  if ((obs_valid_[id] & kPhaseValid) == 0) {
-    phase_cache_[id] = agents_[id]->phase();
-    obs_valid_[id] |= kPhaseValid;
-  }
-  return phase_cache_[id];
-}
-
-double EngineCore::agent_progress(AgentId id) const {
-  if (!obs_cache_enabled_) return agents_[id]->progress();
-  if ((obs_valid_[id] & kProgressValid) == 0) {
-    progress_cache_[id] = agents_[id]->progress();
-    obs_valid_[id] |= kProgressValid;
-  }
-  return progress_cache_[id];
 }
 
 void EngineCore::active_labels(std::vector<AgentId>& out) const {
@@ -250,47 +229,34 @@ void EngineCore::ensure_started() {
     rngs_seeded_ = true;
   }
   ensure_arenas(1);
-  // The SoA observation caches are sound exactly when observations change
-  // only through the agent's own callbacks: cacheable_observations() rules
-  // out externally mutated state, shard_safe() rules out one label's
-  // callback moving another label's observations (coalition blackboards).
-  bool cacheable = true;
   for (std::uint32_t i = owned_.begin; i < owned_.end; ++i) {
     if (agents_[i] == nullptr) {
       throw std::logic_error("Engine: agent " + std::to_string(i) +
                              " not installed");
     }
-    cacheable = cacheable && agents_[i]->shard_safe() &&
-                agents_[i]->cacheable_observations();
   }
+  // Each agent's done() cache entry starts from its report after on_start;
+  // the round and sequential_activation keep done_, the counter and the
+  // live list current from then on.
+  done_.assign(n_, 0);
+  done_settled_.assign(n_, 0);
+  num_done_ = 0;
   num_owned_active_ = 0;
+  live_list_.clear();
+  live_list_.reserve(owned_.end - owned_.begin);
   for (std::uint32_t i = owned_.begin; i < owned_.end; ++i) {
     if (faulty_[i] == 0) {
       ++num_owned_active_;
-      const Context ctx = make_context(i, serial_arena());
-      agents_[i]->on_start(ctx);
+      agents_[i]->on_start(make_context(i, serial_arena()));
     }
-  }
-  if (cacheable) {
-    done_.assign(n_, 0);
-    obs_valid_.assign(n_, 0);
-    phase_cache_.assign(n_, AgentPhase::kUnknown);
-    progress_cache_.assign(n_, 0.0);
-    done_settled_.assign(n_, 0);
-    num_done_ = 0;
-    live_list_.clear();
-    live_list_.reserve(num_owned_active_);
-    for (std::uint32_t i = owned_.begin; i < owned_.end; ++i) {
-      done_[i] = agents_[i]->done() ? 1 : 0;
-      if (faulty_[i] != 0) continue;
-      if (done_[i] != 0) {
-        ++num_done_;
-        done_settled_[i] = 1;
-      } else {
-        live_list_.push_back(i);
-      }
+    done_[i] = agents_[i]->done() ? 1 : 0;
+    if (faulty_[i] != 0) continue;
+    if (done_[i] != 0) {
+      ++num_done_;
+      done_settled_[i] = 1;
+    } else {
+      live_list_.push_back(i);
     }
-    obs_cache_enabled_ = true;
   }
   started_ = true;
 }

@@ -25,13 +25,13 @@
 // independent cores on independent seeds.
 //
 // Hot state is structure-of-arrays.  The polymorphic Agent objects remain
-// the behavior, but everything the round loop and the observers touch per
-// agent lives in contiguous parallel arrays: the fault flags, the per-agent
-// RNG streams, and SoA caches of the hot observations (done()/phase()/
-// progress()) refreshed on activation.  The caches are enabled only when
-// every agent is shard_safe() — an agent whose done() can flip without its
-// own callback running (the coalition blackboard) declares shard_safe()
-// false and gets the virtual-scan behavior unchanged.
+// the behavior, but everything the round loop touches per agent lives in
+// contiguous parallel arrays: the fault flags, the per-agent RNG streams,
+// and the done() cache.  Agent::done() changes only inside the agent's own
+// callbacks (its contract), so the core re-reads it after each callback and
+// every other reader — the round, the schedulers, all_done() — reads the
+// cache.  phase() and progress() are read live: only adaptive schedulers
+// observe them.
 //
 // The round this core feeds is cache-blocked (the lanes drain 2^16-label
 // units, block_shift_) and sparse (phase A walks the live list kept below,
@@ -119,27 +119,15 @@ class EngineCore {
   Agent& agent(AgentId id) { return *agents_.at(id); }
   const Agent& agent(AgentId id) const { return *agents_.at(id); }
 
-  // --- Hot observations, cached SoA-side. ---------------------------------
-  //
-  // done() is refreshed eagerly on every activation (the round loop needs
-  // it anyway); phase()/progress() are cached lazily — invalidated on
-  // activation, recomputed on the first observer read after it.  With any
-  // non-shard-safe agent installed every accessor falls back to the virtual
-  // call, byte-identically to the pre-SoA engine.
-
-  /// The agent's done() report (cached; identical to agent(id).done()).
+  /// The agent's done() report: the cache once started (identical to
+  /// agent(id).done() under the Agent::done() contract), the virtual call
+  /// before.
   bool agent_done(AgentId id) const {
-    return obs_cache_enabled_ ? done_[id] != 0 : agents_[id]->done();
+    return started_ ? done_[id] != 0 : agents_[id]->done();
   }
-  /// The agent's phase observation; kUnknown for agents exposing none.
-  AgentPhase agent_phase(AgentId id) const;
-  /// The agent's numeric pipeline position (Agent::progress()).
-  double agent_progress(AgentId id) const;
 
-  /// True when every owned non-faulty agent reports done().  O(1) off the
-  /// cached done counter when the SoA caches are live; otherwise the scan
-  /// (done() can flip without the agent's own callback running, e.g.
-  /// through a coalition blackboard, so no counter is sound there).
+  /// True when every owned non-faulty agent reports done(): O(1) off the
+  /// cached done counter once started, a scan before.
   bool all_done() const;
 
   /// Clears `out` and refills it with the owned non-faulty labels, in label
@@ -219,14 +207,12 @@ class EngineCore {
     return arenas_.empty() ? nullptr : arenas_[0].get();
   }
 
-  /// Refreshes agent `i`'s SoA observation caches after it ran a callback:
-  /// re-reads done() into done_ and invalidates the lazy phase/progress
-  /// entries.  Returns true when the done byte flipped.  No-op for faulty
-  /// labels and with the caches disabled.  Touches only label i's bytes, so
-  /// it is safe inside a parallel round phase (one partition owns i).
+  /// Re-reads agent `i`'s done() into done_ after it ran a callback.
+  /// Returns true when the done byte flipped.  No-op for faulty labels.
+  /// Touches only label i's byte, so it is safe inside a parallel round
+  /// phase (one partition owns i).
   bool refresh_done(AgentId i) {
-    if (!obs_cache_enabled_ || faulty_[i] != 0) return false;
-    obs_valid_[i] = 0;
+    if (faulty_[i] != 0) return false;
     const std::uint8_t d = agents_[i]->done() ? 1 : 0;
     if (d == done_[i]) return false;
     done_[i] = d;
@@ -244,12 +230,12 @@ class EngineCore {
       --num_done_;
     }
   }
-  /// Cache refresh plus immediate settlement, for code running outside the
+  /// Done refresh plus immediate settlement, for code running outside the
   /// round's parallel phases.
   void note_activation(AgentId i) {
     if (refresh_done(i)) settle_done(i);
   }
-  /// Cache refresh inside a round phase: the shared counter would race, so
+  /// Done refresh inside a round phase: the shared counter would race, so
   /// a flip is only recorded in the owning partition's `flipped` list, and
   /// the executor settles those labels when the round ends.
   void note_activation_sharded(AgentId i, std::vector<AgentId>& flipped) {
@@ -274,7 +260,7 @@ class EngineCore {
   // per-message checks stay inert without one.  `metrics` is metrics_ on
   // the sequential path and a per-partition delta in the round (merged
   // after it).  A step points `ctx` at the agent it calls; the caller
-  // refreshes that agent's observation cache.
+  // refreshes that agent's done() cache.
   void charge_pull_request(Metrics& metrics);
   /// Serves `requester`'s pull on `v` from v's current state, charging the
   /// reply if there is one.  Faulty and down servers, and pulls whose
@@ -368,27 +354,18 @@ class EngineCore {
   // --- Structure-of-arrays hot state (one entry per label). ---------------
   std::vector<std::uint8_t> faulty_;
   std::vector<rfc::support::Xoshiro256> rngs_;
-  std::vector<std::uint8_t> done_;      ///< Cached Agent::done() (eager).
-  mutable std::vector<std::uint8_t> obs_valid_;  ///< Lazy-cache valid bits.
-  mutable std::vector<AgentPhase> phase_cache_;
-  mutable std::vector<double> progress_cache_;
-  static constexpr std::uint8_t kPhaseValid = 1;
-  static constexpr std::uint8_t kProgressValid = 2;
+  std::vector<std::uint8_t> done_;  ///< Cached Agent::done(), once started.
 
   std::uint32_t num_faulty_ = 0;
   std::uint32_t num_done_ = 0;  ///< Owned non-faulty labels with done_[i].
   std::uint32_t num_owned_active_ = 0;  ///< Owned non-faulty labels.
   /// Label-ordered live owned labels (non-faulty, not done) — the sparse
-  /// round's phase-A iteration domain.  Built at ensure_started with the
-  /// caches; done entries compact away in place in each partition's phase
-  /// A, and the round closes the gaps between partitions at its end.
+  /// round's phase-A iteration domain.  Built at ensure_started; done
+  /// entries compact away in place in each partition's phase A, and the
+  /// round closes the gaps between partitions at its end.
   std::vector<AgentId> live_list_;
   /// done_[i] as last settled into num_done_ (settle_done).
   std::vector<std::uint8_t> done_settled_;
-  /// SoA observation caches live?  Set at ensure_started iff every agent is
-  /// shard_safe() (their observations change only through their own
-  /// callbacks, so activation-keyed refresh is sound).
-  bool obs_cache_enabled_ = false;
   std::uint64_t time_ = 0;
   bool started_ = false;
   bool rngs_seeded_ = false;

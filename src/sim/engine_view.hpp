@@ -7,20 +7,20 @@
 // window over EngineCore handed to every Scheduler::step() call, exposing
 //
 //   * the clocks (discrete event count and accumulated virtual time),
-//   * per-agent done()/faulty status,
-//   * per-agent protocol phase and numeric progress (the Agent::phase() /
-//     Agent::progress() hooks — e.g. Protocol P agents report their
-//     audit-pipeline stage and position, so a phase-aware adversary can
-//     starve an agent exactly during its voting window and a reactive one
-//     can re-plan its victim set around the weakest progress holder), and
+//   * per-agent done()/faulty status (done() from the core's cache),
+//   * per-agent protocol phase and numeric progress, read live through the
+//     Agent::phase() / Agent::progress() hooks (e.g. Protocol P agents
+//     report their audit-pipeline stage and position, so a phase-aware
+//     adversary can starve an agent exactly during its voting window and a
+//     reactive one can re-plan its victim set around the weakest progress
+//     holder), and
 //   * shard geometry (the contiguous block partition of the label space
 //     shared with ShardedRoundExecutor and the batched-delivery policy).
 //
 // Policies mutate the core only through its execution primitives
 // (ShardedRoundExecutor::run_round / sequential_activation, taken by
-// EngineCore&);
-// everything they *observe* goes through this type, which keeps the
-// observation surface explicit and const.
+// EngineCore&); everything they *observe* goes through this type, which
+// keeps the observation surface explicit and const.
 #pragma once
 
 #include <cstdint>
@@ -44,16 +44,17 @@ class EngineView {
   std::uint32_t num_faulty() const noexcept { return core_->num_faulty(); }
 
   bool faulty(AgentId id) const { return core_->is_faulty(id); }
-  /// The agent's own done() report (served from the core's SoA cache when
-  /// live).  Faulty agents never wake regardless.
+  /// The agent's own done() report (the core's cache once started).
+  /// Faulty agents never wake regardless.
   bool done(AgentId id) const { return core_->agent_done(id); }
-  /// The agent's phase observation (sim::AgentPhase); kUnknown for agents
-  /// that expose none.
-  AgentPhase phase(AgentId id) const { return core_->agent_phase(id); }
+  /// The agent's phase observation (sim::AgentPhase), read live; kUnknown
+  /// for agents that expose none.
+  AgentPhase phase(AgentId id) const { return core_->agent(id).phase(); }
   /// The agent's numeric pipeline position (Agent::progress(): completed
   /// stages + fraction of the current stage); 0 for agents that expose
-  /// none.  Reactive adversaries rank victims by this observation.
-  double progress(AgentId id) const { return core_->agent_progress(id); }
+  /// none.  Read live.  Reactive adversaries rank victims by this
+  /// observation.
+  double progress(AgentId id) const { return core_->agent(id).progress(); }
   /// True when every non-faulty agent reports done().
   bool all_done() const { return core_->all_done(); }
 

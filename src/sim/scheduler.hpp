@@ -38,8 +38,8 @@
 //     Poisson clock, so wake-ups are a rate-λ·|active| process (simulated
 //     Gillespie-style: exponential inter-event times, uniform wake choice).
 //     It is the only continuous-time simulator: O(1) per event, with
-//     Engine::run's all_done() check O(1) too whenever every agent sets
-//     cacheable_observations() (all shipped agents do).
+//     Engine::run's all_done() check O(1) too (the core counts done()
+//     flips as agents run).
 //
 // The engine↔scheduler contract is split in two: policies *observe* the
 // execution through the read-only sim::EngineView handed to step() (clocks,

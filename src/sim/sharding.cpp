@@ -31,7 +31,7 @@ void ShardedRoundExecutor::bind(EngineCore& core) {
     shard_begin_[s] = contiguous_block_begin(n, shards_, s);
   }
   scratch_.resize(shards_);
-  bound_shift_ = kUnbound;  // The units follow once the core has started.
+  bound_shift_ = kUnbound;  // bind_units cuts the units, in prepare.
   core.ensure_arenas(shards_);  // One round arena per shard.
   if (shards_ > 1) {
     // Agents sharing mutable state across labels (Agent::shard_safe() ==
@@ -61,10 +61,7 @@ void ShardedRoundExecutor::bind(EngineCore& core) {
 }
 
 void ShardedRoundExecutor::bind_units(const EngineCore& core) {
-  // Without the SoA caches an agent's observations may move through another
-  // label's callbacks, so those rounds deliver in global label order: one
-  // block spanning the label space (2^31 labels covers every practical n).
-  const std::uint32_t shift = core.obs_cache_enabled_ ? core.block_shift_ : 31;
+  const std::uint32_t shift = core.block_shift_;
   if (shift == bound_shift_) return;
   bound_shift_ = shift;
   const std::uint32_t n = bound_n_;
@@ -187,18 +184,16 @@ void ShardedRoundExecutor::open_round(EngineCore& core) {
   // place, so no shard reads another's while it is being written.  A
   // segment counts as kept whole until its shard's phase A compacts it: a
   // cluster node runs phase A for its own shard only.
-  if (core.obs_cache_enabled_) {
-    const auto& live = core.live_list_;
-    std::size_t begin = 0;
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-      const std::size_t end = static_cast<std::size_t>(
-          std::lower_bound(live.begin() + begin, live.end(),
-                           shard_begin_[s + 1]) -
-          live.begin());
-      scratch_[s].live_begin = begin;
-      scratch_[s].live_end = scratch_[s].live_kept_end = end;
-      begin = end;
-    }
+  const auto& live = core.live_list_;
+  std::size_t begin = 0;
+  for (std::uint32_t s = 0; s < shards_; ++s) {
+    const std::size_t end = static_cast<std::size_t>(
+        std::lower_bound(live.begin() + begin, live.end(),
+                         shard_begin_[s + 1]) -
+        live.begin());
+    scratch_[s].live_begin = begin;
+    scratch_[s].live_end = scratch_[s].live_kept_end = end;
+    begin = end;
   }
 }
 
@@ -241,26 +236,16 @@ void ShardedRoundExecutor::collect(EngineCore& core, std::uint32_t s,
   const std::uint32_t* unit_offset = unit_offset_.data();
   Lane* lanes = sc.lanes.data();
   Context ctx = core.make_context(0, core.round_arena(s));
-  // With the caches live, walk the shard's live-list segment, compacting
-  // labels that were done at round start out of it in place (done() is
-  // monotone, so a dropped label never wakes again); the segment is
-  // label-ordered and holds exactly the labels a range scan would not
-  // skip.  Without them, scan the shard's label range.
-  const bool sparse = core.obs_cache_enabled_;
+  // Walk the shard's live-list segment, compacting labels that were done
+  // at round start out of it in place (done() is monotone, so a dropped
+  // label never wakes again); the segment is label-ordered and holds
+  // exactly the shard's non-faulty labels not yet done.
   AgentId* live = core.live_list_.data();
   std::size_t w = sc.live_begin;
-  const std::size_t begin = sparse ? sc.live_begin : shard_begin_[s];
-  const std::size_t end = sparse ? sc.live_end : shard_begin_[s + 1];
-  for (std::size_t r = begin; r < end; ++r) {
-    AgentId i;
-    if (sparse) {
-      i = live[r];
-      if (core.done_[i] != 0) continue;
-      live[w++] = i;  // Down agents stay listed: churn is transient.
-    } else {
-      i = static_cast<AgentId>(r);
-      if (core.faulty_[i] != 0 || core.agents_[i]->done()) continue;
-    }
+  for (std::size_t r = sc.live_begin; r < sc.live_end; ++r) {
+    const AgentId i = live[r];
+    if (core.done_[i] != 0) continue;
+    live[w++] = i;  // Down agents stay listed: churn is transient.
     if (core.is_down(i) || (awake_mask != nullptr && !(*awake_mask)[i])) {
       continue;
     }
@@ -382,7 +367,6 @@ void ShardedRoundExecutor::deliver_pushes(EngineCore& core, std::uint32_t d) {
 }
 
 void ShardedRoundExecutor::settle_done(EngineCore& core) {
-  if (!core.obs_cache_enabled_) return;
   // A label can flip more than once in a round only by breaching "done is
   // final"; settle_done compares against the last settled byte, so
   // duplicate entries are harmless.

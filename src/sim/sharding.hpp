@@ -65,9 +65,11 @@
 // (shards, threads) combination and every block size, including thread
 // counts exceeding the core count (tests/sharded_equivalence_test.cpp pins
 // this), and for a cluster of any node count (tests/net_loopback_test.cpp).
-// Without the engine's SoA caches an agent may observe another label's
-// state, so those rounds use one unit per shard and deliver in global
-// label order.
+// Block-size independence holds for agents sharing state across labels
+// too (the coalition blackboard, which runs only with S = 1): under the
+// Agent::done() contract their done() still moves only through their own
+// callbacks, and tests/strategies_test.cpp pins every deviation strategy's
+// end state across block sizes.
 //
 // Requirements on agents: with S > 1, callbacks must only touch the
 // agent's own state and the Context handed to them (true of every shipped
@@ -228,9 +230,8 @@ class ShardedRoundExecutor {
   /// per engine), and for S > 1 checks the agents and prefetches the RNG
   /// streams.  Runs before the core starts.
   void bind(EngineCore& core);
-  /// Cuts the shards into units for the core's block size (after the core
-  /// started: the caches decide between blocks and one label-order block)
-  /// and pre-sizes the lanes.
+  /// Cuts the shards into units for the core's block size and pre-sizes
+  /// the lanes.
   void bind_units(const EngineCore& core);
   /// Runs fn(shard) for every shard and returns once all are done (a
   /// barrier): inline for one shard, otherwise on the pool, which the

@@ -41,7 +41,6 @@ class OrderTraceAgent final : public sim::Agent {
     fold(kPush, sender, ctx.round, payload.word(0));
   }
   bool done() const override { return false; }
-  bool cacheable_observations() const noexcept override { return true; }
 
   std::uint64_t hash() const noexcept { return hash_; }
 

@@ -184,6 +184,38 @@ TEST(RunProtocol, FailureCausesAreAttributed) {
   EXPECT_EQ(sum_of(forged.failure_causes), forged.honest_failures);
 }
 
+TEST(RunProtocol, BottomUnderActivationSchedulersHasACause) {
+  // Under activation-based schedulers some synchronous agents never build
+  // CE_u and decide kNoColor without failing.  Every ⊥ run must still name
+  // a cause: an honest failure or such an agent — and some runs have only
+  // the latter, which honest_failures alone would leave unexplained.
+  RunConfig synchronous;
+  synchronous.n = 64;
+  synchronous.gamma = 4.0;
+  EXPECT_EQ(run_protocol(synchronous).failure_causes.no_own_certificate, 0u);
+
+  bool cause_only_no_own_certificate = false;
+  for (const char* spec :
+       {"sequential", "poisson", "adversarial:victim_fraction=0.25,budget=64"}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      RunConfig cfg;
+      cfg.n = 64;
+      cfg.gamma = 4.0;
+      cfg.seed = seed;
+      cfg.scheduler = sim::SchedulerSpec::parse(spec);
+      const RunResult r = run_protocol(cfg);
+      if (!r.failed()) continue;
+      const std::uint32_t no_own = r.failure_causes.no_own_certificate;
+      EXPECT_TRUE(r.honest_failures > 0 || no_own > 0)
+          << spec << " seed " << seed;
+      if (r.honest_failures == 0 && no_own > 0) {
+        cause_only_no_own_certificate = true;
+      }
+    }
+  }
+  EXPECT_TRUE(cause_only_no_own_certificate);
+}
+
 TEST(RunProtocol, CoalitionLabelsExcludedFromOutcome) {
   RunConfig cfg;
   cfg.n = 64;

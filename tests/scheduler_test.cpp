@@ -502,9 +502,9 @@ TEST(PoissonClockScheduler, CompactsDoneAgentsOutOfTheActiveSet) {
 TEST(PoissonClockScheduler, CompletionCheckCostsOneDoneCallPerEvent) {
   // The end-phase regime: every agent but the last label is done, so a
   // completion check that scanned labels would call done() on the whole
-  // done prefix every event.  With cacheable observations the engine reads
-  // done() once per activation and Engine::run's all_done() is O(1) — the
-  // property that keeps the Gillespie scan flat in n.
+  // done prefix every event.  The engine caches done(), reading it once
+  // per activation, and Engine::run's all_done() is O(1) — the property
+  // that keeps the Gillespie scan flat in n.
   class CountedDoneAgent final : public Agent {
    public:
     CountedDoneAgent(bool is_done, std::uint64_t* calls) noexcept
@@ -515,7 +515,6 @@ TEST(PoissonClockScheduler, CompletionCheckCostsOneDoneCallPerEvent) {
       ++*calls_;
       return done_;
     }
-    bool cacheable_observations() const noexcept override { return true; }
 
    private:
     bool done_;

@@ -522,7 +522,6 @@ class OrderHashAgent final : public Agent {
   bool done() const override {
     return received_ >= 3 || rounds_ >= round_limit_;
   }
-  bool cacheable_observations() const noexcept override { return true; }
 
   std::uint64_t hash() const noexcept { return hash_; }
 
@@ -681,7 +680,6 @@ class DoneCountingAgent final : public Agent {
     ++done_calls_;
     return finished_;
   }
-  bool cacheable_observations() const noexcept override { return true; }
 
   std::uint64_t done_calls() const noexcept { return done_calls_; }
 
@@ -748,7 +746,6 @@ class ThrowingPushAgent final : public Agent {
     if (ctx.round == 2) throw RoundThreeError();
   }
   bool done() const override { return false; }
-  bool cacheable_observations() const noexcept override { return true; }
 };
 
 TEST(ShardedEquivalence, AgentExceptionReachesStepCaller) {

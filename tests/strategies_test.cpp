@@ -366,5 +366,36 @@ TEST(Strategies, AdaptiveVoteCannotBeatAudits) {
   EXPECT_LT(rate, 8.0 / 64 + 0.18);
 }
 
+TEST(Strategies, CoalitionEndStateIsBlockSizeIndependent) {
+  // Coalition agents share a blackboard (shard_safe() == false), yet each
+  // one's done() still moves only through its own callbacks, so they take
+  // the engine's blocked, sparse round like everyone else.  Delivering in
+  // 16-label blocks instead of one 2^16-label block reorders deliveries
+  // across receivers; the end state of every strategy must not notice.
+  const auto force_blocks = [](sim::Engine& engine) {
+    engine.set_block_labels(16);
+  };
+  for (const DeviationStrategy s : all_deviation_strategies()) {
+    for (const std::uint64_t seed : {1ull, 7ull, 23ull}) {
+      core::RunConfig cfg;
+      cfg.n = 256;
+      cfg.gamma = 2.0;
+      cfg.seed = seed;
+      cfg.colors = core::split_colors(cfg.n, {0.5, 0.3, 0.2});
+      const CoalitionPtr coalition = make_prefix_coalition(12);
+      cfg.coalition = coalition->members();
+      cfg.factory = make_deviating_factory(s, coalition);
+      const std::uint64_t one_block =
+          rfc::testing::protocol_end_state_digest(cfg);
+      // A fresh coalition: the blackboard must not carry over between runs.
+      const CoalitionPtr again = make_prefix_coalition(12);
+      cfg.factory = make_deviating_factory(s, again);
+      EXPECT_EQ(one_block,
+                rfc::testing::protocol_end_state_digest(cfg, force_blocks))
+          << to_string(s) << " seed " << seed;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rfc::rational

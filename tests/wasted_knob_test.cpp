@@ -4,7 +4,7 @@
 // coupon-collector tail the analysis notebooks integrate over) — and the
 // adversarial walk removes done agents only lazily when the cursor lands on
 // them.  The wake traces and Protocol P end-state digests below freeze
-// that behaviour, with the engine's SoA caches on and off.
+// that behaviour.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,14 +23,12 @@ namespace rfc::sim {
 namespace {
 
 // --------------------------------------------------------------------------
-// A finite agent: done after a fixed number of activations.  The cacheable
-// flag switches the engine's SoA caches on or off.
+// A finite agent: done after a fixed number of activations.
 // --------------------------------------------------------------------------
 class DoneAfterAgent final : public Agent {
  public:
-  DoneAfterAgent(std::uint64_t limit, std::vector<AgentId>* trace,
-                 bool cacheable) noexcept
-      : limit_(limit), trace_(trace), cacheable_(cacheable) {}
+  DoneAfterAgent(std::uint64_t limit, std::vector<AgentId>* trace) noexcept
+      : limit_(limit), trace_(trace) {}
 
   Action on_round(const Context& ctx) override {
     ++activations_;
@@ -39,12 +37,10 @@ class DoneAfterAgent final : public Agent {
   }
   Payload serve_pull(const Context&, AgentId) override { return {}; }
   bool done() const override { return activations_ >= limit_; }
-  bool cacheable_observations() const noexcept override { return cacheable_; }
 
  private:
   std::uint64_t limit_;
   std::vector<AgentId>* trace_;
-  bool cacheable_;
   std::uint64_t activations_ = 0;
 };
 
@@ -54,13 +50,12 @@ struct TraceRun {
 };
 
 /// Runs n DoneAfterAgent(limit=2) agents to completion under `spec_text`.
-TraceRun trace_run(const std::string& spec_text, bool cacheable,
-                   std::uint32_t n = 8, std::uint64_t seed = 42) {
+TraceRun trace_run(const std::string& spec_text, std::uint32_t n = 8,
+                   std::uint64_t seed = 42) {
   TraceRun out;
   Engine engine({n, seed, nullptr, SchedulerSpec::parse(spec_text).make()});
   for (AgentId i = 0; i < n; ++i) {
-    engine.set_agent(i,
-                     std::make_unique<DoneAfterAgent>(2, &out.trace, cacheable));
+    engine.set_agent(i, std::make_unique<DoneAfterAgent>(2, &out.trace));
   }
   while (!engine.all_done() && out.steps < 100'000) {
     engine.step();
@@ -82,14 +77,14 @@ const std::vector<AgentId> kSequentialKeepTrace = {
 constexpr std::uint64_t kSequentialKeepSteps = 29;
 
 TEST(WastedKnob, SequentialKeepIsTheDefault) {
-  const TraceRun plain = trace_run("sequential", true);
+  const TraceRun plain = trace_run("sequential");
   EXPECT_EQ(plain.trace, kSequentialKeepTrace);
   EXPECT_EQ(plain.steps, kSequentialKeepSteps);
   EXPECT_GT(plain.steps, plain.trace.size());  // Wasted draws cost steps.
 }
 
 // --------------------------------------------------------------------------
-// Adversarial: the pinned trace, with and without the SoA caches.
+// Adversarial: the pinned trace.
 // --------------------------------------------------------------------------
 
 // The walk never wastes a *step* (lazy removal consumes no walk slot), so
@@ -101,17 +96,9 @@ constexpr std::uint64_t kAdversarialKeepSteps = 16;
 constexpr char kAdvKeep[] = "adversarial:budget=8,victim_fraction=0.25";
 
 TEST(WastedKnob, AdversarialKeepIsTheDefault) {
-  const TraceRun plain = trace_run(kAdvKeep, true);
+  const TraceRun plain = trace_run(kAdvKeep);
   EXPECT_EQ(plain.trace, kAdversarialKeepTrace);
   EXPECT_EQ(plain.steps, kAdversarialKeepSteps);
-}
-
-TEST(WastedKnob, AdversarialKeepTraceIsCacheIndependent) {
-  // Non-cacheable agents turn the SoA caches off; the walk reads done()
-  // through the virtual call and must reproduce the cached run's trace.
-  const TraceRun uncached = trace_run(kAdvKeep, false);
-  EXPECT_EQ(uncached.trace, kAdversarialKeepTrace);
-  EXPECT_EQ(uncached.steps, kAdversarialKeepSteps);
 }
 
 // --------------------------------------------------------------------------

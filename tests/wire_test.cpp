@@ -248,9 +248,9 @@ TEST(WireIntention, RoundTripsAtExactSize) {
             static_cast<std::uint64_t>(p.q) *
                 (p.value_bits() + p.label_bits()));
   BitReader r(w.bytes(), w.bit_count());
-  const auto decoded = decode_intention(r, p);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, h);
+  const auto decoded = decode_intention_checked(r, p);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded.value, h);
   EXPECT_EQ(r.remaining(), 0u);
 }
 
@@ -281,9 +281,9 @@ TEST(WireCertificate, RoundTripsAtChargedSizePlusCount) {
             cert.bit_size(p) + certificate_count_bits(p));
 
   BitReader r(w.bytes(), w.bit_count());
-  const auto decoded = decode_certificate(r, p);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, cert);
+  const auto decoded = decode_certificate_checked(r, p);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded.value, cert);
   EXPECT_EQ(r.remaining(), 0u);
 }
 
@@ -296,9 +296,9 @@ TEST(WireCertificate, EmptyVotesRoundTrip) {
   BitWriter w;
   encode_certificate(w, p, cert);
   BitReader r(w.bytes(), w.bit_count());
-  const auto decoded = decode_certificate(r, p);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, cert);
+  const auto decoded = decode_certificate_checked(r, p);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded.value, cert);
 }
 
 TEST(WireCertificate, TruncatedStreamFailsCleanly) {
@@ -307,7 +307,7 @@ TEST(WireCertificate, TruncatedStreamFailsCleanly) {
   BitWriter w;
   encode_certificate(w, p, cert);
   BitReader r(w.bytes(), w.bit_count() - 5);  // Chop the tail.
-  EXPECT_FALSE(decode_certificate(r, p).has_value());
+  EXPECT_EQ(decode_certificate_checked(r, p).error, WireError::kTruncated);
 }
 
 TEST(WireCertificate, CountPrefixCoversMaxVotes) {
